@@ -13,12 +13,25 @@ penalized for mass it cannot place there.
 With prior_shape a=1 and prior_rate b=0 the updates are exact
 maximum-likelihood steps and the negative log-likelihood is non-increasing
 sweep over sweep; a>1 / b>0 adds Gamma(a, b) MAP smoothing.
+
+The kernels produce the same bits as the plain formulation (fancy-index
+row gathers, ``np.add.at`` scatter); only their per-call overhead is tuned.
+Row gathers are ``np.take`` copies. The scatter of the update's numerator
+is one ``np.bincount`` per factor column: like ``np.add.at`` it adds each
+nonzero's term into its output cell one at a time in nnz order, starting
+from 0.0, so every cell sums the same terms in the same order. Gathers and
+elementwise products write into two nnz x K scratch arrays that ``fit``
+allocates once and passes to every kernel call. That changes no value, but
+fresh nnz x K temporaries on every call are returned to the operating
+system by the C allocator between calls and page-fault again on first
+touch, which costs more than the arithmetic on them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -144,8 +157,43 @@ def reconstruct_entry(model: FactorModel, i: int, j: int, t: int) -> float:
     return float((model.O[i] * model.D[j] * model.T[t]) @ model.weights)
 
 
-def _rates(model: FactorModel, coords: np.ndarray) -> np.ndarray:
-    return (model.O[coords[:, 0]] * model.D[coords[:, 1]] * model.T[coords[:, 2]]) @ model.weights
+def _new_scratch(nnz: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty((nnz, rank)), np.empty((nnz, rank))
+
+
+def _scratch(tensor: MigrationTensor, model: FactorModel, scratch) -> tuple[np.ndarray, np.ndarray]:
+    if scratch is None:
+        return _new_scratch(tensor.nnz, model.K)
+    # C order keeps the row sums' summation order, and so their bits
+    if any(buf.shape != (tensor.nnz, model.K) or buf.dtype != np.float64
+           or not buf.flags.c_contiguous for buf in scratch):
+        raise ValueError("scratch arrays must be C-contiguous float64 of shape "
+                         f"{(tensor.nnz, model.K)}")
+    return scratch
+
+
+def _gather(mat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = mat[idx]``, written in place.
+
+    Every index is in range (tensor entries are checked on construction and
+    the model's dims match the tensor's), so mode "clip" never clips; unlike
+    the default "raise" it writes into ``out`` without a temporary copy.
+    """
+    return np.take(mat, idx, axis=0, out=out, mode="clip")
+
+
+def _index_columns(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Origin, destination and month index of every entry, each contiguous."""
+    return tuple(np.ascontiguousarray(col) for col in tensor.coords.T)
+
+
+def _rates(model: FactorModel, tensor: MigrationTensor, scratch) -> np.ndarray:
+    ii, jj, tt = _index_columns(tensor)
+    prod, tmp = scratch
+    _gather(model.O, ii, prod)
+    prod *= _gather(model.D, jj, tmp)
+    prod *= _gather(model.T, tt, tmp)
+    return prod @ model.weights
 
 
 def _reconstructed_mass(model: FactorModel) -> float:
@@ -155,18 +203,19 @@ def _reconstructed_mass(model: FactorModel) -> float:
     return float(full - diag)
 
 
-def log_likelihood(tensor: MigrationTensor, model: FactorModel) -> float:
+def log_likelihood(tensor: MigrationTensor, model: FactorModel, *, scratch=None) -> float:
     """Poisson log-likelihood up to the constant log(A!) term.
 
     Returns -inf (rather than raising) when the model assigns rate zero to
-    a cell with observed counts.
+    a cell with observed counts. ``scratch``, two float64 arrays of shape
+    (nnz, K), is overwritten; without it the call allocates its own.
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
     mass = _reconstructed_mass(model)
     if tensor.nnz == 0:
         return -mass
-    rates = _rates(model, tensor.coords)
+    rates = _rates(model, tensor, _scratch(tensor, model, scratch))
     if (rates <= 0).any():
         return float("-inf")
     return float(tensor.counts @ np.log(rates) - mass)
@@ -184,7 +233,7 @@ def _unnormalized(model: FactorModel, mode: str) -> np.ndarray:
 
 
 def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
-                prior_shape: float = 1.0, prior_rate: float = 0.0) -> FactorModel:
+                prior_shape: float = 1.0, prior_rate: float = 0.0, *, scratch=None) -> FactorModel:
     """One multiplicative update of a single factor matrix.
 
     Absorbs the weights into the updated mode, applies the Poisson
@@ -192,32 +241,41 @@ def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
     renormalizes that matrix's columns back into (factors, weights). The
     other two matrices pass through untouched. Denominators subtract the
     structurally-absent diagonal's contribution.
+
+    The numerator ``sum over nonzeros of contrib * count / rate`` is
+    scattered into its rows with one ``np.bincount`` per column, which
+    adds the terms of each cell in nnz order exactly as ``np.add.at``
+    would, so the result is bit-identical to that formulation.
+    ``scratch``, two float64 arrays of shape (nnz, K), is overwritten;
+    without it the call allocates its own.
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
     a, b = prior_shape, prior_rate
-    ii, jj, tt = tensor.coords[:, 0], tensor.coords[:, 1], tensor.coords[:, 2]
+    ii, jj, tt = _index_columns(tensor)
+    contrib, work = _scratch(tensor, model, scratch)
     W = _unnormalized(model, mode)
     sum_T = model.T.sum(0)
 
+    # contrib is the product of the other two modes' rows: D[jj] * T[tt] etc.
     if mode == "origin":
-        rows, contrib = ii, model.D[jj] * model.T[tt]
-        rates = (W[ii] * contrib).sum(axis=1)
+        rows, (P, p), (Q, q) = ii, (model.D, jj), (model.T, tt)
         denom = b + model.D.sum(0) * sum_T - model.D * sum_T
     elif mode == "destination":
-        rows, contrib = jj, model.O[ii] * model.T[tt]
-        rates = (W[jj] * contrib).sum(axis=1)
+        rows, (P, p), (Q, q) = jj, (model.O, ii), (model.T, tt)
         denom = b + model.O.sum(0) * sum_T - model.O * sum_T
     else:
-        rows, contrib = tt, model.O[ii] * model.D[jj]
-        rates = (W[tt] * contrib).sum(axis=1)
+        rows, (P, p), (Q, q) = tt, (model.O, ii), (model.D, jj)
         denom = b + np.broadcast_to(
             model.O.sum(0) * model.D.sum(0) - (model.O * model.D).sum(0), W.shape)
+    np.multiply(_gather(P, p, contrib), _gather(Q, q, work), out=contrib)
+    rates = np.multiply(_gather(W, rows, work), contrib, out=work).sum(axis=1)
 
     num = np.zeros_like(W)
     if tensor.nnz:
         ratio = tensor.counts / np.maximum(rates, RATE_EPS)
-        np.add.at(num, rows, contrib * ratio[:, None])
+        for k in range(model.K):
+            num[:, k] = np.bincount(rows, weights=contrib[:, k] * ratio, minlength=len(num))
 
     W_new = ((a - 1.0) + W * num) / np.maximum(denom, RATE_EPS)
 
@@ -231,14 +289,22 @@ def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
     return FactorModel(model.O, model.D, mat_new, lam_new)
 
 
+def _restart_key(trace: FitTrace) -> tuple[bool, float]:
+    """Sort key of a restart: finite final objectives first, lowest first."""
+    final = trace.objectives[-1]
+    return (not math.isfinite(final), final)
+
+
 def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTrace]:
     """Fit the decomposition with seeded multi-restart alternating updates.
 
     Each restart draws a fresh random start from one seeded stream, then
     sweeps origin -> destination -> time until the relative objective
-    change drops to rel_tol or max_iters is hit. The restart with the best
-    final objective wins (ties to the earliest restart); its model comes
-    back normalized with components sorted by descending weight.
+    change drops to rel_tol or max_iters is hit. A restart whose objective
+    turns non-finite stops there, unconverged. The restart with the best
+    final objective wins, any finite one before every non-finite one (ties
+    to the earliest restart); its model comes back normalized with
+    components sorted by descending weight.
     """
     N, _, M = tensor.dims
     if config.rank > min(N, M):
@@ -246,6 +312,7 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
             f"rank {config.rank} exceeds min tensor dim {min(N, M)}; "
             "the decomposition is overcomplete", RuntimeWarning)
     rng = np.random.default_rng(config.seed)
+    scratch = _new_scratch(tensor.nnz, config.rank)
     best_model: FactorModel | None = None
     best_trace: FitTrace | None = None
     for restart in range(config.restarts):
@@ -253,24 +320,26 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
         # here; the winner is canonicalized exactly once on return
         model = _draw_factors(tensor.dims, config.rank, rng)
         trace = FitTrace(restart=restart)
-        obj = -log_likelihood(tensor, model)
+        obj = -log_likelihood(tensor, model, scratch=scratch)
         trace.objectives.append(obj)
         rel_change = float("inf")
         for _ in range(config.max_iters):
+            if not math.isfinite(obj):
+                break
             if rel_change <= config.rel_tol:
                 trace.converged = True
                 break
             for mode in MODES:
-                model = mode_update(tensor, model, mode,
-                                    config.prior_shape, config.prior_rate)
-            new_obj = -log_likelihood(tensor, model)
+                model = mode_update(tensor, model, mode, config.prior_shape,
+                                    config.prior_rate, scratch=scratch)
+            new_obj = -log_likelihood(tensor, model, scratch=scratch)
             trace.objectives.append(new_obj)
             trace.n_sweeps += 1
             rel_change = abs(obj - new_obj) / max(abs(obj), 1.0)
             obj = new_obj
         else:
             trace.converged = rel_change <= config.rel_tol
-        if best_trace is None or trace.objectives[-1] < best_trace.objectives[-1]:
+        if best_trace is None or _restart_key(trace) < _restart_key(best_trace):
             best_model, best_trace = model, trace
     return best_model.normalized().sorted_by_weight(), best_trace
 

@@ -87,15 +87,15 @@ def build_tensor(events: Iterable[MigrationEvent], registry: CountryRegistry, mo
 
 
 def mode_marginals(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Totals by origin, destination and month, each summing to the tensor total."""
+    """Totals by origin, destination and month, each summing to the tensor total.
+
+    ``np.bincount`` sums in float64, which is exact for integer totals
+    below 2**53; the likelihood already takes the counts as float64.
+    """
     N, _, M = tensor.dims
-    origin = np.zeros(N, dtype=np.int64)
-    destination = np.zeros(N, dtype=np.int64)
-    month = np.zeros(M, dtype=np.int64)
-    np.add.at(origin, tensor.coords[:, 0], tensor.counts)
-    np.add.at(destination, tensor.coords[:, 1], tensor.counts)
-    np.add.at(month, tensor.coords[:, 2], tensor.counts)
-    return origin, destination, month
+    return tuple(
+        np.bincount(tensor.coords[:, axis], weights=tensor.counts, minlength=size).astype(np.int64)
+        for axis, size in enumerate((N, N, M)))
 
 
 def save_tensor(tensor: MigrationTensor, path) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from migtensor.ingestion import CountryRegistry
+from migtensor.solver import RATE_EPS, FactorModel
 from migtensor.tensor import MigrationTensor
 
 
@@ -81,3 +82,56 @@ def dense_log_likelihood(tensor, model) -> float:
                     acc += count * math.log(rate)
                 acc -= rate
     return acc
+
+
+def reference_rates(model, coords) -> np.ndarray:
+    """Reconstructed rates at the given cells with fancy-index row gathers:
+    the plain formulation the solver's kernels must match bit for bit."""
+    return (model.O[coords[:, 0]] * model.D[coords[:, 1]] * model.T[coords[:, 2]]) @ model.weights
+
+
+def reference_log_likelihood(tensor, model) -> float:
+    """``solver.log_likelihood`` on top of ``reference_rates``."""
+    full = model.weights @ (model.O.sum(0) * model.D.sum(0) * model.T.sum(0))
+    diag = model.weights @ ((model.O * model.D).sum(0) * model.T.sum(0))
+    mass = float(full - diag)
+    if tensor.nnz == 0:
+        return -mass
+    rates = reference_rates(model, tensor.coords)
+    if (rates <= 0).any():
+        return float("-inf")
+    return float(tensor.counts @ np.log(rates) - mass)
+
+
+def reference_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) -> FactorModel:
+    """``solver.mode_update`` with fancy-index gathers and an ``np.add.at``
+    scatter: the plain formulation its kernel must match bit for bit."""
+    a, b = prior_shape, prior_rate
+    ii, jj, tt = tensor.coords[:, 0], tensor.coords[:, 1], tensor.coords[:, 2]
+    W = {"origin": model.O, "destination": model.D, "time": model.T}[mode] * model.weights
+    sum_T = model.T.sum(0)
+    if mode == "origin":
+        rows, contrib = ii, model.D[jj] * model.T[tt]
+        rates = (W[ii] * contrib).sum(axis=1)
+        denom = b + model.D.sum(0) * sum_T - model.D * sum_T
+    elif mode == "destination":
+        rows, contrib = jj, model.O[ii] * model.T[tt]
+        rates = (W[jj] * contrib).sum(axis=1)
+        denom = b + model.O.sum(0) * sum_T - model.O * sum_T
+    else:
+        rows, contrib = tt, model.O[ii] * model.D[jj]
+        rates = (W[tt] * contrib).sum(axis=1)
+        denom = b + np.broadcast_to(
+            model.O.sum(0) * model.D.sum(0) - (model.O * model.D).sum(0), W.shape)
+    num = np.zeros_like(W)
+    if tensor.nnz:
+        ratio = tensor.counts / np.maximum(rates, RATE_EPS)
+        np.add.at(num, rows, contrib * ratio[:, None])
+    W_new = ((a - 1.0) + W * num) / np.maximum(denom, RATE_EPS)
+    lam_new = W_new.sum(0)
+    mat_new = W_new / np.where(lam_new > 0, lam_new, 1.0)
+    if mode == "origin":
+        return FactorModel(mat_new, model.D, model.T, lam_new)
+    if mode == "destination":
+        return FactorModel(model.O, mat_new, model.T, lam_new)
+    return FactorModel(model.O, model.D, mat_new, lam_new)

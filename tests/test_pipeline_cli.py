@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +267,28 @@ class TestJsonlFormat:
         config = load_config(path)
         summary = pipeline.stage_ingest(config)
         assert summary["events_kept"] == 6
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+# sha256 of the demo tourism run's fit artifacts. A solver change that alters
+# a single bit of the fitted model changes these; such a change must say so
+# and update them on purpose.
+TOURISM_DIGESTS = {
+    "model.txt": "6a809b12c2d6b32698cbb75eb1ba7198367d1f60bbaf31bb2ca4c35f97c7feb9",
+    "fit_summary.json": "faec2387845ab6cfbdd52cb18d4d9c1de556c1505a9f0bef2912b19b231d4901",
+}
+
+
+class TestDemoGoldenDigests:
+    def test_tourism_fit_artifacts_are_pinned(self, tmp_path, capsys):
+        for name in ("registry.txt", "centroids.csv", "synth_tourism.json", "config_tourism.json"):
+            shutil.copy(DEMO / name, tmp_path / name)
+        assert cli.main(["synth", "--spec", str(tmp_path / "synth_tourism.json"),
+                         "--registry", str(tmp_path / "registry.txt"),
+                         "--out-events", str(tmp_path / "tourism_events.csv")]) == 0
+        assert cli.main(["run", "--config", str(tmp_path / "config_tourism.json")]) == 0
+        out_dir = tmp_path / "out_tourism"
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in TOURISM_DIGESTS}
+        assert digests == TOURISM_DIGESTS

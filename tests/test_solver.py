@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from migtensor import solver
 from migtensor.solver import (
     MODES,
     FactorModel,
@@ -20,7 +24,13 @@ from migtensor.solver import (
     save_model,
 )
 
-from conftest import dense_log_likelihood, make_tensor, random_tensor
+from conftest import (
+    dense_log_likelihood,
+    make_tensor,
+    random_tensor,
+    reference_log_likelihood,
+    reference_mode_update,
+)
 
 
 def random_model(rng, dims, K):
@@ -203,6 +213,100 @@ class TestModeUpdate:
             mode_update(make_tensor((3, 3, 2), {}), random_model(rng, (3, 3, 2), 1), "depth")
 
 
+@st.composite
+def kernel_problems(draw):
+    """A small tensor (possibly empty, usually with countries and months
+    that have no entries), a non-negative model and a (shape, rate) prior."""
+    N = draw(st.integers(2, 6))
+    M = draw(st.integers(1, 5))
+    K = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), st.integers(0, M - 1))
+    cells = draw(st.dictionaries(cell.filter(lambda c: c[0] != c[1]),
+                                 st.integers(1, 50), max_size=30))
+    entries = st.floats(0.0, 4.0)
+    model = FactorModel(draw(arrays(np.float64, (N, K), elements=entries)),
+                        draw(arrays(np.float64, (N, K), elements=entries)),
+                        draw(arrays(np.float64, (M, K), elements=entries)),
+                        draw(arrays(np.float64, K, elements=entries)))
+    prior = draw(st.one_of(st.just((1.0, 0.0)),
+                           st.tuples(st.floats(1.0, 3.0), st.floats(0.0, 2.0))))
+    return make_tensor((N, N, M), cells), model, prior
+
+
+def _ones_model(dims, K):
+    N1, N2, M = dims
+    return FactorModel(np.ones((N1, K)), np.ones((N2, K)), np.ones((M, K)), np.ones(K))
+
+
+# nnz == 0 at rank 1, and country 3 and months 0 and 2 without entries
+EMPTY_RANK_ONE = (make_tensor((3, 3, 2), {}), _ones_model((3, 3, 2), 1), (1.0, 0.0))
+SPARSE_GAMMA = (make_tensor((4, 4, 3), {(0, 1, 1): 4, (2, 0, 1): 1, (1, 2, 1): 7}),
+                _ones_model((4, 4, 3), 2), (1.5, 0.3))
+
+
+def assert_same_bits(got: FactorModel, expected: FactorModel):
+    for x, y in zip((got.O, got.D, got.T, got.weights),
+                    (expected.O, expected.D, expected.T, expected.weights)):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+        assert x.tobytes() == y.tobytes()
+
+
+def nan_scratch(nnz, K):
+    """Scratch arrays full of NaN: a kernel must overwrite what it reads."""
+    return np.full((nnz, K), np.nan), np.full((nnz, K), np.nan)
+
+
+class TestKernelsMatchReference:
+    """The tuned kernels return exactly the bits of the plain formulation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_problems(), st.sampled_from(MODES))
+    @example(EMPTY_RANK_ONE, "origin")
+    @example(SPARSE_GAMMA, "destination")
+    @example(SPARSE_GAMMA, "time")
+    def test_mode_update(self, problem, mode):
+        tensor, model, (a, b) = problem
+        expected = reference_mode_update(tensor, model, mode, a, b)
+        assert_same_bits(mode_update(tensor, model, mode, a, b), expected)
+        scratch = nan_scratch(tensor.nnz, model.K)
+        assert_same_bits(mode_update(tensor, model, mode, a, b, scratch=scratch), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_problems())
+    @example(EMPTY_RANK_ONE)
+    @example(SPARSE_GAMMA)
+    def test_log_likelihood(self, problem):
+        tensor, model, _ = problem
+        expected = reference_log_likelihood(tensor, model)
+        assert log_likelihood(tensor, model) == expected
+        scratch = nan_scratch(tensor.nnz, model.K)
+        assert log_likelihood(tensor, model, scratch=scratch) == expected
+
+    def test_sweeps_of_a_fit_match_reference(self):
+        rng = np.random.default_rng(31)
+        tensor = random_tensor(rng, (7, 7, 6), 80)
+        model = expected = init_factors(tensor.dims, FitConfig(rank=3, seed=2))
+        scratch = nan_scratch(tensor.nnz, model.K)
+        for _ in range(5):
+            for mode in MODES:
+                model = mode_update(tensor, model, mode, 1.0, 0.1, scratch=scratch)
+                expected = reference_mode_update(tensor, expected, mode, 1.0, 0.1)
+                assert_same_bits(model, expected)
+
+    def test_scratch_of_wrong_shape_rejected(self):
+        rng = np.random.default_rng(32)
+        tensor = random_tensor(rng, (4, 4, 3), 10)
+        model = random_model(rng, tensor.dims, 2)
+        with pytest.raises(ValueError, match="scratch"):
+            mode_update(tensor, model, "origin", scratch=nan_scratch(tensor.nnz, 3))
+        with pytest.raises(ValueError, match="scratch"):
+            log_likelihood(tensor, model, scratch=nan_scratch(tensor.nnz + 1, 2))
+        fortran = tuple(np.asfortranarray(buf) for buf in nan_scratch(tensor.nnz, 2))
+        with pytest.raises(ValueError, match="scratch"):
+            mode_update(tensor, model, "time", scratch=fortran)
+
+
 class TestFit:
     def test_recovers_noiseless_rank_one(self):
         rng = np.random.default_rng(21)
@@ -266,6 +370,53 @@ class TestFit:
         cfg = FitConfig(rank=2, max_iters=30, seed=9, restarts=5)
         _, trace = fit(tensor, cfg)
         assert 0 <= trace.restart < 5
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_restart_stops_and_loses(self, monkeypatch, bad):
+        rng = np.random.default_rng(28)
+        tensor = random_tensor(rng, (6, 6, 5), 40)
+        real = solver.log_likelihood
+        calls = []
+
+        def spoiled(tensor, model, **kwargs):
+            calls.append(model)
+            # restart 0: initial objective, then a non-finite one after sweep 2
+            return bad if len(calls) == 3 else real(tensor, model, **kwargs)
+
+        monkeypatch.setattr(solver, "log_likelihood", spoiled)
+        cfg = FitConfig(rank=2, max_iters=30, rel_tol=1e-12, seed=9, restarts=2)
+        _, trace = fit(tensor, cfg)
+        assert trace.restart == 1
+        assert math.isfinite(trace.objectives[-1])
+        # restart 0 made 3 calls (start + 2 sweeps); restart 1 ran its 30 sweeps
+        assert len(calls) == 3 + 1 + 30
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_objective_ends_restart_unconverged(self, monkeypatch, bad):
+        rng = np.random.default_rng(29)
+        tensor = random_tensor(rng, (6, 6, 5), 40)
+        real = solver.log_likelihood
+        calls = []
+
+        def spoiled(tensor, model, **kwargs):
+            calls.append(model)
+            return bad if len(calls) == 2 else real(tensor, model, **kwargs)
+
+        monkeypatch.setattr(solver, "log_likelihood", spoiled)
+        _, trace = fit(tensor, FitConfig(rank=2, max_iters=50, seed=4, restarts=1))
+        assert trace.n_sweeps == 1
+        assert not trace.converged
+        assert len(trace.objectives) == 2 and not math.isfinite(trace.objectives[-1])
+        assert len(calls) == 2
+
+    def test_all_restarts_non_finite_earliest_wins(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        tensor = random_tensor(rng, (6, 6, 5), 40)
+        monkeypatch.setattr(solver, "log_likelihood", lambda *args, **kwargs: float("nan"))
+        _, trace = fit(tensor, FitConfig(rank=2, max_iters=50, seed=4, restarts=3))
+        assert trace.restart == 0
+        assert trace.n_sweeps == 0
+        assert not trace.converged
 
 
 class TestGauge:
