@@ -27,6 +27,7 @@ from .residence import (
     MigrationEvent,
     MonthCalendar,
     ResidenceSeries,
+    detect_all,
     detect_migrations,
     monthly_residence,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "ResidenceSeries",
     "SynthSpec",
     "build_tensor",
+    "detect_all",
     "detect_migrations",
     "filter_users",
     "fit",

@@ -43,7 +43,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative objective tolerance")
     parser.add_argument("--top-k", dest="top_k", type=int, help="components to report")
     parser.add_argument("--n-top", dest="n_top", type=int, help="countries listed per component")
-    parser.add_argument("--threads", type=int, help="worker cap for per-user stages")
+    parser.add_argument("--threads", type=int, help="worker cap for the residences stage")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -251,6 +251,9 @@ def _finish_event(user_id, raw_ts, country, lat, lon, interval, registry, stats)
             stats.add(UNKNOWN_COUNTRY)
             return None
         return GeoEvent(user_id, ts, country=country)
+    if isinstance(lat, bool) or isinstance(lon, bool):  # JSON true/false
+        stats.add(BAD_COORDINATES)
+        return None
     try:
         lat, lon = float(lat), float(lon)
     except (TypeError, ValueError):
@@ -367,8 +370,14 @@ def serialize_events(events: Iterable[GeoEvent], format: str, header: bool = Fal
     return buf.getvalue()
 
 
-def resolve_country(point: tuple[float, float], table: CentroidTable) -> str:
-    """Code of the centroid nearest to ``point`` by great-circle distance.
+# points per block of the batched resolver: a block's (points x centroids)
+# float64 temporaries stay a few hundred kB, so peak memory does not grow
+# with the stream
+_RESOLVE_BLOCK = 256
+
+
+def _nearest_centroids(lat_deg: np.ndarray, lon_deg: np.ndarray, table: CentroidTable) -> np.ndarray:
+    """Row index of the nearest centroid for each point, by great-circle distance.
 
     Ties break to the centroid with the smaller registry index (the table
     is stored in that order and argmin keeps the first minimum). The sphere
@@ -376,13 +385,37 @@ def resolve_country(point: tuple[float, float], table: CentroidTable) -> str:
     """
     if len(table) == 0:
         raise ConfigError("centroid table is empty")
-    lat, lon = math.radians(point[0]), math.radians(point[1])
-    # haversine central angle against every row
-    dlat = table._lat_rad - lat
-    dlon = table._lon_rad - lon
-    h = np.sin(dlat / 2.0) ** 2 + math.cos(lat) * np.cos(table._lat_rad) * np.sin(dlon / 2.0) ** 2
-    angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-    return table.codes[int(np.argmin(angle))]
+    nearest = np.empty(len(lat_deg), dtype=np.intp)
+    cos_table_lat = np.cos(table._lat_rad)
+    for start in range(0, len(lat_deg), _RESOLVE_BLOCK):
+        stop = start + _RESOLVE_BLOCK
+        lat = np.radians(lat_deg[start:stop])[:, None]
+        lon = np.radians(lon_deg[start:stop])[:, None]
+        # haversine central angle of every point in the block against every row
+        dlat = table._lat_rad - lat
+        dlon = table._lon_rad - lon
+        h = np.sin(dlat / 2.0) ** 2 + np.cos(lat) * cos_table_lat * np.sin(dlon / 2.0) ** 2
+        angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        nearest[start:stop] = angle.argmin(axis=1)
+    return nearest
+
+
+def resolve_country(point: tuple[float, float], table: CentroidTable) -> str:
+    """Code of the centroid nearest to ``point`` (see :func:`_nearest_centroids`)."""
+    index = _nearest_centroids(np.array([point[0]], dtype=float),
+                               np.array([point[1]], dtype=float), table)[0]
+    return table.codes[index]
+
+
+def _point_codes(points: list[GeoEvent], table: Optional[CentroidTable]) -> list[str]:
+    """Nearest-centroid country codes of point events, in order."""
+    if not points:
+        return []
+    if table is None:
+        raise ConfigError("geo_point events present but no centroid table configured")
+    lat = np.fromiter((ev.lat for ev in points), dtype=float, count=len(points))
+    lon = np.fromiter((ev.lon for ev in points), dtype=float, count=len(points))
+    return [table.codes[row] for row in _nearest_centroids(lat, lon, table).tolist()]
 
 
 def resolve_events(events: Iterable[GeoEvent], table: Optional[CentroidTable]) -> list[GeoEvent]:
@@ -391,16 +424,12 @@ def resolve_events(events: Iterable[GeoEvent], table: Optional[CentroidTable]) -
     Events that already carry a code pass through unchanged. Encountering a
     point event without a table is a configuration error.
     """
-    out = []
-    for ev in events:
-        if not ev.has_point:
-            out.append(ev)
-            continue
-        if table is None:
-            raise ConfigError("geo_point events present but no centroid table configured")
-        code = resolve_country((ev.lat, ev.lon), table)
-        out.append(GeoEvent(ev.user_id, ev.timestamp, country=code))
-    return out
+    events = list(events)
+    # the list of point events lives only for the call, so it is freed
+    # before the output list is built
+    codes = iter(_point_codes([ev for ev in events if ev.country is None], table))
+    return [GeoEvent(ev.user_id, ev.timestamp, next(codes)) if ev.country is None else ev
+            for ev in events]
 
 
 # filter rule names

@@ -129,16 +129,9 @@ def stage_detect(config: PipelineConfig) -> dict:
         series = residence.read_residences(path, registry, config.months)
     except OSError as exc:
         raise StageError("detect", f"missing residences artifact ({exc}); run residences first", 3)
-
-    def one(s):
-        return residence.detect_migrations(s, config.window_k, config.detection_mode)
-
-    if config.threads > 1 and series:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_user = list(pool.map(one, series))
-    else:
-        per_user = [one(s) for s in series]
-    events = [ev for evs in per_user for ev in evs]
+    except ingestion.InputError as exc:
+        raise StageError("detect", str(exc), 3)
+    events = residence.detect_all(series, config.window_k, config.detection_mode)
     residence.write_migrations(events, registry, config.out_dir / "migrations.csv")
     return {"migrations": len(events)}
 
@@ -147,9 +140,11 @@ def stage_tensorize(config: PipelineConfig) -> dict:
     registry = _load_registry(config)
     path = config.out_dir / "migrations.csv"
     try:
-        events = residence.read_migrations(path, registry)
+        events = residence.read_migrations(path, registry, config.months)
     except OSError as exc:
         raise StageError("tensorize", f"missing migrations artifact ({exc}); run detect first", 3)
+    except ingestion.InputError as exc:
+        raise StageError("tensorize", str(exc), 3)
     t = tensor.build_tensor(events, registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")

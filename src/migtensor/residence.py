@@ -12,7 +12,10 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingestion import ConfigError, CountryRegistry, GeoEvent, InputError
 
@@ -122,26 +125,31 @@ def monthly_residence(
     return ResidenceSeries(user_id, observed, filled)
 
 
-def _window_residence_strict(filled, lo, hi) -> Optional[int]:
-    first = filled[lo]
-    if first is None:
-        return None
-    for m in range(lo + 1, hi):
-        if filled[m] != first:
-            return None
-    return first
+def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
+    """Residence of every k-month window of a ``(U, M)`` matrix, -1 if undefined.
+
+    Column s holds the window [s, s+k). A ``strict`` window is defined when
+    all k months are known and equal; a ``modal`` window takes the unique
+    most frequent known country.
+    """
+    windows = sliding_window_view(filled, k, axis=1)  # (U, M-k+1, k)
+    if mode == "strict":
+        # an all-unknown window yields -1, undefined, by itself
+        return np.where((windows == windows[..., :1]).all(axis=-1), windows[..., 0], -1)
+    # how many cells of its window share each cell's country (0 for unknown)
+    votes = np.zeros(windows.shape, dtype=np.int16)
+    for i in range(k):
+        votes += windows == windows[..., i:i + 1]
+    votes *= windows >= 0
+    top = votes.max(axis=-1)
+    # a country polled c votes fills exactly c cells, so the top count is
+    # unique iff exactly `top` cells poll it (never when top is 0: k cells do)
+    unique = (votes == top[..., None]).sum(axis=-1) == top
+    mode_cell = votes.argmax(axis=-1)[..., None]
+    return np.where(unique, np.take_along_axis(windows, mode_cell, axis=-1)[..., 0], -1)
 
 
-def _window_residence_modal(filled, lo, hi) -> Optional[int]:
-    counts = Counter(c for c in filled[lo:hi] if c is not None)
-    if not counts:
-        return None
-    top = max(counts.values())
-    tied = [c for c, n in counts.items() if n == top]
-    return tied[0] if len(tied) == 1 else None
-
-
-def detect_migrations(series: ResidenceSeries, k: int, mode: str = "strict") -> list[MigrationEvent]:
+def detect_all(series_list: Sequence[ResidenceSeries], k: int, mode: str = "strict") -> list[MigrationEvent]:
     """Detect residence changes between the k-month windows around each month.
 
     For each month m with full windows on both sides, compares the window
@@ -149,44 +157,86 @@ def detect_migrations(series: ResidenceSeries, k: int, mode: str = "strict") -> 
     both are defined and differ. ``strict`` windows are defined only when
     all k months agree; ``modal`` windows take the most frequent country
     (ties undefined) and collapse runs of the same (origin, destination)
-    within k months to the earliest detection.
+    within k months to the earliest detection. Events come in series
+    order, then month order. Every series must span the same months.
     """
-    M = len(series.filled)
-    if k < 1 or 2 * k > M:
-        raise ConfigError(f"window k={k} out of range for {M} months (need 1 <= k <= M/2)")
     if mode not in ("strict", "modal"):
         raise ConfigError(f"unknown detection mode {mode!r}")
-    window = _window_residence_strict if mode == "strict" else _window_residence_modal
+    if not series_list:
+        return []
+    M = len(series_list[0].filled)
+    if k < 1 or 2 * k > M:
+        raise ConfigError(f"window k={k} out of range for {M} months (need 1 <= k <= M/2)")
+    if any(len(s.filled) != M for s in series_list):
+        raise ValueError("residence series span different numbers of months")
+    filled = np.fromiter(
+        (-1 if c is None else c for s in series_list for c in s.filled),
+        dtype=np.int16, count=len(series_list) * M).reshape(-1, M)
 
-    events: list[MigrationEvent] = []
-    for m in range(k, M - k + 1):
-        before = window(series.filled, m - k, m)
-        after = window(series.filled, m, m + k)
-        if before is not None and after is not None and before != after:
-            events.append(MigrationEvent(series.user_id, m, before, after))
+    resident = _window_residence(filled, k, mode)
+    before, after = resident[:, :M - 2 * k + 1], resident[:, k:]
+    users, starts = np.nonzero((before >= 0) & (after >= 0) & (before != after))
+    origins, destinations = before[users, starts], after[users, starts]
+    months = starts + k
+    if mode == "modal" and users.size:
+        # a detection repeating the same user's same (origin, destination)
+        # within k months of the previous one continues that run
+        order = np.lexsort((months, destinations, origins, users))
+        u, o, d, m = users[order], origins[order], destinations[order], months[order]
+        repeat = (u[1:] == u[:-1]) & (o[1:] == o[:-1]) & (d[1:] == d[:-1]) & (m[1:] - m[:-1] <= k)
+        keep = np.ones(users.size, dtype=bool)
+        keep[order[1:][repeat]] = False
+        users, months = users[keep], months[keep]
+        origins, destinations = origins[keep], destinations[keep]
+    return [MigrationEvent(series_list[u].user_id, m, o, d) for u, m, o, d in zip(
+        users.tolist(), months.tolist(), origins.tolist(), destinations.tolist())]
 
-    if mode == "modal":
-        collapsed: list[MigrationEvent] = []
-        last_seen: dict[tuple[int, int], int] = {}
-        for ev in events:
-            key = (ev.origin, ev.destination)
-            in_run = key in last_seen and ev.month - last_seen[key] <= k
-            last_seen[key] = ev.month
-            if not in_run:
-                collapsed.append(ev)
-        events = collapsed
-    return events
+
+def detect_migrations(series: ResidenceSeries, k: int, mode: str = "strict") -> list[MigrationEvent]:
+    """:func:`detect_all` for one series."""
+    return detect_all([series], k, mode)
+
+
+RESIDENCE_HEADER = ["user_id", "month_index", "country"]
+MIGRATION_HEADER = ["user_id", "month_index", "origin", "destination"]
 
 
 def write_residences(series_list: Iterable[ResidenceSeries], registry: CountryRegistry, path) -> None:
     """Dump filled residence views as ``user_id,month_index,country`` rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "month_index", "country"])
+        writer.writerow(RESIDENCE_HEADER)
         for series in series_list:
             for m, c in enumerate(series.filled):
                 if c is not None:
                     writer.writerow([series.user_id, m, registry.code(c)])
+
+
+def _dump_reader(fh, path, header: list[str]):
+    """CSV reader over a dump's data rows, after checking its header."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    if found != header:
+        raise InputError(f"{path}: unexpected header {found!r}")
+    return reader
+
+
+def _row_error(path, line: int, parts: list[str], header: list[str], months: int,
+               registry: CountryRegistry) -> InputError:
+    """The first defect of a malformed dump row, naming its ``path:line``."""
+    where = f"{path}:{line}"
+    if len(parts) != len(header):
+        return InputError(f"{where}: expected {len(header)} fields, got {len(parts)}")
+    try:
+        month = int(parts[1])
+    except ValueError:
+        return InputError(f"{where}: month index {parts[1]!r} is not an integer")
+    if not 0 <= month < months:
+        return InputError(f"{where}: month index {month} outside [0, {months})")
+    for code in parts[2:]:
+        if code not in registry:
+            return InputError(f"{where}: unknown country {code!r}")
+    return InputError(f"{where}: origin and destination are both {parts[2]!r}")
 
 
 def read_residences(path, registry: CountryRegistry, months: int) -> list[ResidenceSeries]:
@@ -194,35 +244,50 @@ def read_residences(path, registry: CountryRegistry, months: int) -> list[Reside
 
     The observed/filled distinction is not stored on disk; the loaded
     series carries the filled view in both slots, which is all migration
-    detection needs.
+    detection needs. A malformed row raises :class:`InputError` naming
+    its ``path:line``.
     """
+    index = registry.index
     per_user: dict[str, list[Optional[int]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "month_index", "country"]:
-            raise InputError(f"{path}: unexpected header {header!r}")
-        for user_id, m, code in reader:
-            filled = per_user.setdefault(user_id, [None] * months)
-            filled[int(m)] = registry.index_of(code)
+        reader = _dump_reader(fh, path, RESIDENCE_HEADER)
+        for parts in reader:
+            try:
+                user_id, m, code = parts
+                month, country = int(m), index[code]
+            except (ValueError, KeyError):
+                month = -1
+            if not 0 <= month < months:
+                raise _row_error(path, reader.line_num, parts, RESIDENCE_HEADER, months, registry)
+            filled = per_user.get(user_id)
+            if filled is None:
+                filled = per_user[user_id] = [None] * months
+            filled[month] = country
     return [ResidenceSeries(u, list(per_user[u]), per_user[u]) for u in sorted(per_user)]
 
 
 def write_migrations(events: Iterable[MigrationEvent], registry: CountryRegistry, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "month_index", "origin", "destination"])
+        writer.writerow(MIGRATION_HEADER)
         for ev in events:
             writer.writerow([ev.user_id, ev.month, registry.code(ev.origin), registry.code(ev.destination)])
 
 
-def read_migrations(path, registry: CountryRegistry) -> list[MigrationEvent]:
+def read_migrations(path, registry: CountryRegistry, months: int) -> list[MigrationEvent]:
+    """Load a migration dump; a malformed row raises :class:`InputError`
+    naming its ``path:line``."""
+    index = registry.index
     events = []
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "month_index", "origin", "destination"]:
-            raise InputError(f"{path}: unexpected header {header!r}")
-        for user_id, m, o, d in reader:
-            events.append(MigrationEvent(user_id, int(m), registry.index_of(o), registry.index_of(d)))
+        reader = _dump_reader(fh, path, MIGRATION_HEADER)
+        for parts in reader:
+            try:
+                user_id, m, o, d = parts
+                month, origin, destination = int(m), index[o], index[d]
+            except (ValueError, KeyError):
+                month = -1
+            if not 0 <= month < months or origin == destination:
+                raise _row_error(path, reader.line_num, parts, MIGRATION_HEADER, months, registry)
+            events.append(MigrationEvent(user_id, month, origin, destination))
     return events

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from migtensor.ingestion import CountryRegistry
+from migtensor.ingestion import ConfigError, CountryRegistry
+from migtensor.residence import MigrationEvent
 from migtensor.solver import RATE_EPS, FactorModel
 from migtensor.tensor import MigrationTensor
 
@@ -135,3 +137,63 @@ def reference_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) 
     if mode == "destination":
         return FactorModel(model.O, mat_new, model.T, lam_new)
     return FactorModel(model.O, model.D, mat_new, lam_new)
+
+
+def reference_resolve_country(point, table) -> str:
+    """Nearest centroid of one point, haversine against every row in plain
+    per-point numpy: the formulation the batched resolver must match."""
+    if len(table) == 0:
+        raise ConfigError("centroid table is empty")
+    lat, lon = math.radians(point[0]), math.radians(point[1])
+    dlat = table._lat_rad - lat
+    dlon = table._lon_rad - lon
+    h = np.sin(dlat / 2.0) ** 2 + math.cos(lat) * np.cos(table._lat_rad) * np.sin(dlon / 2.0) ** 2
+    angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    return table.codes[int(np.argmin(angle))]
+
+
+def _window_residence_strict(filled, lo, hi):
+    first = filled[lo]
+    if first is None:
+        return None
+    for m in range(lo + 1, hi):
+        if filled[m] != first:
+            return None
+    return first
+
+
+def _window_residence_modal(filled, lo, hi):
+    counts = Counter(c for c in filled[lo:hi] if c is not None)
+    if not counts:
+        return None
+    top = max(counts.values())
+    tied = [c for c, n in counts.items() if n == top]
+    return tied[0] if len(tied) == 1 else None
+
+
+def reference_detect_migrations(series, k, mode="strict") -> list:
+    """Window-k detection for one series as a per-month loop with a
+    per-user run collapse: the formulation the batched detector must match."""
+    M = len(series.filled)
+    if k < 1 or 2 * k > M:
+        raise ConfigError(f"window k={k} out of range for {M} months")
+    if mode not in ("strict", "modal"):
+        raise ConfigError(f"unknown detection mode {mode!r}")
+    window = _window_residence_strict if mode == "strict" else _window_residence_modal
+    events = []
+    for m in range(k, M - k + 1):
+        before = window(series.filled, m - k, m)
+        after = window(series.filled, m, m + k)
+        if before is not None and after is not None and before != after:
+            events.append(MigrationEvent(series.user_id, m, before, after))
+    if mode == "modal":
+        collapsed = []
+        last_seen = {}
+        for ev in events:
+            key = (ev.origin, ev.destination)
+            in_run = key in last_seen and ev.month - last_seen[key] <= k
+            last_seen[key] = ev.month
+            if not in_run:
+                collapsed.append(ev)
+        events = collapsed
+    return events

@@ -7,7 +7,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from migtensor import ingestion
 from migtensor.ingestion import (
     BAD_COORDINATES,
     BAD_FIELD_COUNT,
@@ -35,7 +38,7 @@ from migtensor.ingestion import (
     serialize_events,
 )
 
-from conftest import central_angle
+from conftest import central_angle, reference_resolve_country
 
 UTC = timezone.utc
 
@@ -127,6 +130,15 @@ class TestParseJsonl:
         neither = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z"}'
         _, stats = parse_events([both, neither], "jsonl")
         assert stats.total == 2
+
+    def test_boolean_coordinates_rejected(self):
+        # JSON true/false are Python bools, which float() would take as 1.0/0.0
+        lines = ['{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": true, "lon": false}',
+                 '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1.0, "lon": false}',
+                 '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1, "lon": 0}']
+        events, stats = parse_events(lines, "jsonl")
+        assert stats.as_dict() == {BAD_COORDINATES: 2}
+        assert [(ev.lat, ev.lon) for ev in events] == [(1.0, 0.0)]
 
     def test_unknown_format_fatal(self):
         with pytest.raises(InputError):
@@ -231,6 +243,79 @@ class TestResolveCountry:
         path.write_text("country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n")
         table = load_centroids(path, registry)
         assert resolve_country((54.0, -2.0), table) == "GB"
+
+
+CODES = ["GB", "FR", "ES", "US", "KW", "DE"]
+BLOCK = ingestion._RESOLVE_BLOCK
+
+latitudes = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 0.0, 90.0]))
+longitudes = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 0.0, 180.0]))
+points = st.tuples(latitudes, longitudes)
+
+
+@st.composite
+def centroid_tables(draw):
+    """Up to six centroids; sometimes two share one location (an exact tie)."""
+    rows = draw(st.lists(points, min_size=1, max_size=len(CODES)))
+    if len(rows) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        rows[j] = rows[i]
+    codes = draw(st.permutations(CODES))[:len(rows)]
+    return [(code, lat, lon) for code, (lat, lon) in zip(codes, rows)]
+
+
+@st.composite
+def resolve_problems(draw):
+    """A centroid table and points drawn around it, including its exact
+    centroids, with point counts either side of a resolver block."""
+    rows = draw(centroid_tables())
+    n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    pool = st.one_of(points, st.sampled_from([(lat, lon) for _, lat, lon in rows]))
+    drawn = draw(st.lists(pool, min_size=min(n, 8), max_size=min(n, 8)))
+    # fill the rest from a seeded generator: hypothesis drawing hundreds of
+    # points per example would be slow
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    filler = list(zip(rng.uniform(-90, 90, n - len(drawn)), rng.uniform(-180, 180, n - len(drawn))))
+    return rows, drawn + [(float(a), float(b)) for a, b in filler]
+
+
+class TestBatchedResolveMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(resolve_problems())
+    @example(([("FR", 10.0, 0.0), ("GB", 10.0, 0.0)], [(10.0, 0.0), (0.0, 0.0), (-90.0, 180.0)]))
+    @example(([("US", 0.0, 180.0), ("DE", 0.0, -180.0)], [(0.0, 179.9), (0.0, -179.9), (0.0, 180.0)]))
+    # the point is GB's antipode, where rounding puts the haversine term at 1 + 2**-52
+    @example(([("GB", 21.638421362768, 178.2347418847167), ("FR", 0.0, 0.0)],
+              [(-21.638421362768, -1.7652581152833022)]))
+    def test_indices_equal_per_point_reference(self, problem):
+        rows, pts = problem
+        registry = CountryRegistry(CODES)
+        table = CentroidTable(rows, registry)
+        lat = np.array([p[0] for p in pts], dtype=float)
+        lon = np.array([p[1] for p in pts], dtype=float)
+        expected = np.array([table.codes.index(reference_resolve_country(p, table)) for p in pts],
+                            dtype=np.intp)
+        assert np.array_equal(ingestion._nearest_centroids(lat, lon, table), expected)
+        assert [resolve_country(p, table) for p in pts[:3]] == \
+            [reference_resolve_country(p, table) for p in pts[:3]]
+
+    def test_coincident_centroids_resolve_to_smaller_registry_index(self):
+        registry = CountryRegistry(CODES)
+        # rows given out of registry order: the table sorts them, ES (2) before KW (4)
+        table = CentroidTable([("KW", 29.3, 47.5), ("ES", 29.3, 47.5)], registry)
+        assert resolve_country((29.3, 47.5), table) == "ES"
+        assert resolve_country((-29.3, -132.5), table) == "ES"  # antipode
+
+    def test_resolve_events_spans_blocks(self):
+        registry = CountryRegistry(CODES)
+        table = CentroidTable([("GB", 54.0, -2.0), ("FR", 46.0, 2.0)], registry)
+        events = [GeoEvent("u", ts(2014, 1, 1), lat=54.0 - 8.0 * (i % 2), lon=-2.0 + 4.0 * (i % 2))
+                  if i % 3 else GeoEvent("u", ts(2014, 1, 1), country="ES")
+                  for i in range(2 * BLOCK + 3)]
+        resolved = resolve_events(events, table)
+        expected = ["ES" if i % 3 == 0 else ("FR" if i % 2 else "GB") for i in range(len(events))]
+        assert [ev.country for ev in resolved] == expected
+        assert not any(ev.has_point for ev in resolved)
 
 
 class TestResolveEvents:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -281,6 +282,37 @@ class TestCli:
             assert "synth" in result.stdout
 
 
+# a defective row in place of an intermediate artifact's second data row
+# (file line 3), the stage command that reads the artifact, and the row
+CORRUPT_ROWS = {
+    "residences-field-count": ("residences.csv", "detect", "alice,1"),
+    "residences-month-not-integer": ("residences.csv", "detect", "alice,one,GB"),
+    "residences-month-out-of-range": ("residences.csv", "detect", "alice,99,GB"),
+    "residences-unknown-country": ("residences.csv", "detect", "alice,1,ZZ"),
+    "migrations-field-count": ("migrations.csv", "tensorize", "bob,2,FR"),
+    "migrations-month-out-of-range": ("migrations.csv", "tensorize", "bob,-1,FR,US"),
+    "migrations-unknown-country": ("migrations.csv", "tensorize", "bob,2,FR,ZZ"),
+    "migrations-origin-is-destination": ("migrations.csv", "tensorize", "bob,2,FR,FR"),
+}
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("defect", sorted(CORRUPT_ROWS))
+    def test_corrupt_row_exits_3_naming_path_and_line(self, tmp_path, capsys, defect):
+        artifact, stage, row = CORRUPT_ROWS[defect]
+        path = write_workspace(tmp_path)
+        for name in ("ingest", "residences", "detect"):
+            assert cli.main([name, "--config", str(path)]) == 0
+        target = tmp_path / "out" / artifact
+        lines = target.read_text().splitlines()
+        assert len(lines) >= 3
+        lines[2] = row
+        target.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(path)]) == 3
+        assert f"{target}:3:" in capsys.readouterr().err
+
+
 class TestJsonlFormat:
     def test_jsonl_ingest(self, tmp_path):
         lines = [json.dumps({"user_id": "u1", "timestamp": f"2014-0{m}-10T00:00:00Z",
@@ -315,3 +347,31 @@ class TestDemoGoldenDigests:
         digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                    for name in TOURISM_DIGESTS}
         assert digests == TOURISM_DIGESTS
+
+
+class TestGeoPointsEndToEnd:
+    def test_points_at_exact_centroids_reproduce_the_country_coded_run(self, tmp_path, capsys):
+        for name in ("registry.txt", "centroids.csv", "synth_tourism.json", "config_tourism.json"):
+            shutil.copy(DEMO / name, tmp_path / name)
+        assert cli.main(["synth", "--spec", str(tmp_path / "synth_tourism.json"),
+                         "--registry", str(tmp_path / "registry.txt"),
+                         "--out-events", str(tmp_path / "tourism_events.csv")]) == 0
+        with open(DEMO / "centroids.csv", "r", encoding="utf-8") as fh:
+            centroids = {row["country"]: (float(row["lat"]), float(row["lon"]))
+                         for row in csv.DictReader(fh)}
+        with open(tmp_path / "tourism_events.csv", "r", encoding="utf-8") as fh:
+            points = [json.dumps({"user_id": row["user_id"], "timestamp": row["timestamp"],
+                                  "lat": centroids[row["country"]][0],
+                                  "lon": centroids[row["country"]][1]})
+                      for row in csv.DictReader(fh)]
+        assert points
+        (tmp_path / "tourism_events.jsonl").write_text("\n".join(points) + "\n")
+        config = json.loads((tmp_path / "config_tourism.json").read_text())
+        config.update(input="tourism_events.jsonl", format="jsonl", out_dir="out_geo")
+        (tmp_path / "config_geo.json").write_text(json.dumps(config))
+
+        assert cli.main(["run", "--config", str(tmp_path / "config_tourism.json")]) == 0
+        assert cli.main(["run", "--config", str(tmp_path / "config_geo.json")]) == 0
+        coded = artifact_bytes(tmp_path / "out_tourism")
+        assert "events.csv" in coded and "model.txt" in coded
+        assert artifact_bytes(tmp_path / "out_geo") == coded

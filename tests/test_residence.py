@@ -6,12 +6,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from migtensor.ingestion import ConfigError, GeoEvent
 from migtensor.residence import (
     MigrationEvent,
     MonthCalendar,
     ResidenceSeries,
+    detect_all,
     detect_migrations,
     monthly_residence,
     read_migrations,
@@ -19,6 +22,8 @@ from migtensor.residence import (
     write_migrations,
     write_residences,
 )
+
+from conftest import reference_detect_migrations
 
 UTC = timezone.utc
 
@@ -215,6 +220,45 @@ class TestDetectModal:
             == [(1, 1, 2), (2, 2, 3)]
 
 
+@st.composite
+def detection_problems(draw):
+    """Series over few countries (so modal windows tie and (origin,
+    destination) pairs repeat), with None prefixes and gaps, and a k."""
+    M = draw(st.integers(2, 24))
+    k = draw(st.integers(1, M // 2))
+    countries = st.integers(0, draw(st.integers(1, 3)))
+    users = []
+    for u in range(draw(st.integers(0, 6))):
+        prefix = draw(st.integers(0, M))
+        rest = draw(st.lists(st.one_of(countries, countries, countries, st.none()),
+                             min_size=M - prefix, max_size=M - prefix))
+        users.append(series([None] * prefix + rest, user=f"u{u}"))
+    return users, k
+
+
+class TestBatchedDetectMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(detection_problems(), st.sampled_from(["strict", "modal"]))
+    @example(([series([1, 1, 1, 1, 2, 2, 2, 2])], 3), "modal")
+    @example(([series([1, 2, 1, 2, 1, 2, 1, 2]), series([1, 2, 1, 2, 1, 2, 1, 2], "w")], 1), "modal")
+    @example(([series([None, None, 1, 2, 2, 1, 1, 2, 2, 1])], 2), "modal")
+    def test_events_equal_per_series_reference(self, problem, mode):
+        users, k = problem
+        expected = [ev for s in users for ev in reference_detect_migrations(s, k, mode)]
+        assert detect_all(users, k, mode) == expected
+        for s in users:
+            assert detect_migrations(s, k, mode) == reference_detect_migrations(s, k, mode)
+
+    def test_no_series_no_events(self):
+        assert detect_all([], 1, "modal") == []
+        with pytest.raises(ConfigError):
+            detect_all([], 1, "fuzzy")
+
+    def test_series_must_span_the_same_months(self):
+        with pytest.raises(ValueError):
+            detect_all([series([1, 2]), series([1, 2, 2])], 1)
+
+
 def _modal(window):
     from collections import Counter
     counts = Counter(window)
@@ -244,7 +288,7 @@ class TestDumps:
         events = [MigrationEvent("a", 3, 0, 1), MigrationEvent("b", 7, 2, 4)]
         path = tmp_path / "migrations.csv"
         write_migrations(events, registry, path)
-        assert read_migrations(path, registry) == events
+        assert read_migrations(path, registry, 12) == events
 
     def test_residence_csv_shape(self, registry, tmp_path):
         path = tmp_path / "residences.csv"
