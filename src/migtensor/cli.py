@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import pipeline, synth
-from .config import apply_overrides, load_config
+from .config import OVERRIDE_KEYS, apply_overrides, load_config
 from .ingestion import ConfigError, InputError, load_registry
 
 EXIT_OK = 0
@@ -43,7 +43,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative objective tolerance")
     parser.add_argument("--top-k", dest="top_k", type=int, help="components to report")
     parser.add_argument("--n-top", dest="n_top", type=int, help="countries listed per component")
-    parser.add_argument("--threads", type=int, help="worker cap for the residences stage")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,15 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "input", "format", "out_dir", "window_k", "detection_mode", "rank", "seed",
-    "restarts", "max_iters", "rel_tol", "top_k", "n_top", "threads",
-)
-
-
 def _run_stage_command(args) -> int:
     config = load_config(args.config)
-    config = apply_overrides(config, {k: getattr(args, k) for k in _OVERRIDE_KEYS})
+    config = apply_overrides(config, {k: getattr(args, k) for k in OVERRIDE_KEYS})
     if args.command == "run":
         pipeline.run_pipeline(config)
         return EXIT_OK

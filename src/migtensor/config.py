@@ -36,7 +36,6 @@ class PipelineConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     top_k: int = 10
     n_top: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -48,8 +47,6 @@ class PipelineConfig:
                 f"window_k={self.window_k} out of range for {self.months} months")
         if self.top_k < 1 or self.n_top < 1:
             raise ConfigError("top_k and n_top must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         self.calendar  # validates epoch
 
     @property
@@ -87,7 +84,6 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
             fit=fit,
             top_k=int(raw.get("top_k", 10)),
             n_top=int(raw.get("n_top", 5)),
-            threads=int(raw.get("threads", 1)),
         )
     except ConfigError:
         raise
@@ -109,24 +105,24 @@ def load_config(path) -> PipelineConfig:
     return _build(raw, path.parent)
 
 
-# CLI override name -> (target, field); fit fields are nested
+# CLI-overridable fields and their types; fit fields are nested under ``fit``
 _PLAIN_OVERRIDES = {
-    "input": ("input", Path),
-    "format": ("format", str),
-    "out_dir": ("out_dir", Path),
-    "window_k": ("window_k", int),
-    "detection_mode": ("detection_mode", str),
-    "top_k": ("top_k", int),
-    "n_top": ("n_top", int),
-    "threads": ("threads", int),
+    "input": Path,
+    "format": str,
+    "out_dir": Path,
+    "window_k": int,
+    "detection_mode": str,
+    "top_k": int,
+    "n_top": int,
 }
 _FIT_OVERRIDES = {
-    "rank": ("rank", int),
-    "seed": ("seed", int),
-    "restarts": ("restarts", int),
-    "max_iters": ("max_iters", int),
-    "rel_tol": ("rel_tol", float),
+    "rank": int,
+    "seed": int,
+    "restarts": int,
+    "max_iters": int,
+    "rel_tol": float,
 }
+OVERRIDE_KEYS = (*_PLAIN_OVERRIDES, *_FIT_OVERRIDES)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
@@ -136,11 +132,9 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
         if value is None:
             continue
         if key in _PLAIN_OVERRIDES:
-            name, cast = _PLAIN_OVERRIDES[key]
-            plain[name] = cast(value)
+            plain[key] = _PLAIN_OVERRIDES[key](value)
         elif key in _FIT_OVERRIDES:
-            name, cast = _FIT_OVERRIDES[key]
-            fit_kwargs[name] = cast(value)
+            fit_kwargs[key] = _FIT_OVERRIDES[key](value)
         else:
             raise ConfigError(f"unknown override {key!r}")
     try:

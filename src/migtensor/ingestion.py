@@ -251,12 +251,9 @@ def _finish_event(user_id, raw_ts, country, lat, lon, interval, registry, stats)
             stats.add(UNKNOWN_COUNTRY)
             return None
         return GeoEvent(user_id, ts, country=country)
-    if isinstance(lat, bool) or isinstance(lon, bool):  # JSON true/false
-        stats.add(BAD_COORDINATES)
-        return None
     try:
         lat, lon = float(lat), float(lon)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
         stats.add(BAD_COORDINATES)
         return None
     if not (math.isfinite(lat) and math.isfinite(lon)):
@@ -312,6 +309,12 @@ def _parse_csv(stream, interval, registry):
     return events, stats
 
 
+def _json_number(value):
+    """A JSON number as is; a string, boolean or other JSON value as None,
+    which ``_finish_event`` rejects as bad coordinates."""
+    return value if type(value) in (int, float) else None
+
+
 def _parse_jsonl(stream, interval, registry):
     events: list[GeoEvent] = []
     stats = RejectStats()
@@ -326,17 +329,18 @@ def _parse_jsonl(stream, interval, registry):
         if not isinstance(obj, dict):
             stats.add(BAD_JSON)
             continue
+        lat, lon = obj.get("lat"), obj.get("lon")
         has_code = obj.get("country") is not None
-        has_point = obj.get("lat") is not None or obj.get("lon") is not None
+        has_point = lat is not None or lon is not None
         if has_code == has_point:
             stats.add(BAD_LOCATION)
             continue
-        if has_point and (obj.get("lat") is None or obj.get("lon") is None):
+        if has_point and (lat is None or lon is None):
             stats.add(BAD_COORDINATES)
             continue
         ev = _finish_event(
             str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
-            obj.get("country"), obj.get("lat"), obj.get("lon"),
+            obj.get("country"), _json_number(lat), _json_number(lon),
             interval, registry, stats,
         )
         if ev is not None:

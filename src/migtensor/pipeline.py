@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, ingestion, residence, solver, tensor
@@ -93,13 +92,16 @@ def _events_by_user(config) -> tuple[ingestion.CountryRegistry, list[list[ingest
     path = config.out_dir / "events.csv"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            events, rejects = ingestion.parse_events(fh, "csv", registry=registry)
+            events, rejects = ingestion.parse_events(
+                fh, "csv", interval=config.calendar.interval(), registry=registry)
     except OSError as exc:
         raise StageError("residences", f"missing events artifact ({exc}); run ingest first", 3)
     if rejects.total:
-        raise StageError("residences", f"events artifact is corrupt: {rejects.as_dict()}", 3)
+        raise StageError("residences", f"{path}: events artifact is corrupt: {rejects.as_dict()}", 3)
     grouped: dict[str, list] = {}
     for ev in events:
+        if ev.country is None:
+            raise StageError("residences", f"{path}: events artifact holds an unresolved point", 3)
         grouped.setdefault(ev.user_id, []).append(ev)
     return registry, [grouped[u] for u in sorted(grouped)]
 
@@ -108,15 +110,7 @@ def stage_residences(config: PipelineConfig) -> dict:
     """Monthly residence series for every user in the event artifact."""
     registry, per_user = _events_by_user(config)
     calendar = config.calendar
-
-    def one(events):
-        return residence.monthly_residence(events, calendar, registry)
-
-    if config.threads > 1 and per_user:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            series = list(pool.map(one, per_user))
-    else:
-        series = [one(events) for events in per_user]
+    series = [residence.monthly_residence(events, calendar, registry) for events in per_user]
     residence.write_residences(series, registry, config.out_dir / "residences.csv")
     return {"users": len(series)}
 
@@ -156,6 +150,8 @@ def stage_fit(config: PipelineConfig) -> dict:
         t = tensor.load_tensor(config.out_dir / "tensor.txt")
     except OSError as exc:
         raise StageError("fit", f"missing tensor artifact ({exc}); run tensorize first", 3)
+    except ingestion.InputError as exc:
+        raise StageError("fit", str(exc), 3)
     model_path = config.out_dir / "model.txt"
     if t.nnz == 0:
         model_path.unlink(missing_ok=True)
@@ -189,11 +185,16 @@ def stage_analyze(config: PipelineConfig) -> dict:
             t = tensor.load_tensor(config.out_dir / "tensor.txt")
         except OSError as exc:
             raise StageError("analyze", f"missing model artifact ({exc}); run fit first", 3)
+        except ingestion.InputError as exc:
+            raise StageError("analyze", str(exc), 3)
         if t.nnz != 0:
             raise StageError("analyze", "missing model artifact; run fit first", 3)
         analysis.emit_reports([], config.calendar, reports_dir)
         return {"components_reported": 0, "top_ginis": []}
-    model = solver.load_model(model_path)
+    try:
+        model = solver.load_model(model_path)
+    except ingestion.InputError as exc:
+        raise StageError("analyze", str(exc), 3)
     reports = analysis.rank_components(model, registry, config.top_k, config.n_top)
     analysis.emit_reports(reports, config.calendar, reports_dir)
     return {

@@ -55,15 +55,14 @@ class MonthCalendar:
 
 @dataclass
 class ResidenceSeries:
-    """Per-user month-indexed residence: raw observations plus filled view.
+    """Per-user month-indexed residence.
 
-    ``observed[m]`` is the residence inferred from month m's own events
-    (None for silent months); ``filled`` forward-fills silence. Months
-    before the first observation stay None in both views.
+    ``filled[m]`` is the residence inferred from month m's own events, or
+    for a silent month the most recent one before it. Months before the
+    first observation stay None.
     """
 
     user_id: str
-    observed: list[Optional[int]]
     filled: list[Optional[int]]
 
 
@@ -106,7 +105,6 @@ def monthly_residence(
         counts[m][c] += 1
         latest[m][c] = ev.timestamp
 
-    observed: list[Optional[int]] = [None] * calendar.months
     filled: list[Optional[int]] = [None] * calendar.months
     previous: Optional[int] = None
     for m in range(calendar.months):
@@ -119,10 +117,9 @@ def monthly_residence(
                 choice = previous
             else:
                 choice = max(tied, key=lambda c: latest[m][c])
-            observed[m] = choice
             previous = choice
         filled[m] = previous
-    return ResidenceSeries(user_id, observed, filled)
+    return ResidenceSeries(user_id, filled)
 
 
 def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
@@ -230,7 +227,9 @@ def _row_error(path, line: int, parts: list[str], header: list[str], months: int
     try:
         month = int(parts[1])
     except ValueError:
-        return InputError(f"{where}: month index {parts[1]!r} is not an integer")
+        month = None
+    if month is None or str(month) != parts[1]:
+        return InputError(f"{where}: month index {parts[1]!r} is not a plain decimal integer")
     if not 0 <= month < months:
         return InputError(f"{where}: month index {month} outside [0, {months})")
     for code in parts[2:]:
@@ -240,12 +239,9 @@ def _row_error(path, line: int, parts: list[str], header: list[str], months: int
 
 
 def read_residences(path, registry: CountryRegistry, months: int) -> list[ResidenceSeries]:
-    """Rebuild filled residence views from a residence dump.
+    """Rebuild residence series from a residence dump.
 
-    The observed/filled distinction is not stored on disk; the loaded
-    series carries the filled view in both slots, which is all migration
-    detection needs. A malformed row raises :class:`InputError` naming
-    its ``path:line``.
+    A malformed row raises :class:`InputError` naming its ``path:line``.
     """
     index = registry.index
     per_user: dict[str, list[Optional[int]]] = {}
@@ -257,13 +253,15 @@ def read_residences(path, registry: CountryRegistry, months: int) -> list[Reside
                 month, country = int(m), index[code]
             except (ValueError, KeyError):
                 month = -1
-            if not 0 <= month < months:
+            if not 0 <= month < months or str(month) != m:
                 raise _row_error(path, reader.line_num, parts, RESIDENCE_HEADER, months, registry)
             filled = per_user.get(user_id)
             if filled is None:
                 filled = per_user[user_id] = [None] * months
+            elif filled[month] is not None:
+                raise InputError(f"{path}:{reader.line_num}: repeated month {month} for user {user_id!r}")
             filled[month] = country
-    return [ResidenceSeries(u, list(per_user[u]), per_user[u]) for u in sorted(per_user)]
+    return [ResidenceSeries(u, per_user[u]) for u in sorted(per_user)]
 
 
 def write_migrations(events: Iterable[MigrationEvent], registry: CountryRegistry, path) -> None:
@@ -287,7 +285,7 @@ def read_migrations(path, registry: CountryRegistry, months: int) -> list[Migrat
                 month, origin, destination = int(m), index[o], index[d]
             except (ValueError, KeyError):
                 month = -1
-            if not 0 <= month < months or origin == destination:
+            if not 0 <= month < months or str(month) != m or origin == destination:
                 raise _row_error(path, reader.line_num, parts, MIGRATION_HEADER, months, registry)
             events.append(MigrationEvent(user_id, month, origin, destination))
     return events

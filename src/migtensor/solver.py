@@ -362,21 +362,47 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
+    """Read a model written by :func:`save_model`.
+
+    A malformed header or row raises :class:`InputError` naming its
+    ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if header[:2] != ["#", "cp"] or len(header) != 6:
-            raise InputError(f"{path}: malformed model header")
-        N1, N2, M, K = (int(x) for x in header[2:])
+        try:
+            if header[:2] != ["#", "cp"] or len(header) != 6:
+                raise ValueError
+            N1, N2, M, K = (int(x) for x in header[2:])
+        except ValueError:
+            raise InputError(f"{path}:1: malformed model header") from None
         rows = list(csv.reader(fh))
     expected = 1 + N1 + N2 + M
     if len(rows) != expected:
         raise InputError(f"{path}: expected {expected} data rows, found {len(rows)}")
-    data = [np.array([float(x) for x in row]) for row in rows]
-    weights = data[0]
-    O = np.vstack(data[1:1 + N1])
-    D = np.vstack(data[1 + N1:1 + N1 + N2])
-    T = np.vstack(data[1 + N1 + N2:])
-    model = FactorModel(O, D, T, weights)
-    if model.K != K:
-        raise InputError(f"{path}: header rank {K} != row width {model.K}")
+    try:
+        data = [np.array([float(x) for x in row]) for row in rows]
+        weights = data[0]
+        O = np.vstack(data[1:1 + N1])
+        D = np.vstack(data[1 + N1:1 + N1 + N2])
+        T = np.vstack(data[1 + N1 + N2:])
+        model = FactorModel(O, D, T, weights)
+        if model.K != K:
+            raise ValueError(f"header rank {K} != row width {model.K}")
+    except ValueError as exc:
+        raise _model_error(path, rows, K, exc) from exc
     return model
+
+
+def _model_error(path, rows: list[list[str]], K: int, exc: ValueError) -> InputError:
+    """The first defect of a model file whose rows did not load."""
+    for line, row in enumerate(rows, start=2):
+        where = f"{path}:{line}"
+        if len(row) != K:
+            return InputError(f"{where}: expected {K} fields, got {len(row)}")
+        try:
+            values = [float(x) for x in row]
+        except ValueError:
+            return InputError(f"{where}: row {','.join(row)!r} is not {K} numbers")
+        if not all(math.isfinite(x) and x >= 0 for x in values):
+            return InputError(f"{where}: factor entries must be finite and non-negative")
+    return InputError(f"{path}:1: {exc}")  # every row is sound, so the header is not

@@ -8,6 +8,8 @@ nor in the model's likelihood.
 
 from __future__ import annotations
 
+import io
+import re
 from typing import Iterable
 
 import numpy as np
@@ -108,11 +110,55 @@ def save_tensor(tensor: MigrationTensor, path) -> None:
 
 
 def load_tensor(path) -> MigrationTensor:
+    """Read a tensor written by :func:`save_tensor`.
+
+    A malformed header or entry raises :class:`InputError` naming its
+    ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
+        body = fh.read()
+    try:
         if header[:2] != ["#", "dims"] or len(header) != 5:
-            raise InputError(f"{path}: malformed tensor header")
+            raise ValueError
         dims = tuple(int(x) for x in header[2:])
-        rows = [line.split() for line in fh if line.strip()]
-    data = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    return MigrationTensor(dims, data[:, :3], data[:, 3])
+    except ValueError:
+        raise InputError(f"{path}:1: malformed tensor header") from None
+    try:
+        # np.loadtxt parses in C, without a Python object per entry
+        data = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+                if body.strip() else np.zeros((0, 4), dtype=np.int64))
+        if data.shape[1] != 4:
+            raise ValueError(f"entries have {data.shape[1]} fields")
+        return MigrationTensor(dims, data[:, :3], data[:, 3])
+    except ValueError as exc:
+        raise _entry_error(path, dims, body, exc) from exc
+
+
+# an entry field np.loadtxt reads as an int64, given that it fits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _entry_error(path, dims: tuple[int, int, int], body: str, exc: ValueError) -> InputError:
+    """The first defect of a tensor file whose entries did not load."""
+    seen = set()
+    for line, text in enumerate(body.split("\n"), start=2):
+        parts = text.split()
+        if not parts:
+            continue
+        where = f"{path}:{line}"
+        if len(parts) != 4:
+            return InputError(f"{where}: expected 4 fields, got {len(parts)}")
+        if not all(_INTEGER.fullmatch(x) for x in parts):
+            return InputError(f"{where}: entry {text.strip()!r} is not four integers")
+        i, j, t, c = (int(x) for x in parts)
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= t < dims[2]):
+            return InputError(f"{where}: entry ({i}, {j}, {t}) out of range for dims {dims}")
+        if i == j:
+            return InputError(f"{where}: diagonal entry (origin == destination == {i})")
+        if not 0 < c < 2**63:
+            return InputError(f"{where}: count {c} is not a positive 64-bit integer")
+        if (i, j, t) in seen:
+            return InputError(f"{where}: duplicate entry ({i}, {j}, {t})")
+        seen.add((i, j, t))
+    return InputError(f"{path}:1: {exc}")  # every entry is sound, so the dims are not

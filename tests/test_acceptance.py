@@ -207,7 +207,7 @@ def test_5_window_semantics(capsys, registry):
             failures.append(label)
 
     def series(filled):
-        return ResidenceSeries("u", list(filled), list(filled))
+        return ResidenceSeries("u", list(filled))
 
     cal = MonthCalendar(2014, 1, 5)
 
@@ -221,11 +221,11 @@ def test_5_window_semantics(capsys, registry):
 
     s = monthly_residence([ev(0, "FR", h) for h in range(3)]
                           + [ev(0, "ES", 10 + h) for h in range(2)], cal, registry)
-    check("majority month", s.observed[0] == fr)
+    check("majority month", s.filled[0] == fr)
 
     s = monthly_residence([ev(0, "ES")] + [ev(1, "FR", h) for h in range(2)]
                           + [ev(1, "ES", 10 + h) for h in range(2)], cal, registry)
-    check("tie breaks to previous month", s.observed[1] == es)
+    check("tie breaks to previous month", s.filled[1] == es)
 
     s = monthly_residence([ev(0, "FR"), ev(3, "ES")], cal, registry)
     check("forward fill", s.filled == [fr, fr, fr, es, es])

@@ -140,6 +140,21 @@ class TestParseJsonl:
         assert stats.as_dict() == {BAD_COORDINATES: 2}
         assert [(ev.lat, ev.lon) for ev in events] == [(1.0, 0.0)]
 
+    def test_string_and_huge_coordinates_rejected(self):
+        # JSON coordinates must be numbers: float() would take "46" as 46.0
+        # and raise OverflowError on an integer beyond float range. They are
+        # judged after the timestamp and the interval, like booleans.
+        lines = ['{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": "46", "lon": "2"}',
+                 '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 46, "lon": "2"}',
+                 '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1%s, "lon": 2}' % ("0" * 400),
+                 '{"user_id": "u1", "timestamp": "not a time", "lat": "46", "lon": "2"}',
+                 '{"user_id": "u1", "timestamp": "2030-01-01T00:00:00Z", "lat": "46", "lon": "2"}',
+                 '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 46, "lon": 2}']
+        interval = (datetime(2014, 1, 1, tzinfo=timezone.utc), datetime(2015, 1, 1, tzinfo=timezone.utc))
+        events, stats = parse_events(lines, "jsonl", interval=interval)
+        assert stats.as_dict() == {BAD_COORDINATES: 3, BAD_TIMESTAMP: 1, OUT_OF_INTERVAL: 1}
+        assert [(ev.lat, ev.lon) for ev in events] == [(46.0, 2.0)]
+
     def test_unknown_format_fatal(self):
         with pytest.raises(InputError):
             parse_events([], "xml")

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from migtensor import cli, pipeline
-from migtensor.config import apply_overrides, load_config
+from migtensor.config import OVERRIDE_KEYS, apply_overrides, load_config
 from migtensor.ingestion import ConfigError
 from migtensor.tensor import load_tensor
 
 REGISTRY = "GB\nFR\nES\nUS\nKW\nDE\n"
+STAGE_NAMES = [name for name, _ in pipeline.STAGES]
 
 # three users, one clean move each:
 #   alice GB -> ES at month 3, bob FR -> US at month 2, carol US -> KW at month 4
@@ -91,13 +92,6 @@ class TestRunPipeline:
         pipeline.run_pipeline(config, echo=None)
         assert artifact_bytes(tmp_path / "out") == first
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        config = load_config(write_workspace(tmp_path))
-        pipeline.run_pipeline(config, echo=None)
-        serial = artifact_bytes(tmp_path / "out")
-        pipeline.run_pipeline(apply_overrides(config, {"threads": 4}), echo=None)
-        assert artifact_bytes(tmp_path / "out") == serial
-
     def test_staged_equals_one_shot(self, tmp_path):
         one_shot = tmp_path / "one"
         staged = tmp_path / "staged"
@@ -166,6 +160,21 @@ class TestConfig:
         config = load_config(write_workspace(tmp_path))
         with pytest.raises(ConfigError):
             apply_overrides(config, {"rank": 0})
+
+    def test_unknown_top_level_keys_are_ignored(self, tmp_path):
+        # such as an option since retired that older configs still carry
+        plain = tmp_path / "plain"
+        legacy = tmp_path / "legacy"
+        plain.mkdir(), legacy.mkdir()
+        pipeline.run_pipeline(load_config(write_workspace(plain)), echo=None)
+        assert cli.main(["run", "--config", str(write_workspace(legacy, retired_option=1))]) == 0
+        assert artifact_bytes(legacy / "out") == artifact_bytes(plain / "out")
+
+    def test_every_override_key_has_one_flag(self):
+        parser = cli.build_parser()
+        for name in ("run", *STAGE_NAMES):
+            args = vars(parser.parse_args([name, "--config", "config.json"]))
+            assert set(args) - {"command", "config"} == set(OVERRIDE_KEYS), name
 
 
 class TestCli:
@@ -283,7 +292,9 @@ class TestCli:
 
 
 # a defective row in place of an intermediate artifact's second data row
-# (file line 3), the stage command that reads the artifact, and the row
+# (file line 3), the stage command that reads the artifact, and the row.
+# The fixture's tensor rows are "0 2 3 1", "1 3 2 1", "3 4 4 1" (dims 6 6 6);
+# its model has rank 2, and line 3 of model.txt is the first origin row.
 CORRUPT_ROWS = {
     "residences-field-count": ("residences.csv", "detect", "alice,1"),
     "residences-month-not-integer": ("residences.csv", "detect", "alice,one,GB"),
@@ -293,7 +304,32 @@ CORRUPT_ROWS = {
     "migrations-month-out-of-range": ("migrations.csv", "tensorize", "bob,-1,FR,US"),
     "migrations-unknown-country": ("migrations.csv", "tensorize", "bob,2,FR,ZZ"),
     "migrations-origin-is-destination": ("migrations.csv", "tensorize", "bob,2,FR,FR"),
+    "residences-repeated-month": ("residences.csv", "detect", "alice,0,FR"),
+    "residences-month-not-canonical": ("residences.csv", "detect", "alice,+1,GB"),
+    "migrations-month-not-canonical": ("migrations.csv", "tensorize", "bob,+2,FR,US"),
+    "tensor-token": ("tensor.txt", "fit", "1 3 x 1"),
+    "tensor-field-count": ("tensor.txt", "fit", "1 3 2"),
+    "tensor-out-of-range": ("tensor.txt", "fit", "1 3 6 1"),
+    "tensor-diagonal": ("tensor.txt", "fit", "3 3 2 1"),
+    "tensor-duplicate": ("tensor.txt", "fit", "0 2 3 1"),
+    "tensor-count": ("tensor.txt", "fit", "1 3 2 0"),
+    "model-not-a-number": ("model.txt", "analyze", "x,0.5"),
+    "model-field-count": ("model.txt", "analyze", "0.5"),
+    "model-negative": ("model.txt", "analyze", "-0.5,0.5"),
+    "model-non-finite": ("model.txt", "analyze", "nan,0.5"),
 }
+
+
+def run_stages_before(stage, config_path):
+    for name in STAGE_NAMES[:STAGE_NAMES.index(stage)]:
+        assert cli.main([name, "--config", str(config_path)]) == 0
+
+
+def replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    assert len(lines) > index
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestCorruptArtifacts:
@@ -301,16 +337,38 @@ class TestCorruptArtifacts:
     def test_corrupt_row_exits_3_naming_path_and_line(self, tmp_path, capsys, defect):
         artifact, stage, row = CORRUPT_ROWS[defect]
         path = write_workspace(tmp_path)
-        for name in ("ingest", "residences", "detect"):
-            assert cli.main([name, "--config", str(path)]) == 0
+        run_stages_before(stage, path)
         target = tmp_path / "out" / artifact
-        lines = target.read_text().splitlines()
-        assert len(lines) >= 3
-        lines[2] = row
-        target.write_text("\n".join(lines) + "\n")
+        replace_line(target, 2, row)
         capsys.readouterr()
         assert cli.main([stage, "--config", str(path)]) == 3
-        assert f"{target}:3:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"[{stage}]" in err and f"{target}:3:" in err
+
+    def test_corrupt_tensor_without_model_exits_3_in_analyze(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        run_stages_before("analyze", path)
+        (tmp_path / "out" / "model.txt").unlink()
+        target = tmp_path / "out" / "tensor.txt"
+        replace_line(target, 2, "1 3 x 1")
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[analyze]" in err and f"{target}:3:" in err
+
+    # an events.csv row (in place of file line 3) that ingest never writes:
+    # dated outside the study interval, or an unresolved lat/lon point
+    @pytest.mark.parametrize("row", ["alice,2030-01-05T12:00:00Z,GB",
+                                     "alice,2014-01-20T12:00:00Z,51.5,-0.1"])
+    def test_corrupt_events_row_exits_3(self, tmp_path, capsys, row):
+        path = write_workspace(tmp_path)
+        run_stages_before("residences", path)
+        target = tmp_path / "out" / "events.csv"
+        replace_line(target, 2, row)
+        capsys.readouterr()
+        assert cli.main(["residences", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[residences]" in err and f"{target}: events artifact" in err
 
 
 class TestJsonlFormat:

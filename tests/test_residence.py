@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migtensor.ingestion import ConfigError, GeoEvent
+from migtensor.ingestion import ConfigError, GeoEvent, InputError
 from migtensor.residence import (
     MigrationEvent,
     MonthCalendar,
@@ -34,7 +34,7 @@ def ts(*args):
 
 def series(filled, user="u"):
     """ResidenceSeries straight from a filled country-index list."""
-    return ResidenceSeries(user, list(filled), list(filled))
+    return ResidenceSeries(user, list(filled))
 
 
 def events_in_month(user, calendar, month, country, n, start_hour=0):
@@ -71,7 +71,7 @@ class TestMonthlyResidence:
         events = (events_in_month("u", cal, 0, "FR", 3)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
         s = monthly_residence(events, cal, registry)
-        assert s.observed[0] == registry.index_of("FR")
+        assert s.filled[0] == registry.index_of("FR")
 
     def test_tie_breaks_to_previous_month(self, registry):
         cal = MonthCalendar(2014, 1, 2)
@@ -79,14 +79,14 @@ class TestMonthlyResidence:
                   + events_in_month("u", cal, 1, "FR", 2)
                   + events_in_month("u", cal, 1, "ES", 2, start_hour=10))
         s = monthly_residence(events, cal, registry)
-        assert s.observed[1] == registry.index_of("ES")
+        assert s.filled[1] == registry.index_of("ES")
 
     def test_tie_without_previous_breaks_to_latest_event(self, registry):
         cal = MonthCalendar(2014, 1, 1)
         events = (events_in_month("u", cal, 0, "FR", 2)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
         s = monthly_residence(events, cal, registry)
-        assert s.observed[0] == registry.index_of("ES")  # ES events are later
+        assert s.filled[0] == registry.index_of("ES")  # ES events are later
 
     def test_forward_fill(self, registry):
         cal = MonthCalendar(2014, 1, 5)
@@ -95,7 +95,6 @@ class TestMonthlyResidence:
         s = monthly_residence(events, cal, registry)
         fr, es = registry.index_of("FR"), registry.index_of("ES")
         assert s.filled == [fr, fr, fr, es, es]
-        assert s.observed == [fr, None, None, es, None]
 
     def test_months_before_first_observation_stay_undefined(self, registry):
         cal = MonthCalendar(2014, 1, 4)
@@ -297,3 +296,27 @@ class TestDumps:
         assert lines[0] == "user_id,month_index,country"
         # undefined months are omitted, defined ones spelled as codes
         assert lines[1:] == ["u,0,GB", "u,2,FR"]
+
+    @pytest.mark.parametrize("rows, bad_line, message", [
+        (["u,0,GB", "u,0,FR", "u,1_0,GB"], 3, "repeated month 0 for user 'u'"),
+        (["v,0,GB", "u,1,FR", "v,0,GB"], 4, "repeated month 0 for user 'v'"),
+        (["u,1_0,GB"], 2, "month index '1_0' is not a plain decimal integer"),
+        (["u,+3,GB"], 2, "month index '+3' is not a plain decimal integer"),
+        (["u, 3,GB"], 2, "month index ' 3' is not a plain decimal integer"),
+        (["u,03,GB"], 2, "month index '03' is not a plain decimal integer"),
+    ])
+    def test_residence_rows_the_writer_never_emits_are_rejected(
+            self, registry, tmp_path, rows, bad_line, message):
+        path = tmp_path / "residences.csv"
+        path.write_text("user_id,month_index,country\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError) as err:
+            read_residences(path, registry, 12)
+        assert str(err.value) == f"{path}:{bad_line}: {message}"
+
+    @pytest.mark.parametrize("month", ["1_0", "+3", " 3", "03"])
+    def test_migration_months_the_writer_never_emits_are_rejected(self, registry, tmp_path, month):
+        path = tmp_path / "migrations.csv"
+        path.write_text(f"user_id,month_index,origin,destination\na,2,GB,FR\na,{month},GB,FR\n")
+        with pytest.raises(InputError) as err:
+            read_migrations(path, registry, 12)
+        assert str(err.value) == f"{path}:3: month index {month!r} is not a plain decimal integer"

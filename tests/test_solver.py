@@ -495,3 +495,28 @@ class TestModelFile:
         from migtensor.ingestion import InputError
         with pytest.raises(InputError):
             load_model(path)
+
+    # (line replaced, its new text, line the error names, message); the
+    # rank-3 header disagrees with every rank-2 row, so the first row is named
+    @pytest.mark.parametrize("line, text, bad_line, message", [
+        (1, "# cp 2 2 3 x", 1, "malformed model header"),
+        (3, "x,0.5", 3, "row 'x,0.5' is not 2 numbers"),
+        (3, "0.5", 3, "expected 2 fields, got 1"),
+        (3, "0.5,0.5,0.5", 3, "expected 2 fields, got 3"),
+        (2, "1.0", 2, "expected 2 fields, got 1"),
+        (3, "-0.5,0.5", 3, "factor entries must be finite and non-negative"),
+        (9, "0.5,nan", 9, "factor entries must be finite and non-negative"),
+        (5, "inf,0.5", 5, "factor entries must be finite and non-negative"),
+        (1, "# cp 2 2 3 3", 2, "expected 3 fields, got 2"),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, text, bad_line, message):
+        from migtensor.ingestion import InputError
+        model = FactorModel(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), np.ones(2))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}:{bad_line}: {message}"

@@ -166,3 +166,43 @@ class TestTensorFile:
         path.write_text("# wrong 3 3 4\n")
         with pytest.raises(InputError):
             load_tensor(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("# dims 3 3 x", "malformed tensor header"),
+        ("# dims 3 4 4", "origin/destination dims must match, got (3, 4, 4)"),
+    ])
+    def test_bad_dims_name_line_1(self, tmp_path, header, message):
+        path = tmp_path / "tensor.txt"
+        path.write_text(header + "\n0 1 2 1\n")
+        with pytest.raises(InputError) as err:
+            load_tensor(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    @pytest.mark.parametrize("row, message", [
+        ("0 1 x 1", "entry '0 1 x 1' is not four integers"),
+        ("0 1 2.5 1", "entry '0 1 2.5 1' is not four integers"),
+        ("0 1 2 1_0", "entry '0 1 2 1_0' is not four integers"),
+        ("2 0 3 1 # note", "expected 4 fields, got 6"),
+        ("0 1 2", "expected 4 fields, got 3"),
+        ("0 1 4 1", "entry (0, 1, 4) out of range for dims (3, 3, 4)"),
+        ("-1 1 2 1", "entry (-1, 1, 2) out of range for dims (3, 3, 4)"),
+        ("1 1 2 1", "diagonal entry (origin == destination == 1)"),
+        ("0 1 2 5", "duplicate entry (0, 1, 2)"),
+        ("2 0 3 0", "count 0 is not a positive 64-bit integer"),
+        ("2 0 3 -4", "count -4 is not a positive 64-bit integer"),
+        ("2 0 3 9223372036854775808", "count 9223372036854775808 is not a positive 64-bit integer"),
+    ])
+    def test_malformed_entry_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "tensor.txt"
+        path.write_text("# dims 3 3 4\n0 1 2 1\n" + row + "\n2 1 0 1\n")
+        with pytest.raises(InputError) as err:
+            load_tensor(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    def test_uniformly_short_rows_are_not_regrouped(self, tmp_path):
+        # four 3-field rows hold 12 integers, which would reshape to 3 entries
+        path = tmp_path / "tensor.txt"
+        path.write_text("# dims 3 3 4\n0 1 2\n1 0 2\n0 2 1\n2 0 1\n")
+        with pytest.raises(InputError) as err:
+            load_tensor(path)
+        assert str(err.value) == f"{path}:2: expected 4 fields, got 3"
