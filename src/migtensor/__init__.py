@@ -8,19 +8,27 @@ by how unevenly their activity concentrates in time.
 """
 
 from .analysis import ComponentReport, DegenerateComponentWarning, gini, rank_components
+from .events import (
+    EventTable,
+    GeoEvent,
+    InputError,
+    parse_events,
+    read_events,
+    serialize_events,
+    write_events,
+)
 from .ingestion import (
     CentroidTable,
     ConfigError,
     CountryRegistry,
     FilterPolicy,
-    GeoEvent,
-    InputError,
+    filter_table,
     filter_users,
     load_centroids,
     load_registry,
-    parse_events,
     resolve_country,
     resolve_events,
+    resolve_table,
     save_registry,
 )
 from .residence import (
@@ -30,6 +38,7 @@ from .residence import (
     detect_all,
     detect_migrations,
     monthly_residence,
+    residence_matrix,
 )
 from .solver import (
     FactorModel,
@@ -51,6 +60,7 @@ __all__ = [
     "ConfigError",
     "CountryRegistry",
     "DegenerateComponentWarning",
+    "EventTable",
     "FactorModel",
     "FilterPolicy",
     "FitConfig",
@@ -66,6 +76,7 @@ __all__ = [
     "build_tensor",
     "detect_all",
     "detect_migrations",
+    "filter_table",
     "filter_users",
     "fit",
     "generate_synthetic",
@@ -82,11 +93,16 @@ __all__ = [
     "monthly_residence",
     "parse_events",
     "rank_components",
+    "read_events",
+    "residence_matrix",
     "resolve_country",
     "resolve_events",
+    "resolve_table",
     "save_model",
     "save_registry",
     "save_tensor",
+    "serialize_events",
+    "write_events",
 ]
 
 __version__ = "0.1.0"

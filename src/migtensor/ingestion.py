@@ -1,69 +1,43 @@
-"""Event stream parsing, country resolution and user-level noise filtering.
+"""Country resolution, the country registry and user-level noise filtering.
 
-Input streams are line-delimited CSV or JSONL records carrying a user id,
-an RFC 3339 UTC timestamp and a location given either as an ISO 3166-1
-alpha-2 country code or as a (lat, lon) pair. Malformed records are never
-dropped silently: every rejection is tallied per reason.
+The event table and the stream formats it is read from and written to
+live in :mod:`migtensor.events`; :func:`resolve_table` and
+:func:`filter_table` work on that table, and :func:`resolve_events` and
+:func:`filter_users` are per-record adapters around them. The names of
+:mod:`migtensor.events` that callers import from here (the reject reasons,
+:class:`GeoEvent`, :class:`InputError`, :func:`parse_events`,
+:func:`serialize_events`) are re-exported.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import json
-import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Iterable, Optional, TextIO
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional
 
 import numpy as np
 
-CSV_HEADER_COUNTRY = "user_id,timestamp,country"
-CSV_HEADER_GEO = "user_id,timestamp,lat,lon"
-
-# reject reasons
-BAD_FIELD_COUNT = "bad_field_count"
-BAD_JSON = "bad_json"
-MISSING_FIELD = "missing_field"
-BAD_TIMESTAMP = "bad_timestamp"
-OUT_OF_INTERVAL = "out_of_interval"
-BAD_COORDINATES = "bad_coordinates"
-UNKNOWN_COUNTRY = "unknown_country"
-BAD_LOCATION = "bad_location"
+from .events import (  # noqa: F401 (re-exported)
+    BAD_COORDINATES,
+    BAD_FIELD_COUNT,
+    BAD_JSON,
+    BAD_LOCATION,
+    BAD_TIMESTAMP,
+    MISSING_FIELD,
+    OUT_OF_INTERVAL,
+    UNKNOWN_COUNTRY,
+    EventTable,
+    GeoEvent,
+    InputError,
+    parse_events,
+    run_starts,
+    serialize_events,
+)
 
 
 class ConfigError(ValueError):
     """Invalid configuration (bad registry, empty centroid table, ...)."""
-
-
-class InputError(ValueError):
-    """Unusable input source (unknown format tag, unreadable file, ...)."""
-
-
-@dataclass(frozen=True)
-class GeoEvent:
-    """One timestamped, located observation of a user.
-
-    Exactly one of ``country`` / (``lat``, ``lon``) is set. Timestamps are
-    timezone-aware UTC at second precision.
-    """
-
-    user_id: str
-    timestamp: datetime
-    country: Optional[str] = None
-    lat: Optional[float] = None
-    lon: Optional[float] = None
-
-    def __post_init__(self):
-        has_code = self.country is not None
-        has_point = self.lat is not None and self.lon is not None
-        if has_code == has_point:
-            raise ValueError("exactly one of country / (lat, lon) must be set")
-
-    @property
-    def has_point(self) -> bool:
-        return self.country is None
 
 
 class CountryRegistry:
@@ -174,23 +148,6 @@ class FilterPolicy:
 
 
 @dataclass
-class RejectStats:
-    """Per-reason tally of records rejected during parsing."""
-
-    counts: Counter = field(default_factory=Counter)
-
-    def add(self, reason: str) -> None:
-        self.counts[reason] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def as_dict(self) -> dict:
-        return dict(sorted(self.counts.items()))
-
-
-@dataclass
 class DroppedUserStats:
     """Per-rule tally of users dropped by :func:`filter_users`.
 
@@ -210,168 +167,6 @@ class DroppedUserStats:
             "users_dropped": self.users_dropped,
             "events_dropped": self.events_dropped,
         }
-
-
-def parse_timestamp(raw: str) -> datetime:
-    """Parse an RFC 3339 UTC timestamp, truncating to second precision."""
-    raw = raw.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is None:
-        raise ValueError("timestamp must carry a UTC offset")
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
-
-
-def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _finish_event(user_id, raw_ts, country, lat, lon, interval, registry, stats):
-    """Shared validation tail for both input formats; None on rejection."""
-    if not user_id or raw_ts is None:
-        stats.add(MISSING_FIELD)
-        return None
-    try:
-        ts = parse_timestamp(raw_ts)
-    except ValueError:
-        stats.add(BAD_TIMESTAMP)
-        return None
-    if interval is not None:
-        start, end = interval
-        if not (start <= ts < end):
-            stats.add(OUT_OF_INTERVAL)
-            return None
-    if country is not None:
-        country = country.strip().upper()
-        if not country:
-            stats.add(MISSING_FIELD)
-            return None
-        if registry is not None and country not in registry:
-            stats.add(UNKNOWN_COUNTRY)
-            return None
-        return GeoEvent(user_id, ts, country=country)
-    try:
-        lat, lon = float(lat), float(lon)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
-        stats.add(BAD_COORDINATES)
-        return None
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        stats.add(BAD_COORDINATES)
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        stats.add(BAD_COORDINATES)
-        return None
-    return GeoEvent(user_id, ts, lat=lat, lon=lon)
-
-
-def parse_events(
-    stream: TextIO | Iterable[str],
-    format: str,
-    interval: Optional[tuple[datetime, datetime]] = None,
-    registry: Optional[CountryRegistry] = None,
-) -> tuple[list[GeoEvent], RejectStats]:
-    """Parse a line-delimited event stream into GeoEvents.
-
-    ``format`` is ``"csv"`` or ``"jsonl"``. When ``interval`` is given,
-    records outside ``[start, end)`` are rejected; when ``registry`` is
-    given, unknown country codes are rejected. Accepted events come back in
-    input order.
-    """
-    if format == "csv":
-        return _parse_csv(stream, interval, registry)
-    if format == "jsonl":
-        return _parse_jsonl(stream, interval, registry)
-    raise InputError(f"unknown input format {format!r}")
-
-
-def _parse_csv(stream, interval, registry):
-    events: list[GeoEvent] = []
-    stats = RejectStats()
-    for lineno, line in enumerate(stream):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        if lineno == 0 and line.strip() in (CSV_HEADER_COUNTRY, CSV_HEADER_GEO):
-            continue
-        parts = next(csv.reader([line]))
-        if len(parts) == 3:
-            ev = _finish_event(parts[0].strip(), parts[1], parts[2], None, None,
-                               interval, registry, stats)
-        elif len(parts) == 4:
-            ev = _finish_event(parts[0].strip(), parts[1], None, parts[2], parts[3],
-                               interval, registry, stats)
-        else:
-            stats.add(BAD_FIELD_COUNT)
-            continue
-        if ev is not None:
-            events.append(ev)
-    return events, stats
-
-
-def _json_number(value):
-    """A JSON number as is; a string, boolean or other JSON value as None,
-    which ``_finish_event`` rejects as bad coordinates."""
-    return value if type(value) in (int, float) else None
-
-
-def _parse_jsonl(stream, interval, registry):
-    events: list[GeoEvent] = []
-    stats = RejectStats()
-    for line in stream:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            stats.add(BAD_JSON)
-            continue
-        if not isinstance(obj, dict):
-            stats.add(BAD_JSON)
-            continue
-        lat, lon = obj.get("lat"), obj.get("lon")
-        has_code = obj.get("country") is not None
-        has_point = lat is not None or lon is not None
-        if has_code == has_point:
-            stats.add(BAD_LOCATION)
-            continue
-        if has_point and (lat is None or lon is None):
-            stats.add(BAD_COORDINATES)
-            continue
-        ev = _finish_event(
-            str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
-            obj.get("country"), _json_number(lat), _json_number(lon),
-            interval, registry, stats,
-        )
-        if ev is not None:
-            events.append(ev)
-    return events, stats
-
-
-def serialize_events(events: Iterable[GeoEvent], format: str, header: bool = False) -> str:
-    """Render events back to the line format accepted by :func:`parse_events`."""
-    buf = io.StringIO()
-    if format == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            writer.writerow(["user_id", "timestamp", "country"])
-        for ev in events:
-            if ev.has_point:
-                writer.writerow([ev.user_id, format_timestamp(ev.timestamp),
-                                 repr(ev.lat), repr(ev.lon)])
-            else:
-                writer.writerow([ev.user_id, format_timestamp(ev.timestamp), ev.country])
-    elif format == "jsonl":
-        for ev in events:
-            obj = {"user_id": ev.user_id, "timestamp": format_timestamp(ev.timestamp)}
-            if ev.has_point:
-                obj["lat"], obj["lon"] = ev.lat, ev.lon
-            else:
-                obj["country"] = ev.country
-            buf.write(json.dumps(obj, sort_keys=True) + "\n")
-    else:
-        raise InputError(f"unknown output format {format!r}")
-    return buf.getvalue()
 
 
 # points per block of the batched resolver: a block's (points x centroids)
@@ -411,29 +206,29 @@ def resolve_country(point: tuple[float, float], table: CentroidTable) -> str:
     return table.codes[index]
 
 
-def _point_codes(points: list[GeoEvent], table: Optional[CentroidTable]) -> list[str]:
-    """Nearest-centroid country codes of point events, in order."""
-    if not points:
-        return []
-    if table is None:
+def resolve_table(table: EventTable, centroids: Optional[CentroidTable]) -> EventTable:
+    """Give every point row the code of its nearest centroid.
+
+    Coded rows are unchanged. A point row without a centroid table is a
+    configuration error.
+    """
+    points = np.flatnonzero(table.country < 0)
+    if not points.size:
+        return table
+    if centroids is None:
         raise ConfigError("geo_point events present but no centroid table configured")
-    lat = np.fromiter((ev.lat for ev in points), dtype=float, count=len(points))
-    lon = np.fromiter((ev.lon for ev in points), dtype=float, count=len(points))
-    return [table.codes[row] for row in _nearest_centroids(lat, lon, table).tolist()]
+    nearest = _nearest_centroids(table.lat[points], table.lon[points], centroids)
+    index = {code: i for i, code in enumerate(table.codes)}
+    row_code = np.array([index.setdefault(code, len(index)) for code in centroids.codes], dtype=np.int16)
+    country = table.country.copy()
+    country[points] = row_code[nearest]
+    return replace(table, codes=list(index), country=country)
 
 
 def resolve_events(events: Iterable[GeoEvent], table: Optional[CentroidTable]) -> list[GeoEvent]:
-    """Replace geo_point locations with nearest-centroid country codes.
-
-    Events that already carry a code pass through unchanged. Encountering a
-    point event without a table is a configuration error.
-    """
-    events = list(events)
-    # the list of point events lives only for the call, so it is freed
-    # before the output list is built
-    codes = iter(_point_codes([ev for ev in events if ev.country is None], table))
-    return [GeoEvent(ev.user_id, ev.timestamp, next(codes)) if ev.country is None else ev
-            for ev in events]
+    """:func:`resolve_table` on a list of events: geo_point locations become
+    nearest-centroid country codes, coded events pass through."""
+    return resolve_table(EventTable.from_events(events), table).to_events()
 
 
 # filter rule names
@@ -443,50 +238,59 @@ RULE_MIN_EVENTS_TOTAL = "min_events_total"
 RULE_MIN_ACTIVE_MONTHS = "min_active_months"
 
 
-def _failed_rules(events: list[GeoEvent], policy: FilterPolicy) -> list[str]:
-    per_day = Counter(ev.timestamp.date() for ev in events)
-    countries_per_day = defaultdict(set)
-    months = set()
-    for ev in events:
-        countries_per_day[ev.timestamp.date()].add(ev.country)
-        months.add((ev.timestamp.year, ev.timestamp.month))
-    failed = []
-    if any(n > policy.max_events_per_day for n in per_day.values()):
-        failed.append(RULE_MAX_EVENTS_PER_DAY)
-    if any(len(s) > policy.max_countries_per_day for s in countries_per_day.values()):
-        failed.append(RULE_MAX_COUNTRIES_PER_DAY)
-    if len(events) < policy.min_events_total:
-        failed.append(RULE_MIN_EVENTS_TOTAL)
-    if len(months) < policy.min_active_months:
-        failed.append(RULE_MIN_ACTIVE_MONTHS)
-    return failed
+def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, DroppedUserStats]:
+    """Drop whole users that trip any policy rule.
+
+    Rows must be country-resolved. The kept rows come sorted by (user,
+    time), rows of equal time in table order; all of a user's rows are kept
+    or none are. Days and months are UTC calendar days and months.
+    """
+    if (table.country < 0).any():
+        raise ValueError("filter_users requires country-resolved events")
+    order = np.lexsort((table.seconds, table.user))
+    user, seconds, country = table.user[order], table.seconds[order], table.country[order]
+    n_users = len(table.users)
+    # (user, day) runs: sorted by time, each user's days come in order
+    day_starts = run_starts(user, seconds // 86400)
+    day_of_row = np.cumsum(day_starts) - 1
+    day_user = user[day_starts]
+    per_day = np.bincount(day_of_row, minlength=day_user.size)
+    by_country = np.lexsort((country, day_of_row))
+    distinct = run_starts(day_of_row[by_country], country[by_country])
+    countries_per_day = np.bincount(day_of_row[by_country][distinct], minlength=day_user.size)
+    months = seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    active_months = np.bincount(user[run_starts(user, months)], minlength=n_users)
+    total = np.bincount(user, minlength=n_users)
+    failed = {
+        RULE_MAX_EVENTS_PER_DAY: np.bincount(
+            day_user[per_day > policy.max_events_per_day], minlength=n_users) > 0,
+        RULE_MAX_COUNTRIES_PER_DAY: np.bincount(
+            day_user[countries_per_day > policy.max_countries_per_day], minlength=n_users) > 0,
+        RULE_MIN_EVENTS_TOTAL: total < policy.min_events_total,
+        RULE_MIN_ACTIVE_MONTHS: active_months < policy.min_active_months,
+    }
+    dropped = np.zeros(n_users, dtype=bool)
+    stats = DroppedUserStats(users_seen=n_users)
+    for rule, users_failing in failed.items():
+        dropped |= users_failing
+        if users_failing.any():
+            stats.by_rule[rule] = int(np.count_nonzero(users_failing))
+    stats.users_dropped = int(np.count_nonzero(dropped))
+    stats.events_dropped = int(total[dropped].sum())
+
+    keep = ~dropped[user]
+    new_index = (np.cumsum(~dropped) - 1).astype(np.int32)
+    kept = EventTable(
+        [u for u, gone in zip(table.users, dropped.tolist()) if not gone], table.codes,
+        new_index[user[keep]], seconds[keep], country[keep],
+        table.lat[order][keep], table.lon[order][keep])
+    return kept, stats
 
 
 def filter_users(
     events: Iterable[GeoEvent], policy: FilterPolicy
 ) -> tuple[list[GeoEvent], DroppedUserStats]:
-    """Drop whole users that trip any policy rule.
-
-    Events must be country-resolved. Output is sorted by
-    (user_id, timestamp); all of a user's events are kept or none are.
-    """
-    events = sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
-    if any(ev.has_point for ev in events):
-        raise ValueError("filter_users requires country-resolved events")
-    stats = DroppedUserStats()
-    kept: list[GeoEvent] = []
-    by_user: dict[str, list[GeoEvent]] = defaultdict(list)
-    for ev in events:
-        by_user[ev.user_id].append(ev)
-    for user_id in sorted(by_user):
-        user_events = by_user[user_id]
-        stats.users_seen += 1
-        failed = _failed_rules(user_events, policy)
-        if failed:
-            for rule in failed:
-                stats.by_rule[rule] += 1
-            stats.users_dropped += 1
-            stats.events_dropped += len(user_events)
-        else:
-            kept.extend(user_events)
-    return kept, stats
+    """:func:`filter_table` on a list of events: output is sorted by
+    (user_id, timestamp), and all of a user's events are kept or none are."""
+    kept, stats = filter_table(EventTable.from_events(events), policy)
+    return kept.to_events(), stats

@@ -1,6 +1,8 @@
 """Stage orchestration: each stage reads and writes artifacts under the
 configured output directory, so stages can run one-shot or one at a time
-with byte-identical results.
+with byte-identical results. Each stage re-reads its input artifact from
+disk, also inside a one-shot ``run``: nothing passes between stages in
+memory.
 
 Artifact layout inside ``out_dir``::
 
@@ -21,7 +23,7 @@ import json
 import math
 from pathlib import Path
 
-from . import analysis, ingestion, residence, solver, tensor
+from . import analysis, events, ingestion, residence, solver, tensor
 from .config import PipelineConfig
 
 
@@ -40,45 +42,58 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _read(stage: str, path, read, missing: str):
+    """``read()``, which reads ``path``; a missing, non-UTF-8 or malformed
+    file is an input error of ``stage`` (exit 3)."""
+    try:
+        return read()
+    except OSError as exc:
+        raise StageError(stage, missing.format(exc=exc), 3)
+    except UnicodeDecodeError as exc:
+        raise StageError(stage, f"{path}: not UTF-8 text ({exc.reason})", 3)
+    except events.InputError as exc:
+        raise StageError(stage, str(exc), 3)
+
+
 def _load_registry(config: PipelineConfig) -> ingestion.CountryRegistry:
     try:
-        return ingestion.load_registry(config.registry)
-    except OSError as exc:
-        raise StageError("ingest", f"cannot read registry: {exc}", 3)
+        return _read("ingest", config.registry, lambda: ingestion.load_registry(config.registry),
+                     "cannot read registry: {exc}")
     except ingestion.ConfigError as exc:
         raise StageError("ingest", str(exc), 2)
+
+
+def _read_events(stage: str, path, format: str, config: PipelineConfig, registry, missing: str):
+    def read():
+        with open(path, "r", encoding="utf-8") as fh:
+            return events.read_events(fh, format, config.calendar.interval(), registry)
+    return _read(stage, path, read, missing)
 
 
 def stage_ingest(config: PipelineConfig) -> dict:
     """Parse the raw stream, resolve geo points, filter users, dump events."""
     registry = _load_registry(config)
-    table = None
+    centroids = None
     if config.centroids is not None:
         try:
-            table = ingestion.load_centroids(config.centroids, registry)
-        except OSError as exc:
-            raise StageError("ingest", f"cannot read centroid table: {exc}", 3)
+            centroids = _read("ingest", config.centroids,
+                          lambda: ingestion.load_centroids(config.centroids, registry),
+                          "cannot read centroid table: {exc}")
         except ingestion.ConfigError as exc:
             raise StageError("ingest", str(exc), 2)
+    table, rejects = _read_events("ingest", config.input, config.format, config, registry,
+                                  "cannot read input: {exc}")
     try:
-        with open(config.input, "r", encoding="utf-8") as fh:
-            events, rejects = ingestion.parse_events(
-                fh, config.format, interval=config.calendar.interval(), registry=registry)
-    except OSError as exc:
-        raise StageError("ingest", f"cannot read input: {exc}", 3)
-    except ingestion.InputError as exc:
-        raise StageError("ingest", str(exc), 3)
-    try:
-        events = ingestion.resolve_events(events, table)
+        table = ingestion.resolve_table(table, centroids)
     except ingestion.ConfigError as exc:
         raise StageError("ingest", str(exc), 2)
-    kept, drops = ingestion.filter_users(events, config.filter_policy)
+    kept, drops = ingestion.filter_table(table, config.filter_policy)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "events.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ingestion.serialize_events(kept, "csv", header=True))
+    with open(config.out_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        events.write_events(kept, fh)
     summary = {
-        "events_parsed": len(events),
+        "events_parsed": len(table),
         "events_kept": len(kept),
         "rejects": rejects.as_dict(),
         "filter": drops.as_dict(),
@@ -87,71 +102,47 @@ def stage_ingest(config: PipelineConfig) -> dict:
     return summary
 
 
-def _events_by_user(config) -> tuple[ingestion.CountryRegistry, list[list[ingestion.GeoEvent]]]:
-    registry = _load_registry(config)
-    path = config.out_dir / "events.csv"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            events, rejects = ingestion.parse_events(
-                fh, "csv", interval=config.calendar.interval(), registry=registry)
-    except OSError as exc:
-        raise StageError("residences", f"missing events artifact ({exc}); run ingest first", 3)
-    if rejects.total:
-        raise StageError("residences", f"{path}: events artifact is corrupt: {rejects.as_dict()}", 3)
-    grouped: dict[str, list] = {}
-    for ev in events:
-        if ev.country is None:
-            raise StageError("residences", f"{path}: events artifact holds an unresolved point", 3)
-        grouped.setdefault(ev.user_id, []).append(ev)
-    return registry, [grouped[u] for u in sorted(grouped)]
-
-
 def stage_residences(config: PipelineConfig) -> dict:
     """Monthly residence series for every user in the event artifact."""
-    registry, per_user = _events_by_user(config)
-    calendar = config.calendar
-    series = [residence.monthly_residence(events, calendar, registry) for events in per_user]
-    residence.write_residences(series, registry, config.out_dir / "residences.csv")
-    return {"users": len(series)}
+    registry = _load_registry(config)
+    path = config.out_dir / "events.csv"
+    table, rejects = _read_events("residences", path, "csv", config, registry,
+                                  "missing events artifact ({exc}); run ingest first")
+    if rejects.total:
+        raise StageError("residences", f"{path}: events artifact is corrupt: {rejects.as_dict()}", 3)
+    if (table.country < 0).any():
+        raise StageError("residences", f"{path}: events artifact holds an unresolved point", 3)
+    filled = residence.residence_matrix(table, config.calendar)
+    residence.write_residence_matrix(table.users, filled, registry, config.out_dir / "residences.csv")
+    return {"users": len(table.users)}
 
 
 def stage_detect(config: PipelineConfig) -> dict:
     """Window-k migration detection over the residence artifact."""
     registry = _load_registry(config)
     path = config.out_dir / "residences.csv"
-    try:
-        series = residence.read_residences(path, registry, config.months)
-    except OSError as exc:
-        raise StageError("detect", f"missing residences artifact ({exc}); run residences first", 3)
-    except ingestion.InputError as exc:
-        raise StageError("detect", str(exc), 3)
-    events = residence.detect_all(series, config.window_k, config.detection_mode)
-    residence.write_migrations(events, registry, config.out_dir / "migrations.csv")
-    return {"migrations": len(events)}
+    series = _read("detect", path, lambda: residence.read_residences(path, registry, config.months),
+                   "missing residences artifact ({exc}); run residences first")
+    migrations = residence.detect_all(series, config.window_k, config.detection_mode)
+    residence.write_migrations(migrations, registry, config.out_dir / "migrations.csv")
+    return {"migrations": len(migrations)}
 
 
 def stage_tensorize(config: PipelineConfig) -> dict:
     registry = _load_registry(config)
     path = config.out_dir / "migrations.csv"
-    try:
-        events = residence.read_migrations(path, registry, config.months)
-    except OSError as exc:
-        raise StageError("tensorize", f"missing migrations artifact ({exc}); run detect first", 3)
-    except ingestion.InputError as exc:
-        raise StageError("tensorize", str(exc), 3)
-    t = tensor.build_tensor(events, registry, config.months)
+    migrations = _read("tensorize", path, lambda: residence.read_migrations(path, registry, config.months),
+                       "missing migrations artifact ({exc}); run detect first")
+    t = tensor.build_tensor(migrations, registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
     return {"nnz": t.nnz, "total": t.total}
 
 
 def stage_fit(config: PipelineConfig) -> dict:
-    try:
-        t = tensor.load_tensor(config.out_dir / "tensor.txt")
-    except OSError as exc:
-        raise StageError("fit", f"missing tensor artifact ({exc}); run tensorize first", 3)
-    except ingestion.InputError as exc:
-        raise StageError("fit", str(exc), 3)
+    path = config.out_dir / "tensor.txt"
+    t = _read("fit", path, lambda: tensor.load_tensor(path),
+              "missing tensor artifact ({exc}); run tensorize first")
     model_path = config.out_dir / "model.txt"
     if t.nnz == 0:
         model_path.unlink(missing_ok=True)
@@ -181,20 +172,20 @@ def stage_analyze(config: PipelineConfig) -> dict:
     model_path = config.out_dir / "model.txt"
     reports_dir = config.out_dir / "reports"
     if not model_path.exists():
-        try:
-            t = tensor.load_tensor(config.out_dir / "tensor.txt")
-        except OSError as exc:
-            raise StageError("analyze", f"missing model artifact ({exc}); run fit first", 3)
-        except ingestion.InputError as exc:
-            raise StageError("analyze", str(exc), 3)
+        path = config.out_dir / "tensor.txt"
+        t = _read("analyze", path, lambda: tensor.load_tensor(path),
+                  "missing model artifact ({exc}); run fit first")
         if t.nnz != 0:
             raise StageError("analyze", "missing model artifact; run fit first", 3)
         analysis.emit_reports([], config.calendar, reports_dir)
         return {"components_reported": 0, "top_ginis": []}
-    try:
-        model = solver.load_model(model_path)
-    except ingestion.InputError as exc:
-        raise StageError("analyze", str(exc), 3)
+    model = _read("analyze", model_path, lambda: solver.load_model(model_path),
+                  "cannot read model artifact: {exc}")
+    N, M = len(registry), config.months
+    if (len(model.O), len(model.D), len(model.T)) != (N, N, M):
+        raise StageError("analyze", f"{model_path}: model of {len(model.O)} x {len(model.D)} countries x "
+                         f"{len(model.T)} months does not match the config's {N} countries and {M} "
+                         "months; run fit again", 3)
     reports = analysis.rank_components(model, registry, config.top_k, config.n_top)
     analysis.emit_reports(reports, config.calendar, reports_dir)
     return {

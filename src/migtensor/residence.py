@@ -9,7 +9,6 @@ k months before m and the k months starting at m.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
@@ -17,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingestion import ConfigError, CountryRegistry, GeoEvent, InputError
+from .events import EventTable, GeoEvent, InputError, run_starts
+from .ingestion import ConfigError, CountryRegistry
 
 
 @dataclass(frozen=True)
@@ -78,48 +78,80 @@ class MigrationEvent:
             raise ValueError("migration origin and destination must differ")
 
 
+def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
+    """Filled monthly residence of every user of a resolved table.
+
+    Returns a ``(len(table.users), calendar.months)`` int16 matrix of
+    indices into ``table.codes``, -1 where unknown. A month with events
+    takes its most frequent country; ties break to the previous filled
+    month's country when it is among the tied, else to the tied country
+    with the latest event in that month, and among equally late ones to
+    the country seen first that month. A silent month inherits the month
+    before it; months before a user's first event stay -1.
+    """
+    U, M, N = len(table.users), calendar.months, max(len(table.codes), 1)
+    if (table.country < 0).any():
+        raise ValueError("monthly_residence requires country-resolved events")
+    epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
+    month = table.seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) - epoch
+    if ((month < 0) | (month >= M)).any():
+        raise ValueError("event outside the study interval")
+    filled = np.full((U, M), -1, dtype=np.int16)
+    if not len(table):
+        return filled
+    # rows in time order per user (equal seconds in table order), then
+    # grouped by (user, month, country) with the stable sort keeping that order
+    order = np.lexsort((table.seconds, table.user))
+    key = (table.user[order].astype(np.int64) * M + month[order]) * N + table.country[order]
+    by_key = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(run_starts(key[by_key]))
+    ends = np.append(starts[1:], key.size) - 1
+    group_key = key[by_key][starts]
+    count = ends - starts + 1
+    latest = table.seconds[order][by_key[ends]]
+    first = by_key[starts]  # time-order position of the country's first event that month
+    group_cell = group_key // N
+    cell_of_group = np.cumsum(run_starts(group_cell)) - 1
+    # one winner per (user, month) cell: most events, latest event, seen first
+    ranked = np.lexsort((first, -latest, -count, group_cell))
+    winner = ranked[run_starts(group_cell[ranked])]
+    cells = group_cell[winner]
+    tied = count == count[winner][cell_of_group]
+    tie_cell = np.bincount(cell_of_group[tied], minlength=cells.size) > 1
+    tied_keys = group_key[tied]
+    tie_user, tie_month = np.divmod(cells[tie_cell], M)
+
+    filled.reshape(-1)[cells] = group_key[winner] % N
+    previous = np.full(U, -1, dtype=np.int16)
+    for m in range(M):
+        column = filled[:, m]
+        users = tie_user[tie_month == m]
+        if users.size:
+            # a tie keeps the previous month's country when it is among the tied
+            wanted = (users.astype(np.int64) * M + m) * N + previous[users]
+            found = tied_keys[np.minimum(np.searchsorted(tied_keys, wanted), tied_keys.size - 1)]
+            keeps = (previous[users] >= 0) & (found == wanted)
+            column[users[keeps]] = previous[users[keeps]]
+        np.copyto(column, previous, where=column < 0)
+        previous = column
+    return filled
+
+
 def monthly_residence(
     events: Iterable[GeoEvent], calendar: MonthCalendar, registry: CountryRegistry
 ) -> ResidenceSeries:
-    """Build one user's residence series from their resolved events.
-
-    Per-month ties break to the previous filled month's country when it is
-    among the tied, else to the tied country with the latest event in that
-    month.
-    """
-    events = sorted(events, key=lambda ev: ev.timestamp)
+    """:func:`residence_matrix` for one user's resolved events."""
+    events = list(events)
     users = {ev.user_id for ev in events}
     if len(users) > 1:
         raise ValueError(f"events span multiple users: {sorted(users)}")
-    user_id = events[0].user_id if events else ""
-
-    counts: list[Counter] = [Counter() for _ in range(calendar.months)]
-    latest: list[dict[int, datetime]] = [{} for _ in range(calendar.months)]
-    for ev in events:
-        if ev.country is None:
-            raise ValueError("monthly_residence requires country-resolved events")
-        m = calendar.month_index(ev.timestamp)
-        if not (0 <= m < calendar.months):
-            raise ValueError(f"event at {ev.timestamp} outside the study interval")
-        c = registry.index_of(ev.country)
-        counts[m][c] += 1
-        latest[m][c] = ev.timestamp
-
-    filled: list[Optional[int]] = [None] * calendar.months
-    previous: Optional[int] = None
-    for m in range(calendar.months):
-        if counts[m]:
-            top = max(counts[m].values())
-            tied = [c for c, n in counts[m].items() if n == top]
-            if len(tied) == 1:
-                choice = tied[0]
-            elif previous in tied:
-                choice = previous
-            else:
-                choice = max(tied, key=lambda c: latest[m][c])
-            previous = choice
-        filled[m] = previous
-    return ResidenceSeries(user_id, filled)
+    table = EventTable.from_events(events, registry)
+    if len(table.codes) > len(registry):
+        raise KeyError(table.codes[len(registry)])
+    if not events:
+        return ResidenceSeries("", [None] * calendar.months)
+    filled = residence_matrix(table, calendar)[0].tolist()
+    return ResidenceSeries(table.users[0], [None if c < 0 else c for c in filled])
 
 
 def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
@@ -166,9 +198,7 @@ def detect_all(series_list: Sequence[ResidenceSeries], k: int, mode: str = "stri
         raise ConfigError(f"window k={k} out of range for {M} months (need 1 <= k <= M/2)")
     if any(len(s.filled) != M for s in series_list):
         raise ValueError("residence series span different numbers of months")
-    filled = np.fromiter(
-        (-1 if c is None else c for s in series_list for c in s.filled),
-        dtype=np.int16, count=len(series_list) * M).reshape(-1, M)
+    filled = _filled_matrix(series_list)
 
     resident = _window_residence(filled, k, mode)
     before, after = resident[:, :M - 2 * k + 1], resident[:, k:]
@@ -195,18 +225,37 @@ def detect_migrations(series: ResidenceSeries, k: int, mode: str = "strict") -> 
 
 
 RESIDENCE_HEADER = ["user_id", "month_index", "country"]
+_WRITE_BLOCK_USERS = 256
 MIGRATION_HEADER = ["user_id", "month_index", "origin", "destination"]
 
 
-def write_residences(series_list: Iterable[ResidenceSeries], registry: CountryRegistry, path) -> None:
-    """Dump filled residence views as ``user_id,month_index,country`` rows."""
+def _filled_matrix(series_list: Sequence[ResidenceSeries]) -> np.ndarray:
+    """The series' filled views as a ``(U, M)`` int16 matrix, -1 unknown."""
+    M = len(series_list[0].filled) if series_list else 0
+    return np.fromiter(
+        (-1 if c is None else c for s in series_list for c in s.filled),
+        dtype=np.int16, count=len(series_list) * M).reshape(-1, M)
+
+
+def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: CountryRegistry,
+                           path) -> None:
+    """Dump a filled residence matrix as ``user_id,month_index,country``
+    rows, one per known cell, by user then month."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESIDENCE_HEADER)
-        for series in series_list:
-            for m, c in enumerate(series.filled):
-                if c is not None:
-                    writer.writerow([series.user_id, m, registry.code(c)])
+        # a block of users at a time, so the rows' Python objects stay few
+        for start in range(0, len(users), _WRITE_BLOCK_USERS):
+            block = filled[start:start + _WRITE_BLOCK_USERS]
+            rows, months = np.nonzero(block >= 0)
+            writer.writerows(zip(map(users.__getitem__, (rows + start).tolist()), months.tolist(),
+                                 map(registry.codes.__getitem__, block[rows, months].tolist())))
+
+
+def write_residences(series_list: Iterable[ResidenceSeries], registry: CountryRegistry, path) -> None:
+    """:func:`write_residence_matrix` for a list of series, in list order."""
+    series_list = list(series_list)
+    write_residence_matrix([s.user_id for s in series_list], _filled_matrix(series_list), registry, path)
 
 
 def _dump_reader(fh, path, header: list[str]):

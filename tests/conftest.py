@@ -2,14 +2,33 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from migtensor import ingestion
+from migtensor.events import (
+    BAD_COORDINATES,
+    BAD_FIELD_COUNT,
+    BAD_JSON,
+    BAD_LOCATION,
+    BAD_TIMESTAMP,
+    CSV_HEADER_COUNTRY,
+    CSV_HEADER_GEO,
+    MISSING_FIELD,
+    OUT_OF_INTERVAL,
+    UNKNOWN_COUNTRY,
+    GeoEvent,
+    RejectStats,
+    parse_timestamp,
+)
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import MigrationEvent
+from migtensor.residence import MigrationEvent, ResidenceSeries
 from migtensor.solver import RATE_EPS, FactorModel
 from migtensor.tensor import MigrationTensor
 
@@ -197,3 +216,192 @@ def reference_detect_migrations(series, k, mode="strict") -> list:
                 collapsed.append(ev)
         events = collapsed
     return events
+
+
+def _reference_finish_event(user_id, raw_ts, country, lat, lon, interval, registry, stats):
+    """The per-record validation tail both input formats share; None on rejection."""
+    if not user_id or raw_ts is None:
+        stats.add(MISSING_FIELD)
+        return None
+    try:
+        ts = parse_timestamp(raw_ts)
+    except ValueError:
+        stats.add(BAD_TIMESTAMP)
+        return None
+    if interval is not None:
+        start, end = interval
+        if not (start <= ts < end):
+            stats.add(OUT_OF_INTERVAL)
+            return None
+    if country is not None:
+        country = country.strip().upper()
+        if not country:
+            stats.add(MISSING_FIELD)
+            return None
+        if registry is not None and country not in registry:
+            stats.add(UNKNOWN_COUNTRY)
+            return None
+        return GeoEvent(user_id, ts, country=country)
+    try:
+        lat, lon = float(lat), float(lon)
+    except (TypeError, ValueError, OverflowError):
+        stats.add(BAD_COORDINATES)
+        return None
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        stats.add(BAD_COORDINATES)
+        return None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        stats.add(BAD_COORDINATES)
+        return None
+    return GeoEvent(user_id, ts, lat=lat, lon=lon)
+
+
+def reference_parse_events(lines, format, interval=None, registry=None):
+    """``parse_events`` one record at a time: each CSV line through its own
+    ``csv.reader``, each JSONL line through ``json.loads``, every record
+    through the per-record rules. The columnar parser must match it, events
+    and reject tallies alike."""
+    events, stats = [], RejectStats()
+    if format == "csv":
+        for lineno, line in enumerate(lines):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if lineno == 0 and line.strip() in (CSV_HEADER_COUNTRY, CSV_HEADER_GEO):
+                continue
+            parts = next(csv.reader([line]))
+            if len(parts) == 3:
+                ev = _reference_finish_event(parts[0].strip(), parts[1], parts[2], None, None,
+                                             interval, registry, stats)
+            elif len(parts) == 4:
+                ev = _reference_finish_event(parts[0].strip(), parts[1], None, parts[2], parts[3],
+                                             interval, registry, stats)
+            else:
+                stats.add(BAD_FIELD_COUNT)
+                continue
+            if ev is not None:
+                events.append(ev)
+        return events, stats
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            stats.add(BAD_JSON)
+            continue
+        if not isinstance(obj, dict):
+            stats.add(BAD_JSON)
+            continue
+        lat, lon = obj.get("lat"), obj.get("lon")
+        has_code = obj.get("country") is not None
+        has_point = lat is not None or lon is not None
+        if has_code == has_point:
+            stats.add(BAD_LOCATION)
+            continue
+        if has_point and (lat is None or lon is None):
+            stats.add(BAD_COORDINATES)
+            continue
+        number = lambda v: v if type(v) in (int, float) else None  # noqa: E731
+        ev = _reference_finish_event(str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
+                                     obj.get("country"), number(lat), number(lon),
+                                     interval, registry, stats)
+        if ev is not None:
+            events.append(ev)
+    return events, stats
+
+
+def reference_serialize_events(events, format, header=False) -> str:
+    """``serialize_events`` one event at a time, timestamps through ``strftime``."""
+    stamp = lambda ev: ev.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ")  # noqa: E731
+    buf = io.StringIO()
+    if format == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        if header:
+            writer.writerow(["user_id", "timestamp", "country"])
+        for ev in events:
+            if ev.has_point:
+                writer.writerow([ev.user_id, stamp(ev), repr(ev.lat), repr(ev.lon)])
+            else:
+                writer.writerow([ev.user_id, stamp(ev), ev.country])
+        return buf.getvalue()
+    for ev in events:
+        obj = {"user_id": ev.user_id, "timestamp": stamp(ev)}
+        if ev.has_point:
+            obj["lat"], obj["lon"] = ev.lat, ev.lon
+        else:
+            obj["country"] = ev.country
+        buf.write(json.dumps(obj, sort_keys=True) + "\n")
+    return buf.getvalue()
+
+
+def _reference_failed_rules(events, policy) -> list:
+    per_day = Counter(ev.timestamp.date() for ev in events)
+    countries_per_day = defaultdict(set)
+    months = set()
+    for ev in events:
+        countries_per_day[ev.timestamp.date()].add(ev.country)
+        months.add((ev.timestamp.year, ev.timestamp.month))
+    failed = []
+    if any(n > policy.max_events_per_day for n in per_day.values()):
+        failed.append(ingestion.RULE_MAX_EVENTS_PER_DAY)
+    if any(len(s) > policy.max_countries_per_day for s in countries_per_day.values()):
+        failed.append(ingestion.RULE_MAX_COUNTRIES_PER_DAY)
+    if len(events) < policy.min_events_total:
+        failed.append(ingestion.RULE_MIN_EVENTS_TOTAL)
+    if len(months) < policy.min_active_months:
+        failed.append(ingestion.RULE_MIN_ACTIVE_MONTHS)
+    return failed
+
+
+def reference_filter_users(events, policy):
+    """``filter_users`` as a per-user loop over ``datetime.date()`` and
+    (year, month) sets."""
+    events = sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
+    stats = ingestion.DroppedUserStats()
+    kept = []
+    by_user = defaultdict(list)
+    for ev in events:
+        by_user[ev.user_id].append(ev)
+    for user_id in sorted(by_user):
+        user_events = by_user[user_id]
+        stats.users_seen += 1
+        failed = _reference_failed_rules(user_events, policy)
+        if failed:
+            for rule in failed:
+                stats.by_rule[rule] += 1
+            stats.users_dropped += 1
+            stats.events_dropped += len(user_events)
+        else:
+            kept.extend(user_events)
+    return kept, stats
+
+
+def reference_monthly_residence(events, calendar, registry) -> ResidenceSeries:
+    """One user's residence series as a per-month ``Counter`` loop: the
+    majority, then the previous month's country, then the latest event, then
+    the country seen first that month (``max`` keeps the first maximum)."""
+    events = sorted(events, key=lambda ev: ev.timestamp)
+    user_id = events[0].user_id if events else ""
+    counts = [Counter() for _ in range(calendar.months)]
+    latest = [{} for _ in range(calendar.months)]
+    for ev in events:
+        m = calendar.month_index(ev.timestamp)
+        c = registry.index_of(ev.country)
+        counts[m][c] += 1
+        latest[m][c] = ev.timestamp
+    filled = [None] * calendar.months
+    previous = None
+    for m in range(calendar.months):
+        if counts[m]:
+            top = max(counts[m].values())
+            tied = [c for c, n in counts[m].items() if n == top]
+            if len(tied) == 1:
+                choice = tied[0]
+            elif previous in tied:
+                choice = previous
+            else:
+                choice = max(tied, key=lambda c: latest[m][c])
+            previous = choice
+        filled[m] = previous
+    return ResidenceSeries(user_id, filled)

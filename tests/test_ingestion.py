@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migtensor import ingestion
+from migtensor.events import CSV_HEADER_COUNTRY, CSV_HEADER_GEO
 from migtensor.ingestion import (
     BAD_COORDINATES,
     BAD_FIELD_COUNT,
@@ -38,7 +43,13 @@ from migtensor.ingestion import (
     serialize_events,
 )
 
-from conftest import central_angle, reference_resolve_country
+from conftest import (
+    central_angle,
+    reference_filter_users,
+    reference_parse_events,
+    reference_resolve_country,
+    reference_serialize_events,
+)
 
 UTC = timezone.utc
 
@@ -425,3 +436,161 @@ class TestFilterUsers:
         events = [GeoEvent("u1", ts(2014, 1, 1), lat=0.0, lon=0.0)]
         with pytest.raises(ValueError):
             filter_users(events, FilterPolicy())
+
+
+# user ids with the characters CSV must quote, spaces to strip and a NUL,
+# which numpy strings would drop at the end of a value
+user_ids = st.text(alphabet=st.sampled_from(list('ab1 ,"\x00é')), max_size=6)
+INTERVAL = (ts(2014, 1, 1), ts(2015, 1, 1))
+# the interval's edges and month edges inside and around it
+EDGES = [ts(2013, 12, 31, 23, 59, 59), ts(2014, 1, 1), ts(2014, 1, 31, 23, 59, 59), ts(2014, 2, 1),
+         ts(2014, 2, 28, 23, 59, 59), ts(2014, 12, 31, 23, 59, 59), ts(2015, 1, 1)]
+instants = st.one_of(st.sampled_from(EDGES), st.datetimes(
+    min_value=datetime(2013, 11, 1), max_value=datetime(2015, 2, 28), timezones=st.just(UTC)
+).map(lambda t: t.replace(microsecond=0)))
+
+
+@st.composite
+def raw_timestamps(draw):
+    """A timestamp as an input might write it: canonical, another UTC
+    offset or spelling, fractional seconds, or a date that does not exist."""
+    t = draw(instants)
+    form = draw(st.sampled_from(["Z", "Z", "z", "+00:00", "+05:30", "-08:00", "fraction", "day 32",
+                                 "Feb 30", "second 60", "hour 24", "padded", "NUL", "no offset", "garbage"]))
+    canonical = t.strftime("%Y-%m-%dT%H:%M:%S")
+    if form in ("Z", "z", "+00:00"):
+        return canonical + form
+    if form in ("+05:30", "-08:00"):
+        sign = 1 if form[0] == "+" else -1
+        shift = timedelta(hours=int(form[1:3]), minutes=int(form[4:])) * sign
+        return (t + shift).strftime("%Y-%m-%dT%H:%M:%S") + form
+    if form == "fraction":
+        return canonical + "." + draw(st.sampled_from(["5", "999999", "000001"])) + "Z"
+    if form == "day 32":
+        return canonical[:8] + "32" + canonical[10:] + "Z"
+    if form == "Feb 30":
+        return canonical[:5] + "02-30" + canonical[10:] + "Z"
+    if form == "second 60":
+        return canonical[:17] + "60Z"
+    if form == "hour 24":
+        return canonical[:11] + "24" + canonical[13:] + "Z"
+    if form == "padded":
+        return " " + canonical + "Z "
+    if form == "NUL":  # fromisoformat stops at a NUL; numpy strings drop a trailing one
+        return canonical + "Z\x00"
+    if form == "no offset":
+        return canonical
+    return draw(st.sampled_from(["", "2014", "not-a-date", "2014-13-01T00:00:00Z", "２０１４-01-01T00:00:00Z"]))
+
+
+locations = st.one_of(
+    st.sampled_from(["GB", "FR", "ES", "gb", " FR ", "XX", ""]).map(lambda c: [c]),
+    st.tuples(st.sampled_from(["51.5", "-0.1", "91", "-90", "-90.5", "abc", "nan", "1e3", " 2.0"]),
+              st.sampled_from(["0", "-0.125", "180", "-180.5", "181", "inf", "1_0"])).map(list))
+
+
+@st.composite
+def csv_lines(draw):
+    """A data line: fields written by csv (quoted where needed) or joined
+    with bare commas (so a comma in a user id changes the field count)."""
+    fields = [draw(user_ids), draw(raw_timestamps())] + draw(locations)
+    if draw(st.booleans()):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        return buf.getvalue()
+    return ",".join(fields) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def csv_streams(draw):
+    lines = draw(st.lists(st.one_of(csv_lines(), st.sampled_from(["\n", "  \n", "a,b\n"])), max_size=25))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from([CSV_HEADER_COUNTRY_LINE, CSV_HEADER_GEO_LINE])))
+    return lines
+
+
+CSV_HEADER_COUNTRY_LINE = CSV_HEADER_COUNTRY + "\n"
+CSV_HEADER_GEO_LINE = CSV_HEADER_GEO + "\n"
+
+json_values = st.one_of(st.floats(-200, 200), st.integers(-200, 200), st.just(10 ** 400),
+                        st.booleans(), st.none(), st.just("46"))
+
+
+@st.composite
+def jsonl_lines(draw):
+    obj = {}
+    if draw(st.integers(0, 5)):
+        obj["user_id"] = draw(st.one_of(user_ids, st.integers(0, 9)))
+    obj["timestamp"] = draw(st.one_of(raw_timestamps(), st.none()))
+    location = draw(st.sampled_from(["country", "point", "both", "neither", "lat only"]))
+    if location in ("country", "both"):
+        obj["country"] = draw(st.sampled_from(["GB", "fr", "XX", " ES", ""]))
+    if location in ("point", "both"):
+        obj["lat"], obj["lon"] = draw(json_values), draw(json_values)
+    if location == "lat only":
+        obj["lat"] = draw(json_values)
+    line = json.dumps(obj)
+    return draw(st.sampled_from([line, line, line[: len(line) // 2], "[1, 2]", " "])) + "\n"
+
+
+class TestColumnarParseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_streams(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 7, 8192]))
+    # a line break moved from the end of one line to the end of the next
+    @example(["u,2014-01-01T00:00:00Z,GB", "v,2014-01-02T00:00:00Z,FR\n\n"], False, False, 8192)
+    def test_csv_events_and_tallies(self, lines, use_interval, use_registry, block):
+        interval = INTERVAL if use_interval else None
+        registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None
+        with mock.patch("migtensor.events._PARSE_BLOCK", block):
+            events, stats = parse_events(lines, "csv", interval=interval, registry=registry)
+        expected, expected_stats = reference_parse_events(lines, "csv", interval, registry)
+        assert events == expected
+        assert stats.as_dict() == expected_stats.as_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(jsonl_lines(), max_size=25), st.booleans(), st.booleans(), st.sampled_from([1, 3, 8192]))
+    def test_jsonl_events_and_tallies(self, lines, use_interval, use_registry, block):
+        interval = INTERVAL if use_interval else None
+        registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None
+        with mock.patch("migtensor.events._PARSE_BLOCK", block):
+            events, stats = parse_events(lines, "jsonl", interval=interval, registry=registry)
+        expected, expected_stats = reference_parse_events(lines, "jsonl", interval, registry)
+        assert events == expected
+        assert stats.as_dict() == expected_stats.as_dict()
+
+
+events_strategy = st.lists(st.builds(
+    lambda user, t, where: GeoEvent(user, t, country=where) if isinstance(where, str)
+    else GeoEvent(user, t, lat=where[0], lon=where[1]),
+    user_ids.filter(lambda u: u and u == u.strip()), instants,
+    st.one_of(st.sampled_from(["GB", "FR", "ES"]), points)), max_size=20)
+
+
+class TestSerializeRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(events_strategy, st.sampled_from(["csv", "jsonl"]), st.booleans())
+    def test_parse_serialize_round_trip(self, events, format, header):
+        text = serialize_events(events, format, header=header and format == "csv")
+        assert text == reference_serialize_events(events, format, header=header and format == "csv")
+        reparsed, stats = parse_events(text.splitlines(keepends=True), format)
+        assert stats.total == 0
+        assert reparsed == events
+
+
+policies = st.builds(FilterPolicy, max_events_per_day=st.integers(1, 4),
+                     max_countries_per_day=st.integers(1, 3), min_events_total=st.integers(0, 6),
+                     min_active_months=st.integers(0, 3))
+# a few days either side of month ends, so day and month rules both bite
+filter_instants = st.builds(lambda day, second: ts(2014, 1, 30) + timedelta(days=day, seconds=second),
+                            st.integers(0, 35), st.sampled_from([0, 1, 3600, 86399]))
+
+
+class TestColumnarFilterMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(GeoEvent, st.sampled_from(["a", "b", "c"]), filter_instants,
+                              st.sampled_from(["GB", "FR", "ES", "US"])), max_size=30), policies)
+    def test_kept_events_and_rule_tallies(self, events, policy):
+        kept, stats = filter_users(events, policy)
+        expected, expected_stats = reference_filter_users(events, policy)
+        assert kept == expected
+        assert stats.as_dict() == expected_stats.as_dict()

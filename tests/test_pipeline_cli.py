@@ -371,6 +371,55 @@ class TestCorruptArtifacts:
         assert "[residences]" in err and f"{target}: events artifact" in err
 
 
+# every file a stage reads, by path under the workspace, with the stage
+# command that reads it
+UNDECODABLE = {
+    "input": ("events.csv", "ingest"),
+    "registry": ("registry.txt", "ingest"),
+    "events": ("out/events.csv", "residences"),
+    "residences": ("out/residences.csv", "detect"),
+    "migrations": ("out/migrations.csv", "tensorize"),
+    "tensor": ("out/tensor.txt", "fit"),
+    "model": ("out/model.txt", "analyze"),
+}
+
+
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE))
+    def test_non_utf8_byte_exits_3_naming_stage_and_path(self, tmp_path, capsys, name):
+        relative, stage = UNDECODABLE[name]
+        path = write_workspace(tmp_path)
+        run_stages_before(stage, path)
+        target = tmp_path / relative
+        data = target.read_bytes()
+        end_of_line_2 = data.index(b"\n", data.index(b"\n") + 1)
+        target.write_bytes(data[:end_of_line_2] + b"\xff" + data[end_of_line_2:])
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"[{stage}]" in err and f"{target}: not UTF-8" in err
+
+
+class TestModelShapeChecked:
+    @pytest.mark.parametrize("change, expected", [
+        ({"registry": "GB\nFR\n"}, "config's 2 countries and 6 months"),
+        ({"months": 12}, "config's 6 countries and 12 months"),
+    ])
+    def test_model_not_matching_registry_or_months_exits_3(self, tmp_path, capsys, change, expected):
+        path = write_workspace(tmp_path)
+        run_stages_before("analyze", path)
+        if "registry" in change:
+            (tmp_path / "registry.txt").write_text(change["registry"])
+        else:
+            config = json.loads(path.read_text())
+            config.update(change)
+            path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[analyze]" in err and "model of 6 x 6 countries x 6 months" in err and expected in err
+
+
 class TestJsonlFormat:
     def test_jsonl_ingest(self, tmp_path):
         lines = [json.dumps({"user_id": "u1", "timestamp": f"2014-0{m}-10T00:00:00Z",

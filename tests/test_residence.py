@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migtensor.ingestion import ConfigError, GeoEvent, InputError
+from migtensor.events import EventTable
+from migtensor.ingestion import ConfigError, CountryRegistry, GeoEvent, InputError
 from migtensor.residence import (
     MigrationEvent,
     MonthCalendar,
@@ -18,12 +19,13 @@ from migtensor.residence import (
     detect_migrations,
     monthly_residence,
     read_migrations,
+    residence_matrix,
     read_residences,
     write_migrations,
     write_residences,
 )
 
-from conftest import reference_detect_migrations
+from conftest import reference_detect_migrations, reference_monthly_residence
 
 UTC = timezone.utc
 
@@ -256,6 +258,62 @@ class TestBatchedDetectMatchesReference:
     def test_series_must_span_the_same_months(self):
         with pytest.raises(ValueError):
             detect_all([series([1, 2]), series([1, 2, 2])], 1)
+
+
+class TestStrictDetectionNests:
+    @settings(max_examples=300, deadline=None)
+    @given(detection_problems())
+    def test_detections_at_k_plus_1_are_detections_at_k(self, problem):
+        # both (k+1)-windows around a month contain its k-windows
+        users, k = problem
+        M = len(users[0].filled) if users else 0
+        if 2 * (k + 1) > M:
+            return
+        wide = {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, k + 1)}
+        assert wide <= {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, k)}
+
+
+TIE_CALENDAR = MonthCalendar(2014, 1, 4)
+
+
+@st.composite
+def residence_events(draw):
+    """Events of a few users over few countries and few distinct seconds per
+    month, in any order: majority ties and equal latest seconds are common."""
+    events = []
+    for user in draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)):
+        for _ in range(draw(st.integers(1, 10))):
+            month = draw(st.integers(0, TIE_CALENDAR.months - 1))
+            second = draw(st.sampled_from([0, 1, 86400, 27 * 86400]))
+            year, mo = TIE_CALENDAR.year_month(month)
+            events.append(GeoEvent(user, ts(year, mo, 1) + timedelta(seconds=second),
+                                   country=draw(st.sampled_from(["GB", "FR", "ES"]))))
+    return draw(st.permutations(events))
+
+
+class TestResidenceMatrixMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(residence_events())
+    # GB and FR tie on count and on their latest second: FR came first
+    @example([GeoEvent("a", ts(2014, 1, 1), country="FR"), GeoEvent("a", ts(2014, 1, 1), country="GB")])
+    def test_rows_equal_per_user_reference(self, events):
+        registry = CountryRegistry(["GB", "FR", "ES"])
+        table = EventTable.from_events(events, registry)
+        filled = residence_matrix(table, TIE_CALENDAR)
+        assert filled.shape == (len(table.users), TIE_CALENDAR.months)
+        for row, user in zip(filled.tolist(), table.users):
+            expected = reference_monthly_residence([ev for ev in events if ev.user_id == user],
+                                                   TIE_CALENDAR, registry)
+            assert [None if c < 0 else c for c in row] == expected.filled
+            assert monthly_residence([ev for ev in events if ev.user_id == user],
+                                     TIE_CALENDAR, registry) == expected
+
+    def test_equal_latest_second_breaks_to_first_seen(self, registry):
+        cal = MonthCalendar(2014, 1, 1)
+        at = ts(2014, 1, 5)
+        events = [GeoEvent("u", at, country="ES"), GeoEvent("u", at, country="FR")]
+        assert monthly_residence(events, cal, registry).filled == [registry.index_of("ES")]
+        assert monthly_residence(events[::-1], cal, registry).filled == [registry.index_of("FR")]
 
 
 def _modal(window):
