@@ -12,7 +12,8 @@ import sys
 
 from . import pipeline, synth
 from .config import OVERRIDE_KEYS, apply_overrides, load_config
-from .ingestion import ConfigError, InputError, load_registry
+from .events import InputError
+from .ingestion import ConfigError, load_registry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

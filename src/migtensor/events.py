@@ -92,6 +92,15 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 
 
+# the country column is int16
+_MAX_CODES = np.iinfo(np.int16).max + 1
+
+
+def _check_code_count(codes) -> None:
+    if len(codes) > _MAX_CODES:
+        raise InputError(f"more than {_MAX_CODES} distinct country codes")
+
+
 def _epoch_seconds(ts: datetime) -> int:
     """Whole UTC seconds since 1970 (floored) of an aware datetime."""
     return (ts - _EPOCH) // _SECOND
@@ -128,13 +137,13 @@ class EventTable:
         users = sorted({ev.user_id for ev in events})
         rank = {u: i for i, u in enumerate(users)}
         index = {} if registry is None else dict(registry.index)
-        country = np.fromiter((-1 if ev.country is None else index.setdefault(ev.country, len(index))
-                               for ev in events), np.int16, n)
+        country = [-1 if ev.country is None else index.setdefault(ev.country, len(index)) for ev in events]
+        _check_code_count(index)
         return cls(
             users, list(index),
             np.fromiter((rank[ev.user_id] for ev in events), np.int32, n),
             np.fromiter((_epoch_seconds(ev.timestamp) for ev in events), np.int64, n),
-            country,
+            np.array(country, np.int16),
             np.fromiter((math.nan if ev.country is not None else ev.lat for ev in events), float, n),
             np.fromiter((math.nan if ev.country is not None else ev.lon for ev in events), float, n),
         )
@@ -255,11 +264,14 @@ def _csv_fields(lines: list[str], stats: RejectStats) -> tuple:
     """``(user, timestamp, country, lat, lon)`` columns of a block's CSV data lines."""
     text = "".join(lines)
     # a block of plain three-field lines, each ended by one line break (the
-    # stream's last may lack it), splits as one string, as csv splits it
-    if ('"' not in text and "\r" not in text
+    # stream's last may lack it), splits as one string, as csv splits it;
+    # a NUL (which csv reads only from Python 3.11 on) or a line past csv's
+    # field size limit is left to csv, so it fails where csv fails
+    if ('"' not in text and "\r" not in text and "\0" not in text
             and text.count("\n") == len(lines) - (not text.endswith("\n"))
             and all(map(str.endswith, lines[:-1], repeat("\n")))
-            and all(map((2).__eq__, map(str.count, lines, repeat(","))))):
+            and all(map((2).__eq__, map(str.count, lines, repeat(","))))
+            and max(map(len, lines)) <= csv.field_size_limit()):
         fields = text.replace("\n", ",").split(",")
         n = len(lines)
         return (list(map(str.strip, fields[0:3 * n:3])), fields[1:3 * n:3], fields[2:3 * n:3],
@@ -269,10 +281,7 @@ def _csv_fields(lines: list[str], stats: RejectStats) -> tuple:
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
-        if '"' in line or "\r" in line or "\n" in line:
-            parts = next(csv.reader([line]))
-        else:
-            parts = line.split(",")
+        parts = next(csv.reader([line]))
         if len(parts) == 3:
             rows.append((parts[0].strip(), parts[1], parts[2], None, None))
         elif len(parts) == 4:
@@ -365,6 +374,7 @@ def _finish_block(columns, bounds, registry, codes: dict, users: dict, stats) ->
             accepted[i] = True
             seconds[i], name, lat_col[i], lon_col[i] = event
             code[i] = -1 if name is None else codes.setdefault(name, len(codes))
+    _check_code_count(codes)
     keep = np.flatnonzero(accepted)
     kept_users = list(map(user.__getitem__, keep.tolist()))
     for u in dict.fromkeys(kept_users):

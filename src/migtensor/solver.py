@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingestion import InputError
+from .events import InputError
 from .tensor import MigrationTensor
 
 # floor applied to reconstructed rates inside update ratios; factor entries

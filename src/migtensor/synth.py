@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingestion import ConfigError, CountryRegistry, GeoEvent, serialize_events
+from .events import GeoEvent, serialize_events
+from .ingestion import ConfigError, CountryRegistry
 from .residence import MonthCalendar
 
 

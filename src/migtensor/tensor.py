@@ -14,7 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingestion import CountryRegistry, InputError
+from .events import InputError
+from .ingestion import CountryRegistry
 from .residence import MigrationEvent
 
 

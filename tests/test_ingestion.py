@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -438,9 +439,12 @@ class TestFilterUsers:
             filter_users(events, FilterPolicy())
 
 
+# a NUL in a CSV line, which csv reads from Python 3.11 on; Python 3.10's
+# csv raises on it, and TestLinesCsvCannotRead covers that
+NUL = "\x00" if sys.version_info >= (3, 11) else ""
 # user ids with the characters CSV must quote, spaces to strip and a NUL,
 # which numpy strings would drop at the end of a value
-user_ids = st.text(alphabet=st.sampled_from(list('ab1 ,"\x00é')), max_size=6)
+user_ids = st.text(alphabet=st.sampled_from(list('ab1 ,"é' + NUL)), max_size=6)
 INTERVAL = (ts(2014, 1, 1), ts(2015, 1, 1))
 # the interval's edges and month edges inside and around it
 EDGES = [ts(2013, 12, 31, 23, 59, 59), ts(2014, 1, 1), ts(2014, 1, 31, 23, 59, 59), ts(2014, 2, 1),
@@ -456,7 +460,8 @@ def raw_timestamps(draw):
     offset or spelling, fractional seconds, or a date that does not exist."""
     t = draw(instants)
     form = draw(st.sampled_from(["Z", "Z", "z", "+00:00", "+05:30", "-08:00", "fraction", "day 32",
-                                 "Feb 30", "second 60", "hour 24", "padded", "NUL", "no offset", "garbage"]))
+                                 "Feb 30", "second 60", "hour 24", "padded", "no offset", "garbage"]
+                                + ["NUL"] * bool(NUL)))
     canonical = t.strftime("%Y-%m-%dT%H:%M:%S")
     if form in ("Z", "z", "+00:00"):
         return canonical + form
@@ -477,7 +482,7 @@ def raw_timestamps(draw):
     if form == "padded":
         return " " + canonical + "Z "
     if form == "NUL":  # fromisoformat stops at a NUL; numpy strings drop a trailing one
-        return canonical + "Z\x00"
+        return canonical + "Z" + NUL
     if form == "no offset":
         return canonical
     return draw(st.sampled_from(["", "2014", "not-a-date", "2014-13-01T00:00:00Z", "２０１４-01-01T00:00:00Z"]))
@@ -557,6 +562,62 @@ class TestColumnarParseMatchesReference:
         expected, expected_stats = reference_parse_events(lines, "jsonl", interval, registry)
         assert events == expected
         assert stats.as_dict() == expected_stats.as_dict()
+
+
+LONG_FIELD = "u" * (csv.field_size_limit() + 1)
+
+
+class TestLinesCsvCannotRead:
+    """A line that csv cannot read (a NUL before Python 3.11, a field past
+    csv's size limit) fails as csv fails; one it can read parses as csv
+    reads it, whichever way the block is split."""
+
+    @pytest.mark.parametrize("line", [
+        "u\x00,2014-01-01T00:00:00Z,GB\n",
+        '"u\x00",2014-01-01T00:00:00Z,GB\n',
+        "u,2014-01-01T00:00:00Z\x00,GB\n",
+        LONG_FIELD + ",2014-01-01T00:00:00Z,GB\n",
+        '"' + LONG_FIELD + '",2014-01-01T00:00:00Z,GB\n',
+    ], ids=["NUL user", "quoted NUL user", "NUL timestamp", "long field", "quoted long field"])
+    @pytest.mark.parametrize("block", [1, 8192])
+    def test_fails_or_parses_as_csv(self, line, block):
+        lines = ["a,2014-01-01T00:00:00Z,GB\n", line, "b,2014-01-02T00:00:00Z,FR\n"]
+        try:
+            expected, expected_stats = reference_parse_events(lines, "csv")
+        except csv.Error:
+            with mock.patch("migtensor.events._PARSE_BLOCK", block), pytest.raises(csv.Error):
+                parse_events(lines, "csv")
+            return
+        with mock.patch("migtensor.events._PARSE_BLOCK", block):
+            events, stats = parse_events(lines, "csv")
+        assert events == expected
+        assert stats.as_dict() == expected_stats.as_dict()
+
+
+class TestCountryCodeCount:
+    """The country column holds 2**15 distinct codes; more is an input
+    error, never a code that wraps to a negative (point) index."""
+
+    LIMIT = 2 ** 15
+
+    def lines(self, n):
+        return [f"u,2014-01-01T00:00:00Z,C{i}\n" for i in range(n)]
+
+    def test_limit_parses_and_last_code_survives(self):
+        events, stats = parse_events(self.lines(self.LIMIT), "csv")
+        assert stats.total == 0
+        assert events[-1].country == f"C{self.LIMIT - 1}"
+        assert serialize_events(events, "csv").endswith(f",C{self.LIMIT - 1}\n")
+
+    def test_one_more_code_is_an_input_error(self):
+        with pytest.raises(InputError, match="distinct country codes"):
+            parse_events(self.lines(self.LIMIT + 1), "csv")
+
+    def test_one_more_code_in_events_is_an_input_error(self):
+        events, _ = parse_events(self.lines(self.LIMIT), "csv")
+        events.append(GeoEvent("u", events[0].timestamp, country="XX"))
+        with pytest.raises(InputError, match="distinct country codes"):
+            serialize_events(events, "csv")
 
 
 events_strategy = st.lists(st.builds(
