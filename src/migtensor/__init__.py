@@ -1,6 +1,6 @@
 """Migration count tensors from geo-tagged event streams.
 
-The package turns per-user event streams into monthly residence series,
+The package turns per-user event streams into monthly residences,
 detects country-to-country moves, aggregates them into a sparse
 origin x destination x month count tensor, factorizes that tensor with a
 non-negative Poisson CP decomposition, and ranks the recovered components
@@ -10,11 +10,8 @@ by how unevenly their activity concentrates in time.
 from .analysis import ComponentReport, DegenerateComponentWarning, gini, rank_components
 from .events import (
     EventTable,
-    GeoEvent,
     InputError,
-    parse_events,
     read_events,
-    serialize_events,
     write_events,
 )
 from .ingestion import (
@@ -23,21 +20,16 @@ from .ingestion import (
     CountryRegistry,
     FilterPolicy,
     filter_table,
-    filter_users,
     load_centroids,
     load_registry,
-    resolve_country,
-    resolve_events,
     resolve_table,
     save_registry,
 )
 from .residence import (
     MigrationEvent,
     MonthCalendar,
-    ResidenceSeries,
     detect_all,
-    detect_migrations,
-    monthly_residence,
+    read_residences,
     residence_matrix,
 )
 from .solver import (
@@ -65,19 +57,15 @@ __all__ = [
     "FilterPolicy",
     "FitConfig",
     "FitTrace",
-    "GeoEvent",
     "InputError",
     "MigrationEvent",
     "MigrationTensor",
     "MonthCalendar",
     "PlantedComponent",
-    "ResidenceSeries",
     "SynthSpec",
     "build_tensor",
     "detect_all",
-    "detect_migrations",
     "filter_table",
-    "filter_users",
     "fit",
     "generate_synthetic",
     "gini",
@@ -90,18 +78,14 @@ __all__ = [
     "log_likelihood",
     "mode_marginals",
     "mode_update",
-    "monthly_residence",
-    "parse_events",
     "rank_components",
     "read_events",
+    "read_residences",
     "residence_matrix",
-    "resolve_country",
-    "resolve_events",
     "resolve_table",
     "save_model",
     "save_registry",
     "save_tensor",
-    "serialize_events",
     "write_events",
 ]
 

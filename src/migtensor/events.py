@@ -1,4 +1,4 @@
-"""Event records and the line formats event streams travel in.
+"""The event table and the line formats event streams travel in.
 
 An event stream is held as one columnar :class:`EventTable`: integer user,
 second and country columns. :func:`read_events` parses line-delimited CSV
@@ -6,14 +6,11 @@ or JSONL records (a user id, an RFC 3339 UTC timestamp, and an ISO 3166-1
 alpha-2 country code or a (lat, lon) pair) into a table, and
 :func:`write_events` writes one back as CSV. Malformed records are never
 dropped silently: every rejection is tallied per reason.
-:func:`parse_events` and :func:`serialize_events` are per-record adapters
-that convert :class:`GeoEvent` lists to and from a table around them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import Counter
@@ -43,31 +40,6 @@ BAD_LOCATION = "bad_location"
 
 class InputError(ValueError):
     """Unusable input source (unknown format tag, unreadable file, ...)."""
-
-
-@dataclass(frozen=True)
-class GeoEvent:
-    """One timestamped, located observation of a user.
-
-    Exactly one of ``country`` / (``lat``, ``lon``) is set. Timestamps are
-    timezone-aware UTC at second precision.
-    """
-
-    user_id: str
-    timestamp: datetime
-    country: Optional[str] = None
-    lat: Optional[float] = None
-    lon: Optional[float] = None
-
-    def __post_init__(self):
-        has_code = self.country is not None
-        has_point = self.lat is not None and self.lon is not None
-        if has_code == has_point:
-            raise ValueError("exactly one of country / (lat, lon) must be set")
-
-    @property
-    def has_point(self) -> bool:
-        return self.country is None
 
 
 @dataclass
@@ -128,37 +100,6 @@ class EventTable:
     def __len__(self) -> int:
         return len(self.seconds)
 
-    @classmethod
-    def from_events(cls, events: Iterable[GeoEvent], registry: Optional[CountryRegistry] = None) -> EventTable:
-        """The events as a table, rows in the given order. ``codes`` starts
-        with the registry's, if given, followed by any other code seen."""
-        events = list(events)
-        n = len(events)
-        users = sorted({ev.user_id for ev in events})
-        rank = {u: i for i, u in enumerate(users)}
-        index = {} if registry is None else dict(registry.index)
-        country = [-1 if ev.country is None else index.setdefault(ev.country, len(index)) for ev in events]
-        _check_code_count(index)
-        return cls(
-            users, list(index),
-            np.fromiter((rank[ev.user_id] for ev in events), np.int32, n),
-            np.fromiter((_epoch_seconds(ev.timestamp) for ev in events), np.int64, n),
-            np.array(country, np.int16),
-            np.fromiter((math.nan if ev.country is not None else ev.lat for ev in events), float, n),
-            np.fromiter((math.nan if ev.country is not None else ev.lon for ev in events), float, n),
-        )
-
-    def to_events(self) -> list[GeoEvent]:
-        """One :class:`GeoEvent` per row, in row order."""
-        events = []
-        for user, seconds, country, lat, lon in zip(
-                map(self.users.__getitem__, self.user.tolist()), self.seconds.tolist(),
-                self.country.tolist(), self.lat.tolist(), self.lon.tolist()):
-            ts = _EPOCH + timedelta(seconds=seconds)
-            events.append(GeoEvent(user, ts, country=self.codes[country]) if country >= 0
-                          else GeoEvent(user, ts, lat=lat, lon=lon))
-        return events
-
 
 # column dtypes of a parsed block: user, seconds, country, lat, lon
 _COLUMNS = (np.int32, np.int64, np.int16, np.float64, np.float64)
@@ -185,9 +126,12 @@ def _finish_event(user_id, raw_ts, country, lat, lon, bounds, registry, stats):
     if not user_id or raw_ts is None:
         stats.add(MISSING_FIELD)
         return None
+    if type(raw_ts) is not str:  # a JSON number, boolean, array or object
+        stats.add(BAD_TIMESTAMP)
+        return None
     try:
         seconds = _epoch_seconds(parse_timestamp(raw_ts))
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an offset past year 1 or 9999
         stats.add(BAD_TIMESTAMP)
         return None
     if bounds is not None:
@@ -266,7 +210,7 @@ def _csv_fields(lines: list[str], stats: RejectStats) -> tuple:
     # a block of plain three-field lines, each ended by one line break (the
     # stream's last may lack it), splits as one string, as csv splits it;
     # a NUL (which csv reads only from Python 3.11 on) or a line past csv's
-    # field size limit is left to csv, so it fails where csv fails
+    # field size limit is left to csv, and tallied where csv cannot read it
     if ('"' not in text and "\r" not in text and "\0" not in text
             and text.count("\n") == len(lines) - (not text.endswith("\n"))
             and all(map(str.endswith, lines[:-1], repeat("\n")))
@@ -281,7 +225,11 @@ def _csv_fields(lines: list[str], stats: RejectStats) -> tuple:
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
-        parts = next(csv.reader([line]))
+        try:
+            parts = next(csv.reader([line]))
+        except csv.Error:  # a field past csv's size limit, or a NUL before Python 3.11
+            stats.add(BAD_FIELD_COUNT)
+            continue
         if len(parts) == 3:
             rows.append((parts[0].strip(), parts[1], parts[2], None, None))
         elif len(parts) == 4:
@@ -315,17 +263,18 @@ def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
         if not isinstance(obj, dict):
             stats.add(BAD_JSON)
             continue
-        lat, lon = obj.get("lat"), obj.get("lon")
-        has_code = obj.get("country") is not None
+        country, lat, lon = obj.get("country"), obj.get("lat"), obj.get("lon")
+        has_code = country is not None
         has_point = lat is not None or lon is not None
-        if has_code == has_point:
+        # exactly one location, and a code is a JSON string
+        if has_code == has_point or (has_code and type(country) is not str):
             stats.add(BAD_LOCATION)
             continue
         if has_point and (lat is None or lon is None):
             stats.add(BAD_COORDINATES)
             continue
         rows.append((str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
-                     obj.get("country"), _json_number(lat), _json_number(lon)))
+                     country, _json_number(lat), _json_number(lon)))
     return _columns(rows)
 
 
@@ -429,17 +378,6 @@ def read_events(
     return table, stats
 
 
-def parse_events(
-    stream: TextIO | Iterable[str],
-    format: str,
-    interval: Optional[tuple[datetime, datetime]] = None,
-    registry: Optional[CountryRegistry] = None,
-) -> tuple[list[GeoEvent], RejectStats]:
-    """:func:`read_events` as a list of :class:`GeoEvent`, in input order."""
-    table, stats = read_events(stream, format, interval, registry)
-    return table.to_events(), stats
-
-
 def _format_seconds(seconds: np.ndarray) -> list[str]:
     """``YYYY-MM-DDTHH:MM:SSZ`` strings of epoch seconds."""
     return np.datetime_as_string(seconds.astype("datetime64[s]"), timezone="UTC").tolist()
@@ -461,27 +399,6 @@ def write_events(table: EventTable, fh: TextIO, header: bool = True) -> None:
                 map(table.users.__getitem__, table.user[rows].tolist()),
                 _format_seconds(table.seconds[rows]), table.country[rows].tolist(),
                 table.lat[rows].tolist(), table.lon[rows].tolist()))
-
-
-def serialize_events(events: Iterable[GeoEvent], format: str, header: bool = False) -> str:
-    """Render events back to the line format accepted by :func:`parse_events`."""
-    if format not in _FIELDS:
-        raise InputError(f"unknown output format {format!r}")
-    table = EventTable.from_events(events)
-    buf = io.StringIO()
-    if format == "csv":
-        write_events(table, buf, header)
-        return buf.getvalue()
-    for user, stamp, country, lat, lon in zip(
-            map(table.users.__getitem__, table.user.tolist()), _format_seconds(table.seconds),
-            table.country.tolist(), table.lat.tolist(), table.lon.tolist()):
-        obj = {"user_id": user, "timestamp": stamp}
-        if country >= 0:
-            obj["country"] = table.codes[country]
-        else:
-            obj["lat"], obj["lon"] = lat, lon
-        buf.write(json.dumps(obj, sort_keys=True) + "\n")
-    return buf.getvalue()
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 The event table and the stream formats it is read from and written to
 live in :mod:`migtensor.events`; :func:`resolve_table` and
-:func:`filter_table` work on that table, and :func:`resolve_events` and
-:func:`filter_users` are per-record adapters around them.
+:func:`filter_table` work on that table.
 """
 
 from __future__ import annotations
@@ -15,21 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .events import EventTable, GeoEvent, run_starts
-
-# existing callers import these names from this module: the tests, and
-# bench/tracer.py, which wraps ingestion.parse_events and serialize_events
-from .events import (  # noqa: F401
-    BAD_COORDINATES,
-    BAD_FIELD_COUNT,
-    BAD_JSON,
-    BAD_TIMESTAMP,
-    OUT_OF_INTERVAL,
-    UNKNOWN_COUNTRY,
-    InputError,
-    parse_events,
-    serialize_events,
-)
+from .events import EventTable, run_starts
 
 
 class ConfigError(ValueError):
@@ -145,7 +130,7 @@ class FilterPolicy:
 
 @dataclass
 class DroppedUserStats:
-    """Per-rule tally of users dropped by :func:`filter_users`.
+    """Per-rule tally of users dropped by :func:`filter_table`.
 
     A user failing several rules is counted under each of them;
     ``users_dropped`` counts each dropped user once.
@@ -195,13 +180,6 @@ def _nearest_centroids(lat_deg: np.ndarray, lon_deg: np.ndarray, table: Centroid
     return nearest
 
 
-def resolve_country(point: tuple[float, float], table: CentroidTable) -> str:
-    """Code of the centroid nearest to ``point`` (see :func:`_nearest_centroids`)."""
-    index = _nearest_centroids(np.array([point[0]], dtype=float),
-                               np.array([point[1]], dtype=float), table)[0]
-    return table.codes[index]
-
-
 def resolve_table(table: EventTable, centroids: Optional[CentroidTable]) -> EventTable:
     """Give every point row the code of its nearest centroid.
 
@@ -221,12 +199,6 @@ def resolve_table(table: EventTable, centroids: Optional[CentroidTable]) -> Even
     return replace(table, codes=list(index), country=country)
 
 
-def resolve_events(events: Iterable[GeoEvent], table: Optional[CentroidTable]) -> list[GeoEvent]:
-    """:func:`resolve_table` on a list of events: geo_point locations become
-    nearest-centroid country codes, coded events pass through."""
-    return resolve_table(EventTable.from_events(events), table).to_events()
-
-
 # filter rule names
 RULE_MAX_EVENTS_PER_DAY = "max_events_per_day"
 RULE_MAX_COUNTRIES_PER_DAY = "max_countries_per_day"
@@ -242,7 +214,7 @@ def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, D
     or none are. Days and months are UTC calendar days and months.
     """
     if (table.country < 0).any():
-        raise ValueError("filter_users requires country-resolved events")
+        raise ValueError("filter_table requires country-resolved events")
     order = np.lexsort((table.seconds, table.user))
     user, seconds, country = table.user[order], table.seconds[order], table.country[order]
     n_users = len(table.users)
@@ -281,12 +253,3 @@ def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, D
         new_index[user[keep]], seconds[keep], country[keep],
         table.lat[order][keep], table.lon[order][keep])
     return kept, stats
-
-
-def filter_users(
-    events: Iterable[GeoEvent], policy: FilterPolicy
-) -> tuple[list[GeoEvent], DroppedUserStats]:
-    """:func:`filter_table` on a list of events: output is sorted by
-    (user_id, timestamp), and all of a user's events are kept or none are."""
-    kept, stats = filter_table(EventTable.from_events(events), policy)
-    return kept.to_events(), stats

@@ -103,7 +103,7 @@ def stage_ingest(config: PipelineConfig) -> dict:
 
 
 def stage_residences(config: PipelineConfig) -> dict:
-    """Monthly residence series for every user in the event artifact."""
+    """Monthly residence of every user in the event artifact."""
     registry = _load_registry(config)
     path = config.out_dir / "events.csv"
     table, rejects = _read_events("residences", path, "csv", config, registry,
@@ -121,9 +121,9 @@ def stage_detect(config: PipelineConfig) -> dict:
     """Window-k migration detection over the residence artifact."""
     registry = _load_registry(config)
     path = config.out_dir / "residences.csv"
-    series = _read("detect", path, lambda: residence.read_residences(path, registry, config.months),
-                   "missing residences artifact ({exc}); run residences first")
-    migrations = residence.detect_all(series, config.window_k, config.detection_mode)
+    users, filled = _read("detect", path, lambda: residence.read_residences(path, registry, config.months),
+                          "missing residences artifact ({exc}); run residences first")
+    migrations = residence.detect_all(users, filled, config.window_k, config.detection_mode)
     residence.write_migrations(migrations, registry, config.out_dir / "migrations.csv")
     return {"migrations": len(migrations)}
 

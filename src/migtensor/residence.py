@@ -1,9 +1,11 @@
-"""Monthly country-of-residence series and window-based migration detection.
+"""Monthly country of residence and window-based migration detection.
 
 A user's residence in a month is the country with the most events that
 month; silent months inherit the most recently known residence (forward
-fill). A migration at month m is a change of window residence between the
-k months before m and the k months starting at m.
+fill). Residences are held as one ``(users, months)`` int16 matrix of
+country indices, -1 where unknown. A migration at month m is a change of
+window residence between the k months before m and the k months starting
+at m.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventTable, GeoEvent, InputError, run_starts
+from .events import EventTable, InputError, run_starts
 from .ingestion import ConfigError, CountryRegistry
 
 
@@ -34,10 +36,6 @@ class MonthCalendar:
         if self.months < 1:
             raise ConfigError("calendar must cover at least one month")
 
-    def month_index(self, ts: datetime) -> int:
-        """Offset of ts's calendar month from the epoch (may fall outside [0, M))."""
-        return (ts.year - self.epoch_year) * 12 + (ts.month - self.epoch_month)
-
     def year_month(self, index: int) -> tuple[int, int]:
         total = self.epoch_year * 12 + (self.epoch_month - 1) + index
         return total // 12, total % 12 + 1
@@ -51,19 +49,6 @@ class MonthCalendar:
         start = datetime(self.epoch_year, self.epoch_month, 1, tzinfo=timezone.utc)
         ey, em = self.year_month(self.months)
         return start, datetime(ey, em, 1, tzinfo=timezone.utc)
-
-
-@dataclass
-class ResidenceSeries:
-    """Per-user month-indexed residence.
-
-    ``filled[m]`` is the residence inferred from month m's own events, or
-    for a silent month the most recent one before it. Months before the
-    first observation stay None.
-    """
-
-    user_id: str
-    filled: list[Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     """
     U, M, N = len(table.users), calendar.months, max(len(table.codes), 1)
     if (table.country < 0).any():
-        raise ValueError("monthly_residence requires country-resolved events")
+        raise ValueError("residence_matrix requires country-resolved events")
     epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
     month = table.seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) - epoch
     if ((month < 0) | (month >= M)).any():
@@ -137,23 +122,6 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     return filled
 
 
-def monthly_residence(
-    events: Iterable[GeoEvent], calendar: MonthCalendar, registry: CountryRegistry
-) -> ResidenceSeries:
-    """:func:`residence_matrix` for one user's resolved events."""
-    events = list(events)
-    users = {ev.user_id for ev in events}
-    if len(users) > 1:
-        raise ValueError(f"events span multiple users: {sorted(users)}")
-    table = EventTable.from_events(events, registry)
-    if len(table.codes) > len(registry):
-        raise KeyError(table.codes[len(registry)])
-    if not events:
-        return ResidenceSeries("", [None] * calendar.months)
-    filled = residence_matrix(table, calendar)[0].tolist()
-    return ResidenceSeries(table.users[0], [None if c < 0 else c for c in filled])
-
-
 def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
     """Residence of every k-month window of a ``(U, M)`` matrix, -1 if undefined.
 
@@ -178,63 +146,48 @@ def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
     return np.where(unique, np.take_along_axis(windows, mode_cell, axis=-1)[..., 0], -1)
 
 
-def detect_all(series_list: Sequence[ResidenceSeries], k: int, mode: str = "strict") -> list[MigrationEvent]:
+def detect_all(users: Sequence[str], filled: np.ndarray, k: int,
+               mode: str = "strict") -> list[MigrationEvent]:
     """Detect residence changes between the k-month windows around each month.
 
-    For each month m with full windows on both sides, compares the window
+    ``filled`` is a ``(len(users), M)`` residence matrix, -1 where unknown,
+    as :func:`residence_matrix` and :func:`read_residences` return it. For
+    each month m with full windows on both sides, compares the window
     residence over [m-k, m-1] against [m, m+k-1] and emits an event when
     both are defined and differ. ``strict`` windows are defined only when
     all k months agree; ``modal`` windows take the most frequent country
     (ties undefined) and collapse runs of the same (origin, destination)
-    within k months to the earliest detection. Events come in series
-    order, then month order. Every series must span the same months.
+    within k months to the earliest detection. Events come in row order,
+    then month order.
     """
     if mode not in ("strict", "modal"):
         raise ConfigError(f"unknown detection mode {mode!r}")
-    if not series_list:
-        return []
-    M = len(series_list[0].filled)
+    M = filled.shape[1]
     if k < 1 or 2 * k > M:
         raise ConfigError(f"window k={k} out of range for {M} months (need 1 <= k <= M/2)")
-    if any(len(s.filled) != M for s in series_list):
-        raise ValueError("residence series span different numbers of months")
-    filled = _filled_matrix(series_list)
 
     resident = _window_residence(filled, k, mode)
     before, after = resident[:, :M - 2 * k + 1], resident[:, k:]
-    users, starts = np.nonzero((before >= 0) & (after >= 0) & (before != after))
-    origins, destinations = before[users, starts], after[users, starts]
+    rows, starts = np.nonzero((before >= 0) & (after >= 0) & (before != after))
+    origins, destinations = before[rows, starts], after[rows, starts]
     months = starts + k
-    if mode == "modal" and users.size:
+    if mode == "modal" and rows.size:
         # a detection repeating the same user's same (origin, destination)
         # within k months of the previous one continues that run
-        order = np.lexsort((months, destinations, origins, users))
-        u, o, d, m = users[order], origins[order], destinations[order], months[order]
+        order = np.lexsort((months, destinations, origins, rows))
+        u, o, d, m = rows[order], origins[order], destinations[order], months[order]
         repeat = (u[1:] == u[:-1]) & (o[1:] == o[:-1]) & (d[1:] == d[:-1]) & (m[1:] - m[:-1] <= k)
-        keep = np.ones(users.size, dtype=bool)
+        keep = np.ones(rows.size, dtype=bool)
         keep[order[1:][repeat]] = False
-        users, months = users[keep], months[keep]
+        rows, months = rows[keep], months[keep]
         origins, destinations = origins[keep], destinations[keep]
-    return [MigrationEvent(series_list[u].user_id, m, o, d) for u, m, o, d in zip(
-        users.tolist(), months.tolist(), origins.tolist(), destinations.tolist())]
-
-
-def detect_migrations(series: ResidenceSeries, k: int, mode: str = "strict") -> list[MigrationEvent]:
-    """:func:`detect_all` for one series."""
-    return detect_all([series], k, mode)
+    return [MigrationEvent(users[u], m, o, d) for u, m, o, d in zip(
+        rows.tolist(), months.tolist(), origins.tolist(), destinations.tolist())]
 
 
 RESIDENCE_HEADER = ["user_id", "month_index", "country"]
 _WRITE_BLOCK_USERS = 256
 MIGRATION_HEADER = ["user_id", "month_index", "origin", "destination"]
-
-
-def _filled_matrix(series_list: Sequence[ResidenceSeries]) -> np.ndarray:
-    """The series' filled views as a ``(U, M)`` int16 matrix, -1 unknown."""
-    M = len(series_list[0].filled) if series_list else 0
-    return np.fromiter(
-        (-1 if c is None else c for s in series_list for c in s.filled),
-        dtype=np.int16, count=len(series_list) * M).reshape(-1, M)
 
 
 def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: CountryRegistry,
@@ -250,12 +203,6 @@ def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: C
             rows, months = np.nonzero(block >= 0)
             writer.writerows(zip(map(users.__getitem__, (rows + start).tolist()), months.tolist(),
                                  map(registry.codes.__getitem__, block[rows, months].tolist())))
-
-
-def write_residences(series_list: Iterable[ResidenceSeries], registry: CountryRegistry, path) -> None:
-    """:func:`write_residence_matrix` for a list of series, in list order."""
-    series_list = list(series_list)
-    write_residence_matrix([s.user_id for s in series_list], _filled_matrix(series_list), registry, path)
 
 
 def _dump_reader(fh, path, header: list[str]):
@@ -287,13 +234,19 @@ def _row_error(path, line: int, parts: list[str], header: list[str], months: int
     return InputError(f"{where}: origin and destination are both {parts[2]!r}")
 
 
-def read_residences(path, registry: CountryRegistry, months: int) -> list[ResidenceSeries]:
-    """Rebuild residence series from a residence dump.
+def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[str], np.ndarray]:
+    """Load a residence dump as the sorted user ids and their ``(users,
+    months)`` int16 residence matrix, -1 where unknown.
 
     A malformed row raises :class:`InputError` naming its ``path:line``.
     """
     index = registry.index
-    per_user: dict[str, list[Optional[int]]] = {}
+    users: dict[str, int] = {}
+    # the matrix in first-seen user order, one row of `months` int16 cells
+    # per user, written through `view`
+    cells = bytearray()
+    view = memoryview(cells).cast("h")
+    unknown = b"\xff\xff" * months  # -1 in every cell
     with open(path, "r", encoding="utf-8") as fh:
         reader = _dump_reader(fh, path, RESIDENCE_HEADER)
         for parts in reader:
@@ -304,13 +257,20 @@ def read_residences(path, registry: CountryRegistry, months: int) -> list[Reside
                 month = -1
             if not 0 <= month < months or str(month) != m:
                 raise _row_error(path, reader.line_num, parts, RESIDENCE_HEADER, months, registry)
-            filled = per_user.get(user_id)
-            if filled is None:
-                filled = per_user[user_id] = [None] * months
-            elif filled[month] is not None:
+            row = users.get(user_id)
+            if row is None:
+                row = users[user_id] = len(users)
+                view.release()  # a bytearray grows only while no view holds it
+                cells += unknown
+                view = memoryview(cells).cast("h")
+            cell = row * months + month
+            if view[cell] >= 0:
                 raise InputError(f"{path}:{reader.line_num}: repeated month {month} for user {user_id!r}")
-            filled[month] = country
-    return [ResidenceSeries(u, per_user[u]) for u in sorted(per_user)]
+            view[cell] = country
+    view.release()
+    names = sorted(users)
+    order = [users[u] for u in names]
+    return names, np.frombuffer(cells, dtype=np.int16).reshape(len(users), months)[order]
 
 
 def write_migrations(events: Iterable[MigrationEvent], registry: CountryRegistry, path) -> None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from calendar import monthrange
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .events import GeoEvent, serialize_events
+from .events import EventTable, write_events
 from .ingestion import ConfigError, CountryRegistry
 from .residence import MonthCalendar
 
@@ -91,11 +91,15 @@ def load_synth_spec(path) -> SynthSpec:
         raise ConfigError(f"{path}: bad synth spec: {exc}") from exc
 
 
-def _instant(rng: np.random.Generator, calendar: MonthCalendar, month: int) -> datetime:
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+
+
+def _instant(rng: np.random.Generator, calendar: MonthCalendar, month: int) -> int:
+    """A uniformly drawn second of a calendar month, in UTC epoch seconds."""
     year, mo = calendar.year_month(month)
     day = int(rng.integers(1, monthrange(year, mo)[1] + 1))
     second = int(rng.integers(0, 86400))
-    return datetime(year, mo, day, tzinfo=timezone.utc) + timedelta(seconds=second)
+    return (date(year, mo, day).toordinal() - _EPOCH_DAY) * 86400 + second
 
 
 class _UserPool:
@@ -110,8 +114,9 @@ class _UserPool:
         return f"u{self.used:06d}"
 
 
-def _mover_events(rng, uid, move_month, origin, destination, spec) -> list[GeoEvent]:
-    """Residence-establishing tweets around one move.
+def _mover_events(rng, uid, move_month, origin, destination, spec) -> list[tuple[str, int, int]]:
+    """Residence-establishing tweets around one move, as (user id, epoch
+    second, registry index) rows.
 
     The first origin month and the move month always get at least one
     tweet so the move is anchored on both sides; other months draw plain
@@ -127,17 +132,17 @@ def _mover_events(rng, uid, move_month, origin, destination, spec) -> list[GeoEv
         if m in (first, move_month):
             n = max(1, n)
         for _ in range(n):
-            events.append(GeoEvent(uid, _instant(rng, calendar, m), country=code))
+            events.append((uid, _instant(rng, calendar, m), code))
     return events
 
 
-def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[list[GeoEvent], dict]:
-    """Deterministically expand a spec into GeoEvents plus ground truth.
+def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[EventTable, dict]:
+    """Deterministically expand a spec into an event table plus ground truth.
 
-    Returns (events sorted by user and time, truth dict). The truth lists
-    every planted move as (user, month, origin, destination); background
-    noise moves are recorded separately and are not part of the planted
-    ground truth.
+    Returns (table, truth dict). The table's rows are sorted by user and
+    time, and its codes are the registry's. The truth lists every planted
+    move as (user, month, origin, destination); background noise moves are
+    recorded separately and are not part of the planted ground truth.
     """
     for comp in spec.components:
         for code in (comp.origin, comp.destination):
@@ -145,15 +150,16 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[list
                 raise ConfigError(f"planted country {code!r} not in registry")
     rng = np.random.default_rng(spec.seed)
     pool = _UserPool(spec.users)
-    events: list[GeoEvent] = []
+    rows: list[tuple[str, int, int]] = []
     planted: list[dict] = []
     noise_moves: list[dict] = []
 
     for comp in spec.components:
+        origin, destination = registry.index_of(comp.origin), registry.index_of(comp.destination)
         for month in sorted(set(comp.active_months)):
             for _ in range(int(rng.poisson(comp.intensity))):
                 uid = pool.next()
-                events.extend(_mover_events(rng, uid, month, comp.origin, comp.destination, spec))
+                rows.extend(_mover_events(rng, uid, month, origin, destination, spec))
                 planted.append({"user_id": uid, "month": month,
                                 "origin": comp.origin, "destination": comp.destination})
 
@@ -168,15 +174,14 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[list
                 d = int(rng.integers(0, N - 1))
                 if d >= o:
                     d += 1
-                origin, destination = registry.code(o), registry.code(d)
-                events.extend(_mover_events(rng, uid, month, origin, destination, spec))
+                rows.extend(_mover_events(rng, uid, month, o, d, spec))
                 noise_moves.append({"user_id": uid, "month": month,
-                                    "origin": origin, "destination": destination})
+                                    "origin": registry.code(o), "destination": registry.code(d)})
 
     # stationary filler users keep the pool size honest and exercise filtering
     while pool.used < pool.size:
         uid = pool.next()
-        code = registry.code(int(rng.integers(0, len(registry))))
+        code = int(rng.integers(0, len(registry)))
         start = int(rng.integers(0, spec.months))
         span = int(rng.integers(1, 7))
         for m in range(start, min(spec.months, start + span)):
@@ -184,9 +189,17 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[list
             if m == start:
                 n = max(1, n)
             for _ in range(n):
-                events.append(GeoEvent(uid, _instant(rng, spec.calendar, m), country=code))
+                rows.append((uid, _instant(rng, spec.calendar, m), code))
 
-    events.sort(key=lambda ev: (ev.user_id, ev.timestamp))
+    n = len(rows)
+    users = sorted({uid for uid, _, _ in rows})
+    rank = {u: i for i, u in enumerate(users)}
+    user = np.fromiter((rank[uid] for uid, _, _ in rows), np.int32, n)
+    seconds = np.fromiter((second for _, second, _ in rows), np.int64, n)
+    country = np.fromiter((code for _, _, code in rows), np.int16, n)
+    order = np.lexsort((seconds, user))  # stable: equal (user, second) rows keep draw order
+    table = EventTable(users, registry.codes, user[order], seconds[order], country[order],
+                       np.full(n, np.nan), np.full(n, np.nan))
     truth = {
         "planted": planted,
         "noise_moves": noise_moves,
@@ -196,19 +209,19 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[list
             for c in spec.components
         ],
     }
-    return events, truth
+    return table, truth
 
 
 def write_synthetic(spec: SynthSpec, registry: CountryRegistry,
                     events_path, truth_path=None) -> dict:
     """Generate and write the event stream CSV (and optionally the truth JSON)."""
-    events, truth = generate_synthetic(spec, registry)
+    table, truth = generate_synthetic(spec, registry)
     Path(events_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_events(events, "csv", header=True))
+    with open(events_path, "w", encoding="utf-8", newline="") as fh:
+        write_events(table, fh)
     if truth_path is not None:
         with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(truth, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return {"events": len(events), "planted_moves": len(truth["planted"]),
+    return {"events": len(table), "planted_moves": len(truth["planted"]),
             "noise_moves": len(truth["noise_moves"])}

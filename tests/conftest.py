@@ -7,6 +7,8 @@ import io
 import json
 import math
 from collections import Counter, defaultdict
+from datetime import datetime, timedelta, timezone
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -23,14 +25,66 @@ from migtensor.events import (
     MISSING_FIELD,
     OUT_OF_INTERVAL,
     UNKNOWN_COUNTRY,
-    GeoEvent,
+    EventTable,
     RejectStats,
     parse_timestamp,
 )
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import MigrationEvent, ResidenceSeries
+from migtensor.residence import MigrationEvent
 from migtensor.solver import RATE_EPS, FactorModel
 from migtensor.tensor import MigrationTensor
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+class Event(NamedTuple):
+    """One event as the per-record oracles see it: a user at an aware UTC
+    datetime, in a country or at a (lat, lon) point."""
+
+    user_id: str
+    timestamp: datetime
+    country: Optional[str] = None
+    lat: Optional[float] = None
+    lon: Optional[float] = None
+
+    @property
+    def has_point(self) -> bool:
+        return self.country is None
+
+
+def table_of(events, registry=None) -> EventTable:
+    """The events as an :class:`EventTable`, rows in the given order.
+    ``codes`` starts with the registry's, if given, then any other code."""
+    users = sorted({ev.user_id for ev in events})
+    rank = {u: i for i, u in enumerate(users)}
+    index = {} if registry is None else dict(registry.index)
+    country = [-1 if ev.has_point else index.setdefault(ev.country, len(index)) for ev in events]
+    return EventTable(
+        users, list(index),
+        np.array([rank[ev.user_id] for ev in events], dtype=np.int32),
+        np.array([(ev.timestamp - EPOCH) // timedelta(seconds=1) for ev in events], dtype=np.int64),
+        np.array(country, dtype=np.int16),
+        np.array([ev.lat if ev.has_point else math.nan for ev in events], dtype=float),
+        np.array([ev.lon if ev.has_point else math.nan for ev in events], dtype=float))
+
+
+def events_of(table: EventTable) -> list:
+    """One :class:`Event` per row of the table, in row order."""
+    events = []
+    for user, seconds, country, lat, lon in zip(
+            table.user.tolist(), table.seconds.tolist(), table.country.tolist(),
+            table.lat.tolist(), table.lon.tolist()):
+        ts = EPOCH + timedelta(seconds=seconds)
+        events.append(Event(table.users[user], ts, country=table.codes[country]) if country >= 0
+                      else Event(table.users[user], ts, lat=lat, lon=lon))
+    return events
+
+
+def residence_rows(rows, months: int) -> np.ndarray:
+    """A ``(len(rows), months)`` residence matrix from lists of country
+    indices, None unknown."""
+    return np.array([[-1 if c is None else c for c in row] for row in rows],
+                    dtype=np.int16).reshape(len(rows), months)
 
 
 @pytest.fixture
@@ -190,10 +244,11 @@ def _window_residence_modal(filled, lo, hi):
     return tied[0] if len(tied) == 1 else None
 
 
-def reference_detect_migrations(series, k, mode="strict") -> list:
-    """Window-k detection for one series as a per-month loop with a
-    per-user run collapse: the formulation the batched detector must match."""
-    M = len(series.filled)
+def reference_detect_migrations(user_id, filled, k, mode="strict") -> list:
+    """Window-k detection for one user's filled residence list (None
+    unknown) as a per-month loop with a run collapse: the formulation the
+    batched detector must match."""
+    M = len(filled)
     if k < 1 or 2 * k > M:
         raise ConfigError(f"window k={k} out of range for {M} months")
     if mode not in ("strict", "modal"):
@@ -201,10 +256,10 @@ def reference_detect_migrations(series, k, mode="strict") -> list:
     window = _window_residence_strict if mode == "strict" else _window_residence_modal
     events = []
     for m in range(k, M - k + 1):
-        before = window(series.filled, m - k, m)
-        after = window(series.filled, m, m + k)
+        before = window(filled, m - k, m)
+        after = window(filled, m, m + k)
         if before is not None and after is not None and before != after:
-            events.append(MigrationEvent(series.user_id, m, before, after))
+            events.append(MigrationEvent(user_id, m, before, after))
     if mode == "modal":
         collapsed = []
         last_seen = {}
@@ -223,9 +278,12 @@ def _reference_finish_event(user_id, raw_ts, country, lat, lon, interval, regist
     if not user_id or raw_ts is None:
         stats.add(MISSING_FIELD)
         return None
+    if not isinstance(raw_ts, str):
+        stats.add(BAD_TIMESTAMP)
+        return None
     try:
         ts = parse_timestamp(raw_ts)
-    except ValueError:
+    except (ValueError, OverflowError):
         stats.add(BAD_TIMESTAMP)
         return None
     if interval is not None:
@@ -241,7 +299,7 @@ def _reference_finish_event(user_id, raw_ts, country, lat, lon, interval, regist
         if registry is not None and country not in registry:
             stats.add(UNKNOWN_COUNTRY)
             return None
-        return GeoEvent(user_id, ts, country=country)
+        return Event(user_id, ts, country=country)
     try:
         lat, lon = float(lat), float(lon)
     except (TypeError, ValueError, OverflowError):
@@ -253,14 +311,14 @@ def _reference_finish_event(user_id, raw_ts, country, lat, lon, interval, regist
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         stats.add(BAD_COORDINATES)
         return None
-    return GeoEvent(user_id, ts, lat=lat, lon=lon)
+    return Event(user_id, ts, lat=lat, lon=lon)
 
 
 def reference_parse_events(lines, format, interval=None, registry=None):
-    """``parse_events`` one record at a time: each CSV line through its own
-    ``csv.reader``, each JSONL line through ``json.loads``, every record
-    through the per-record rules. The columnar parser must match it, events
-    and reject tallies alike."""
+    """``read_events`` one record at a time, as a list of :class:`Event`:
+    each CSV line through its own ``csv.reader``, each JSONL line through
+    ``json.loads``, every record through the per-record rules. The columnar
+    parser must match it, events and reject tallies alike."""
     events, stats = [], RejectStats()
     if format == "csv":
         for lineno, line in enumerate(lines):
@@ -269,7 +327,11 @@ def reference_parse_events(lines, format, interval=None, registry=None):
                 continue
             if lineno == 0 and line.strip() in (CSV_HEADER_COUNTRY, CSV_HEADER_GEO):
                 continue
-            parts = next(csv.reader([line]))
+            try:
+                parts = next(csv.reader([line]))
+            except csv.Error:
+                stats.add(BAD_FIELD_COUNT)
+                continue
             if len(parts) == 3:
                 ev = _reference_finish_event(parts[0].strip(), parts[1], parts[2], None, None,
                                              interval, registry, stats)
@@ -296,7 +358,7 @@ def reference_parse_events(lines, format, interval=None, registry=None):
         lat, lon = obj.get("lat"), obj.get("lon")
         has_code = obj.get("country") is not None
         has_point = lat is not None or lon is not None
-        if has_code == has_point:
+        if has_code == has_point or (has_code and not isinstance(obj["country"], str)):
             stats.add(BAD_LOCATION)
             continue
         if has_point and (lat is None or lon is None):
@@ -312,7 +374,8 @@ def reference_parse_events(lines, format, interval=None, registry=None):
 
 
 def reference_serialize_events(events, format, header=False) -> str:
-    """``serialize_events`` one event at a time, timestamps through ``strftime``."""
+    """Events written one at a time, timestamps through ``strftime``: CSV
+    as ``write_events`` writes it, or JSONL objects."""
     stamp = lambda ev: ev.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ")  # noqa: E731
     buf = io.StringIO()
     if format == "csv":
@@ -355,8 +418,9 @@ def _reference_failed_rules(events, policy) -> list:
 
 
 def reference_filter_users(events, policy):
-    """``filter_users`` as a per-user loop over ``datetime.date()`` and
-    (year, month) sets."""
+    """``filter_table`` on a list of :class:`Event` as a per-user loop over
+    ``datetime.date()`` and (year, month) sets; the kept events come sorted
+    by (user, time)."""
     events = sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
     stats = ingestion.DroppedUserStats()
     kept = []
@@ -377,16 +441,16 @@ def reference_filter_users(events, policy):
     return kept, stats
 
 
-def reference_monthly_residence(events, calendar, registry) -> ResidenceSeries:
-    """One user's residence series as a per-month ``Counter`` loop: the
-    majority, then the previous month's country, then the latest event, then
-    the country seen first that month (``max`` keeps the first maximum)."""
+def reference_monthly_residence(events, calendar, registry) -> list:
+    """One user's filled residence list (None unknown) as a per-month
+    ``Counter`` loop: the majority, then the previous month's country, then
+    the latest event, then the country seen first that month (``max`` keeps
+    the first maximum)."""
     events = sorted(events, key=lambda ev: ev.timestamp)
-    user_id = events[0].user_id if events else ""
     counts = [Counter() for _ in range(calendar.months)]
     latest = [{} for _ in range(calendar.months)]
     for ev in events:
-        m = calendar.month_index(ev.timestamp)
+        m = (ev.timestamp.year - calendar.epoch_year) * 12 + ev.timestamp.month - calendar.epoch_month
         c = registry.index_of(ev.country)
         counts[m][c] += 1
         latest[m][c] = ev.timestamp
@@ -404,4 +468,4 @@ def reference_monthly_residence(events, calendar, registry) -> ResidenceSeries:
                 choice = max(tied, key=lambda c: latest[m][c])
             previous = choice
         filled[m] = previous
-    return ResidenceSeries(user_id, filled)
+    return filled

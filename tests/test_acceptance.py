@@ -16,18 +16,12 @@ import numpy as np
 from migtensor import pipeline
 from migtensor.analysis import gini
 from migtensor.config import load_config
-from migtensor.residence import (
-    MonthCalendar,
-    ResidenceSeries,
-    detect_migrations,
-    monthly_residence,
-)
-from migtensor.ingestion import GeoEvent
+from migtensor.residence import MonthCalendar, detect_all, residence_matrix
 from migtensor.solver import FitConfig, fit, load_model, save_model
 from migtensor.synth import PlantedComponent, SynthSpec, write_synthetic
 from migtensor.tensor import load_tensor, save_tensor
 
-from conftest import make_tensor, random_tensor
+from conftest import Event, make_tensor, random_tensor, residence_rows, table_of
 
 
 def report(capsys, number, name, failures):
@@ -206,43 +200,45 @@ def test_5_window_semantics(capsys, registry):
         if not ok:
             failures.append(label)
 
-    def series(filled):
-        return ResidenceSeries("u", list(filled))
+    def detect(filled, k):
+        return detect_all(["u"], residence_rows([filled], len(filled)), k)
 
     cal = MonthCalendar(2014, 1, 5)
+
+    def residence(events):
+        return residence_matrix(table_of(events, registry), cal)[0].tolist()
 
     def ev(month, country, hours=0):
         from datetime import datetime, timedelta, timezone
         year, mo = cal.year_month(month)
         base = datetime(year, mo, 1, tzinfo=timezone.utc)
-        return GeoEvent("u", base + timedelta(hours=hours), country=country)
+        return Event("u", base + timedelta(hours=hours), country=country)
 
     fr, es = registry.index_of("FR"), registry.index_of("ES")
 
-    s = monthly_residence([ev(0, "FR", h) for h in range(3)]
-                          + [ev(0, "ES", 10 + h) for h in range(2)], cal, registry)
-    check("majority month", s.filled[0] == fr)
+    filled = residence([ev(0, "FR", h) for h in range(3)] + [ev(0, "ES", 10 + h) for h in range(2)])
+    check("majority month", filled[0] == fr)
 
-    s = monthly_residence([ev(0, "ES")] + [ev(1, "FR", h) for h in range(2)]
-                          + [ev(1, "ES", 10 + h) for h in range(2)], cal, registry)
-    check("tie breaks to previous month", s.filled[1] == es)
+    filled = residence([ev(0, "ES")] + [ev(1, "FR", h) for h in range(2)]
+                       + [ev(1, "ES", 10 + h) for h in range(2)])
+    check("tie breaks to previous month", filled[1] == es)
 
-    s = monthly_residence([ev(0, "FR"), ev(3, "ES")], cal, registry)
-    check("forward fill", s.filled == [fr, fr, fr, es, es])
+    filled = residence([ev(0, "FR"), ev(3, "ES")])
+    check("forward fill", filled == [fr, fr, fr, es, es])
 
-    moves = detect_migrations(series([fr, fr, es, es]), 1)
+    moves = detect([fr, fr, es, es], 1)
     check("k=1 single change",
           [(m.month, m.origin, m.destination) for m in moves] == [(2, fr, es)])
-    moves = detect_migrations(series([fr, fr, es, es]), 2)
+    moves = detect([fr, fr, es, es], 2)
     check("k=2 single change",
           [(m.month, m.origin, m.destination) for m in moves] == [(2, fr, es)])
-    check("k=2 alternating", detect_migrations(series([fr, es, fr, es]), 2) == [])
+    check("k=2 alternating", detect([fr, es, fr, es], 2) == [])
 
     rng = np.random.default_rng(5005)
     M = 24
     for trial in range(200):
         filled = [int(c) for c in rng.integers(0, 3, size=M)]
-        counts = [len(detect_migrations(series(filled), k)) for k in (1, 2, 3, 4, 5)]
+        counts = [len(detect(filled, k)) for k in (1, 2, 3, 4, 5)]
         if any(a < b for a, b in zip(counts, counts[1:])):
             failures.append(f"monotonicity broken on trial {trial}: {counts}")
             break

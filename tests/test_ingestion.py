@@ -16,40 +16,45 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migtensor import ingestion
-from migtensor.events import CSV_HEADER_COUNTRY, CSV_HEADER_GEO
-from migtensor.ingestion import (
+from migtensor.events import (
     BAD_COORDINATES,
     BAD_FIELD_COUNT,
     BAD_JSON,
+    BAD_LOCATION,
     BAD_TIMESTAMP,
+    CSV_HEADER_COUNTRY,
+    CSV_HEADER_GEO,
     OUT_OF_INTERVAL,
+    UNKNOWN_COUNTRY,
+    InputError,
+    read_events,
+    write_events,
+)
+from migtensor.ingestion import (
     RULE_MAX_COUNTRIES_PER_DAY,
     RULE_MAX_EVENTS_PER_DAY,
     RULE_MIN_ACTIVE_MONTHS,
     RULE_MIN_EVENTS_TOTAL,
-    UNKNOWN_COUNTRY,
     CentroidTable,
     ConfigError,
     CountryRegistry,
     FilterPolicy,
-    GeoEvent,
-    InputError,
-    filter_users,
+    filter_table,
     load_centroids,
     load_registry,
-    parse_events,
-    resolve_country,
-    resolve_events,
+    resolve_table,
     save_registry,
-    serialize_events,
 )
 
 from conftest import (
+    Event,
     central_angle,
+    events_of,
     reference_filter_users,
     reference_parse_events,
     reference_resolve_country,
     reference_serialize_events,
+    table_of,
 )
 
 UTC = timezone.utc
@@ -59,57 +64,63 @@ def ts(*args):
     return datetime(*args, tzinfo=UTC)
 
 
+def written(table, header=False) -> str:
+    buf = io.StringIO()
+    write_events(table, buf, header)
+    return buf.getvalue()
+
+
 class TestParseCsv:
     def test_country_line(self):
-        events, stats = parse_events(["u1,2014-12-03T10:00:00Z,GB"], "csv")
+        table, stats = read_events(["u1,2014-12-03T10:00:00Z,GB"], "csv")
         assert stats.total == 0
-        (ev,) = events
+        (ev,) = events_of(table)
         assert ev.user_id == "u1"
         assert ev.timestamp == ts(2014, 12, 3, 10)
         assert ev.country == "GB"
         assert not ev.has_point
 
     def test_geo_line(self):
-        events, stats = parse_events(["u1,2014-12-03T10:00:00Z,51.5,-0.1"], "csv")
+        table, stats = read_events(["u1,2014-12-03T10:00:00Z,51.5,-0.1"], "csv")
         assert stats.total == 0
-        (ev,) = events
+        (ev,) = events_of(table)
         assert ev.has_point
         assert (ev.lat, ev.lon) == (51.5, -0.1)
         assert ev.country is None
 
     def test_bad_timestamp_rejected(self):
-        events, stats = parse_events(
+        table, stats = read_events(
             ["u1,not-a-date,GB", "u2,2014-01-02T00:00:00Z,FR"], "csv")
         assert stats.as_dict() == {BAD_TIMESTAMP: 1}
-        assert [ev.user_id for ev in events] == ["u2"]
+        assert table.users == ["u2"]
 
     def test_header_and_blank_lines_skipped(self):
         lines = ["user_id,timestamp,country", "", "u1,2014-12-03T10:00:00Z,GB", "  "]
-        events, stats = parse_events(lines, "csv")
-        assert len(events) == 1 and stats.total == 0
+        table, stats = read_events(lines, "csv")
+        assert len(table) == 1 and stats.total == 0
 
     def test_bad_field_count(self):
-        _, stats = parse_events(["u1,2014-12-03T10:00:00Z", "a,b,c,d,e"], "csv")
+        _, stats = read_events(["u1,2014-12-03T10:00:00Z", "a,b,c,d,e"], "csv")
         assert stats.as_dict() == {BAD_FIELD_COUNT: 2}
 
     def test_out_of_interval(self):
         interval = (ts(2014, 1, 1), ts(2015, 1, 1))
-        events, stats = parse_events(
+        table, stats = read_events(
             ["u1,2013-12-31T23:59:59Z,GB", "u1,2014-01-01T00:00:00Z,GB",
              "u1,2015-01-01T00:00:00Z,GB"],
             "csv", interval=interval)
         assert stats.as_dict() == {OUT_OF_INTERVAL: 2}
-        assert len(events) == 1
+        assert len(table) == 1
 
     def test_unknown_country_rejected(self, registry):
-        events, stats = parse_events(
+        table, stats = read_events(
             ["u1,2014-12-03T10:00:00Z,XX", "u1,2014-12-03T10:00:00Z,gb"],
             "csv", registry=registry)
         assert stats.as_dict() == {UNKNOWN_COUNTRY: 1}
-        assert events[0].country == "GB"  # codes are case-folded
+        assert events_of(table)[0].country == "GB"  # codes are case-folded
 
     def test_bad_coordinates(self):
-        _, stats = parse_events(
+        _, stats = read_events(
             ["u1,2014-12-03T10:00:00Z,91.0,0.0",
              "u1,2014-12-03T10:00:00Z,0.0,181.0",
              "u1,2014-12-03T10:00:00Z,abc,0.0"], "csv")
@@ -117,30 +128,30 @@ class TestParseCsv:
 
     def test_preserves_input_order(self):
         lines = [f"u{i},2014-06-0{i}T00:00:00Z,GB" for i in range(1, 6)]
-        events, _ = parse_events(lines, "csv")
-        assert [ev.user_id for ev in events] == [f"u{i}" for i in range(1, 6)]
+        table, _ = read_events(lines, "csv")
+        assert [ev.user_id for ev in events_of(table)] == [f"u{i}" for i in range(1, 6)]
 
 
 class TestParseJsonl:
     def test_country_object(self):
         line = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}'
-        events, stats = parse_events([line], "jsonl")
+        table, stats = read_events([line], "jsonl")
         assert stats.total == 0
-        assert events[0].country == "GB"
+        assert events_of(table)[0].country == "GB"
 
     def test_geo_object(self):
         line = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 51.5, "lon": -0.1}'
-        events, _ = parse_events([line], "jsonl")
-        assert events[0].has_point
+        table, _ = read_events([line], "jsonl")
+        assert events_of(table)[0].has_point
 
     def test_bad_json(self):
-        _, stats = parse_events(["{not json", "[1, 2]"], "jsonl")
+        _, stats = read_events(["{not json", "[1, 2]"], "jsonl")
         assert stats.as_dict() == {BAD_JSON: 2}
 
     def test_location_must_be_exactly_one(self):
         both = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB", "lat": 1, "lon": 2}'
         neither = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z"}'
-        _, stats = parse_events([both, neither], "jsonl")
+        _, stats = read_events([both, neither], "jsonl")
         assert stats.total == 2
 
     def test_boolean_coordinates_rejected(self):
@@ -148,9 +159,9 @@ class TestParseJsonl:
         lines = ['{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": true, "lon": false}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1.0, "lon": false}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1, "lon": 0}']
-        events, stats = parse_events(lines, "jsonl")
+        table, stats = read_events(lines, "jsonl")
         assert stats.as_dict() == {BAD_COORDINATES: 2}
-        assert [(ev.lat, ev.lon) for ev in events] == [(1.0, 0.0)]
+        assert [(ev.lat, ev.lon) for ev in events_of(table)] == [(1.0, 0.0)]
 
     def test_string_and_huge_coordinates_rejected(self):
         # JSON coordinates must be numbers: float() would take "46" as 46.0
@@ -163,47 +174,70 @@ class TestParseJsonl:
                  '{"user_id": "u1", "timestamp": "2030-01-01T00:00:00Z", "lat": "46", "lon": "2"}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 46, "lon": 2}']
         interval = (datetime(2014, 1, 1, tzinfo=timezone.utc), datetime(2015, 1, 1, tzinfo=timezone.utc))
-        events, stats = parse_events(lines, "jsonl", interval=interval)
+        table, stats = read_events(lines, "jsonl", interval=interval)
         assert stats.as_dict() == {BAD_COORDINATES: 3, BAD_TIMESTAMP: 1, OUT_OF_INTERVAL: 1}
-        assert [(ev.lat, ev.lon) for ev in events] == [(46.0, 2.0)]
+        assert [(ev.lat, ev.lon) for ev in events_of(table)] == [(46.0, 2.0)]
+
+    def test_non_string_timestamp_and_country_rejected(self):
+        # a timestamp must be a JSON string, and so must a country code
+        lines = ['{"user_id": "u", "timestamp": 5, "country": "GB"}',
+                 '{"user_id": "u", "timestamp": ["2014-12-03T10:00:00Z"], "lat": 1, "lon": 2}',
+                 '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": ["GB"]}',
+                 '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": 7}',
+                 '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": {"code": "GB"}}',
+                 '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}']
+        table, stats = read_events(lines, "jsonl")
+        assert stats.as_dict() == {BAD_LOCATION: 3, BAD_TIMESTAMP: 2}
+        assert [ev.country for ev in events_of(table)] == ["GB"]
+        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_unknown_format_fatal(self):
         with pytest.raises(InputError):
-            parse_events([], "xml")
+            read_events([], "xml")
+
+
+class TestOffsetsPastDatetimeRange:
+    """An offset that moves the instant before year 1 or after year 9999 is
+    a bad timestamp, not an overflow."""
+
+    STAMPS = ["0001-01-01T00:00:00+05:30", "9999-12-31T23:00:00-05:00"]
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_tallied_as_bad_timestamp(self, format):
+        stamps = self.STAMPS + ["2014-12-03T10:00:00+05:30"]
+        lines = ([f"u,{stamp},GB" for stamp in stamps] if format == "csv" else
+                 [json.dumps({"user_id": "u", "timestamp": stamp, "country": "GB"}) for stamp in stamps])
+        table, stats = read_events(lines, format)
+        assert stats.as_dict() == {BAD_TIMESTAMP: 2}
+        assert [ev.timestamp for ev in events_of(table)] == [ts(2014, 12, 3, 4, 30)]
+        expected, expected_stats = reference_parse_events(lines, format)
+        assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
 
 class TestRoundTrip:
     def _events(self):
         return [
-            GeoEvent("u1", ts(2014, 12, 3, 10), country="GB"),
-            GeoEvent("u2", ts(2015, 1, 9, 23, 59, 59), lat=51.5, lon=-0.125),
-            GeoEvent("u3", ts(2014, 6, 1), country="FR"),
+            Event("u1", ts(2014, 12, 3, 10), country="GB"),
+            Event("u2", ts(2015, 1, 9, 23, 59, 59), lat=51.5, lon=-0.125),
+            Event("u3", ts(2014, 6, 1), country="FR"),
         ]
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_parse_serialize_parse_identity(self, format):
         original = self._events()
-        text = serialize_events(original, format)
-        reparsed, stats = parse_events(text.splitlines(), format)
+        text = reference_serialize_events(original, format)
+        table, stats = read_events(text.splitlines(), format)
         assert stats.total == 0
-        assert reparsed == original
-        assert serialize_events(reparsed, format) == text
+        assert events_of(table) == original
+        if format == "csv":
+            assert written(table) == text
 
     def test_csv_header_survives_round_trip(self):
-        text = serialize_events(self._events(), "csv", header=True)
-        reparsed, stats = parse_events(text.splitlines(), "csv")
+        text = written(table_of(self._events()), header=True)
+        table, stats = read_events(text.splitlines(), "csv")
         assert stats.total == 0
-        assert reparsed == self._events()
-
-
-class TestGeoEvent:
-    def test_exactly_one_location_required(self):
-        with pytest.raises(ValueError):
-            GeoEvent("u1", ts(2014, 1, 1), country="GB", lat=1.0, lon=2.0)
-        with pytest.raises(ValueError):
-            GeoEvent("u1", ts(2014, 1, 1))
-        with pytest.raises(ValueError):
-            GeoEvent("u1", ts(2014, 1, 1), lat=1.0)
+        assert events_of(table) == self._events()
 
 
 class TestRegistry:
@@ -222,10 +256,17 @@ class TestRegistry:
         assert load_registry(path).codes == registry.codes
 
 
+def resolve_points(points, centroids) -> list:
+    """The codes :func:`resolve_table` gives point rows, in row order."""
+    table = table_of([Event("u", ts(2014, 1, 1), lat=lat, lon=lon) for lat, lon in points])
+    resolved = resolve_table(table, centroids)
+    return [resolved.codes[c] for c in resolved.country.tolist()]
+
+
 class TestResolveCountry:
     def test_exact_centroid(self, registry):
         table = CentroidTable([("FR", 46.0, 2.0), ("GB", 54.0, -2.0)], registry)
-        assert resolve_country((46.0, 2.0), table) == "FR"
+        assert resolve_points([(46.0, 2.0)], table) == ["FR"]
 
     @pytest.mark.parametrize("rows", [
         [("GB", 10.0, 0.0), ("FR", -10.0, 0.0)],
@@ -234,7 +275,7 @@ class TestResolveCountry:
     def test_equidistant_tie_breaks_to_smaller_index(self, registry, rows):
         # query on the equator, centroids mirrored north/south: exact tie
         table = CentroidTable(rows, registry)
-        assert resolve_country((0.0, 0.0), table) == "GB"  # GB has index 0
+        assert resolve_points([(0.0, 0.0)], table) == ["GB"]  # GB has index 0
 
     def test_london_nearest_of_three(self, registry):
         rows = [("GB", 54.0, -2.0), ("FR", 46.0, 2.0), ("ES", 40.0, -4.0)]
@@ -242,22 +283,21 @@ class TestResolveCountry:
         point = (51.5, -0.1)
         by_oracle = min(rows, key=lambda r: central_angle(*point, r[1], r[2]))[0]
         assert by_oracle == "GB"
-        assert resolve_country(point, table) == "GB"
+        assert resolve_points([point], table) == ["GB"]
 
     def test_matches_brute_force_on_random_points(self, registry):
         rng = np.random.default_rng(42)
         rows = [(code, float(rng.uniform(-80, 80)), float(rng.uniform(-180, 180)))
                 for code in registry.codes]
         table = CentroidTable(rows, registry)
-        for _ in range(200):
-            point = (float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-            expected = min(rows, key=lambda r: central_angle(*point, r[1], r[2]))[0]
-            assert resolve_country(point, table) == expected
+        points = [(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))) for _ in range(200)]
+        expected = [min(rows, key=lambda r: central_angle(*point, r[1], r[2]))[0] for point in points]
+        assert resolve_points(points, table) == expected
 
     def test_empty_table_fatal(self, registry):
         table = CentroidTable([], registry)
         with pytest.raises(ConfigError):
-            resolve_country((0.0, 0.0), table)
+            resolve_points([(0.0, 0.0)], table)
 
     def test_unregistered_centroid_rejected(self, registry):
         with pytest.raises(ConfigError):
@@ -269,7 +309,7 @@ class TestResolveCountry:
         path = tmp_path / "centroids.csv"
         path.write_text("country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n")
         table = load_centroids(path, registry)
-        assert resolve_country((54.0, -2.0), table) == "GB"
+        assert resolve_points([(54.0, -2.0)], table) == ["GB"]
 
 
 CODES = ["GB", "FR", "ES", "US", "KW", "DE"]
@@ -323,61 +363,59 @@ class TestBatchedResolveMatchesReference:
         expected = np.array([table.codes.index(reference_resolve_country(p, table)) for p in pts],
                             dtype=np.intp)
         assert np.array_equal(ingestion._nearest_centroids(lat, lon, table), expected)
-        assert [resolve_country(p, table) for p in pts[:3]] == \
-            [reference_resolve_country(p, table) for p in pts[:3]]
+        assert resolve_points(pts[:3], table) == [reference_resolve_country(p, table) for p in pts[:3]]
 
     def test_coincident_centroids_resolve_to_smaller_registry_index(self):
         registry = CountryRegistry(CODES)
         # rows given out of registry order: the table sorts them, ES (2) before KW (4)
         table = CentroidTable([("KW", 29.3, 47.5), ("ES", 29.3, 47.5)], registry)
-        assert resolve_country((29.3, 47.5), table) == "ES"
-        assert resolve_country((-29.3, -132.5), table) == "ES"  # antipode
+        assert resolve_points([(29.3, 47.5), (-29.3, -132.5)], table) == ["ES", "ES"]  # and its antipode
 
-    def test_resolve_events_spans_blocks(self):
+    def test_resolve_table_spans_blocks(self):
         registry = CountryRegistry(CODES)
         table = CentroidTable([("GB", 54.0, -2.0), ("FR", 46.0, 2.0)], registry)
-        events = [GeoEvent("u", ts(2014, 1, 1), lat=54.0 - 8.0 * (i % 2), lon=-2.0 + 4.0 * (i % 2))
-                  if i % 3 else GeoEvent("u", ts(2014, 1, 1), country="ES")
+        events = [Event("u", ts(2014, 1, 1), lat=54.0 - 8.0 * (i % 2), lon=-2.0 + 4.0 * (i % 2))
+                  if i % 3 else Event("u", ts(2014, 1, 1), country="ES")
                   for i in range(2 * BLOCK + 3)]
-        resolved = resolve_events(events, table)
+        resolved = events_of(resolve_table(table_of(events), table))
         expected = ["ES" if i % 3 == 0 else ("FR" if i % 2 else "GB") for i in range(len(events))]
         assert [ev.country for ev in resolved] == expected
         assert not any(ev.has_point for ev in resolved)
 
 
-class TestResolveEvents:
+class TestResolveTable:
     def test_codes_pass_through_points_resolved(self, registry):
         table = CentroidTable([("GB", 54.0, -2.0), ("FR", 46.0, 2.0)], registry)
         events = [
-            GeoEvent("u1", ts(2014, 1, 1), country="ES"),
-            GeoEvent("u1", ts(2014, 1, 2), lat=53.0, lon=-1.0),
+            Event("u1", ts(2014, 1, 1), country="ES"),
+            Event("u1", ts(2014, 1, 2), lat=53.0, lon=-1.0),
         ]
-        resolved = resolve_events(events, table)
+        resolved = events_of(resolve_table(table_of(events), table))
         assert resolved[0].country == "ES"
         assert resolved[1].country == "GB"
         assert not resolved[1].has_point
 
     def test_point_without_table_fatal(self):
-        events = [GeoEvent("u1", ts(2014, 1, 1), lat=0.0, lon=0.0)]
+        events = [Event("u1", ts(2014, 1, 1), lat=0.0, lon=0.0)]
         with pytest.raises(ConfigError):
-            resolve_events(events, None)
+            resolve_table(table_of(events), None)
 
 
 def burst(user, day_count, country="GB", year=2014, month=1, day=1):
     """day_count events for one user within a single calendar day."""
-    return [GeoEvent(user, ts(year, month, day, 0, 0) if s == 0 else
-                     ts(year, month, day, s // 3600, (s // 60) % 60, s % 60),
-                     country=country)
+    return [Event(user, ts(year, month, day, 0, 0) if s == 0 else
+                  ts(year, month, day, s // 3600, (s // 60) % 60, s % 60),
+                  country=country)
             for s in range(day_count)]
 
 
-class TestFilterUsers:
+class TestFilterTable:
     def test_max_events_per_day(self):
         policy = FilterPolicy(max_events_per_day=100, min_events_total=0,
                               min_active_months=0)
         events = burst("spammer", 500) + burst("ok", 3, day=2)
-        kept, stats = filter_users(events, policy)
-        assert {ev.user_id for ev in kept} == {"ok"}
+        kept, stats = filter_table(table_of(events), policy)
+        assert kept.users == ["ok"]
         assert stats.by_rule == {RULE_MAX_EVENTS_PER_DAY: 1}
         assert stats.users_dropped == 1
         assert stats.events_dropped == 500
@@ -385,30 +423,29 @@ class TestFilterUsers:
     def test_max_countries_per_day(self):
         policy = FilterPolicy(max_countries_per_day=3, min_events_total=0,
                               min_active_months=0)
-        events = [GeoEvent("hopper", ts(2014, 1, 1, h), country=c)
+        events = [Event("hopper", ts(2014, 1, 1, h), country=c)
                   for h, c in enumerate(["GB", "FR", "ES", "US"])]
-        kept, stats = filter_users(events, policy)
-        assert kept == []
+        kept, stats = filter_table(table_of(events), policy)
+        assert len(kept) == 0
         assert stats.by_rule == {RULE_MAX_COUNTRIES_PER_DAY: 1}
 
     def test_min_events_total_kept(self):
         policy = FilterPolicy(min_events_total=1, min_active_months=1)
-        events = burst("u1", 2)
-        kept, stats = filter_users(events, policy)
+        kept, stats = filter_table(table_of(burst("u1", 2)), policy)
         assert len(kept) == 2 and stats.users_dropped == 0
 
     def test_min_events_total_dropped(self):
         policy = FilterPolicy(min_events_total=5, min_active_months=0)
-        kept, stats = filter_users(burst("u1", 4), policy)
-        assert kept == []
+        kept, stats = filter_table(table_of(burst("u1", 4)), policy)
+        assert len(kept) == 0
         assert stats.by_rule == {RULE_MIN_EVENTS_TOTAL: 1}
 
     def test_min_active_months(self):
         policy = FilterPolicy(min_events_total=0, min_active_months=2)
         one_month = burst("u1", 3)
         two_months = burst("u2", 2) + burst("u2", 2, month=2)
-        kept, stats = filter_users(one_month + two_months, policy)
-        assert {ev.user_id for ev in kept} == {"u2"}
+        kept, stats = filter_table(table_of(one_month + two_months), policy)
+        assert kept.users == ["u2"]
         assert stats.by_rule == {RULE_MIN_ACTIVE_MONTHS: 1}
 
     def test_all_or_nothing_and_multi_rule_counting(self):
@@ -416,8 +453,8 @@ class TestFilterUsers:
                               min_active_months=0)
         events = burst("bad", 20) + [ev for d in range(3, 15)
                                      for ev in burst("good", 5, day=d)]
-        kept, stats = filter_users(events, policy)
-        assert {ev.user_id for ev in kept} == {"good"}
+        kept, stats = filter_table(table_of(events), policy)
+        assert kept.users == ["good"]
         # "bad" violates both the burst cap and the total floor
         assert stats.by_rule == {RULE_MAX_EVENTS_PER_DAY: 1, RULE_MIN_EVENTS_TOTAL: 1}
         assert stats.users_dropped == 1
@@ -425,18 +462,18 @@ class TestFilterUsers:
     def test_idempotent(self):
         policy = FilterPolicy()
         events = burst("a", 200) + burst("b", 3, day=1) + burst("b", 3, month=2)
-        once, _ = filter_users(events, policy)
-        twice, _ = filter_users(once, policy)
-        assert twice == once
+        once, _ = filter_table(table_of(events), policy)
+        twice, _ = filter_table(once, policy)
+        assert events_of(twice) == events_of(once)
 
     def test_empty_input(self):
-        kept, stats = filter_users([], FilterPolicy())
-        assert kept == [] and stats.users_seen == 0
+        kept, stats = filter_table(table_of([]), FilterPolicy())
+        assert len(kept) == 0 and stats.users_seen == 0
 
     def test_unresolved_events_rejected(self):
-        events = [GeoEvent("u1", ts(2014, 1, 1), lat=0.0, lon=0.0)]
-        with pytest.raises(ValueError):
-            filter_users(events, FilterPolicy())
+        events = [Event("u1", ts(2014, 1, 1), lat=0.0, lon=0.0)]
+        with pytest.raises(ValueError, match="filter_table requires country-resolved events"):
+            filter_table(table_of(events), FilterPolicy())
 
 
 # a NUL in a CSV line, which csv reads from Python 3.11 on; Python 3.10's
@@ -485,7 +522,8 @@ def raw_timestamps(draw):
         return canonical + "Z" + NUL
     if form == "no offset":
         return canonical
-    return draw(st.sampled_from(["", "2014", "not-a-date", "2014-13-01T00:00:00Z", "２０１４-01-01T00:00:00Z"]))
+    return draw(st.sampled_from(["", "2014", "not-a-date", "2014-13-01T00:00:00Z", "２０１４-01-01T00:00:00Z",
+                                 "0001-01-01T00:00:00+05:30", "9999-12-31T23:00:00-05:00"]))
 
 
 locations = st.one_of(
@@ -519,6 +557,8 @@ CSV_HEADER_GEO_LINE = CSV_HEADER_GEO + "\n"
 
 json_values = st.one_of(st.floats(-200, 200), st.integers(-200, 200), st.just(10 ** 400),
                         st.booleans(), st.none(), st.just("46"))
+# where a timestamp or a country code belongs
+json_non_strings = st.sampled_from([5, 1.5, True, False, ["GB"], {"code": "GB"}])
 
 
 @st.composite
@@ -526,10 +566,10 @@ def jsonl_lines(draw):
     obj = {}
     if draw(st.integers(0, 5)):
         obj["user_id"] = draw(st.one_of(user_ids, st.integers(0, 9)))
-    obj["timestamp"] = draw(st.one_of(raw_timestamps(), st.none()))
+    obj["timestamp"] = draw(st.one_of(raw_timestamps(), st.none(), json_non_strings))
     location = draw(st.sampled_from(["country", "point", "both", "neither", "lat only"]))
     if location in ("country", "both"):
-        obj["country"] = draw(st.sampled_from(["GB", "fr", "XX", " ES", ""]))
+        obj["country"] = draw(st.one_of(st.sampled_from(["GB", "fr", "XX", " ES", ""]), json_non_strings))
     if location in ("point", "both"):
         obj["lat"], obj["lon"] = draw(json_values), draw(json_values)
     if location == "lat only":
@@ -547,9 +587,9 @@ class TestColumnarParseMatchesReference:
         interval = INTERVAL if use_interval else None
         registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            events, stats = parse_events(lines, "csv", interval=interval, registry=registry)
+            table, stats = read_events(lines, "csv", interval=interval, registry=registry)
         expected, expected_stats = reference_parse_events(lines, "csv", interval, registry)
-        assert events == expected
+        assert events_of(table) == expected
         assert stats.as_dict() == expected_stats.as_dict()
 
     @settings(max_examples=300, deadline=None)
@@ -558,9 +598,9 @@ class TestColumnarParseMatchesReference:
         interval = INTERVAL if use_interval else None
         registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            events, stats = parse_events(lines, "jsonl", interval=interval, registry=registry)
+            table, stats = read_events(lines, "jsonl", interval=interval, registry=registry)
         expected, expected_stats = reference_parse_events(lines, "jsonl", interval, registry)
-        assert events == expected
+        assert events_of(table) == expected
         assert stats.as_dict() == expected_stats.as_dict()
 
 
@@ -569,8 +609,8 @@ LONG_FIELD = "u" * (csv.field_size_limit() + 1)
 
 class TestLinesCsvCannotRead:
     """A line that csv cannot read (a NUL before Python 3.11, a field past
-    csv's size limit) fails as csv fails; one it can read parses as csv
-    reads it, whichever way the block is split."""
+    csv's size limit) is tallied as a bad field count; one it can read
+    parses as csv reads it, whichever way the block is split."""
 
     @pytest.mark.parametrize("line", [
         "u\x00,2014-01-01T00:00:00Z,GB\n",
@@ -580,18 +620,18 @@ class TestLinesCsvCannotRead:
         '"' + LONG_FIELD + '",2014-01-01T00:00:00Z,GB\n',
     ], ids=["NUL user", "quoted NUL user", "NUL timestamp", "long field", "quoted long field"])
     @pytest.mark.parametrize("block", [1, 8192])
-    def test_fails_or_parses_as_csv(self, line, block):
+    def test_tallied_or_parsed_as_csv(self, line, block):
         lines = ["a,2014-01-01T00:00:00Z,GB\n", line, "b,2014-01-02T00:00:00Z,FR\n"]
-        try:
-            expected, expected_stats = reference_parse_events(lines, "csv")
-        except csv.Error:
-            with mock.patch("migtensor.events._PARSE_BLOCK", block), pytest.raises(csv.Error):
-                parse_events(lines, "csv")
-            return
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            events, stats = parse_events(lines, "csv")
-        assert events == expected
+            table, stats = read_events(lines, "csv")
+        expected, expected_stats = reference_parse_events(lines, "csv")
+        assert events_of(table) == expected
         assert stats.as_dict() == expected_stats.as_dict()
+        try:
+            next(csv.reader([line.rstrip("\n")]))
+        except csv.Error:
+            assert stats.as_dict() == {BAD_FIELD_COUNT: 1}
+            assert table.users == ["a", "b"]
 
 
 class TestCountryCodeCount:
@@ -604,25 +644,19 @@ class TestCountryCodeCount:
         return [f"u,2014-01-01T00:00:00Z,C{i}\n" for i in range(n)]
 
     def test_limit_parses_and_last_code_survives(self):
-        events, stats = parse_events(self.lines(self.LIMIT), "csv")
+        table, stats = read_events(self.lines(self.LIMIT), "csv")
         assert stats.total == 0
-        assert events[-1].country == f"C{self.LIMIT - 1}"
-        assert serialize_events(events, "csv").endswith(f",C{self.LIMIT - 1}\n")
+        assert table.codes[table.country[-1]] == f"C{self.LIMIT - 1}"
+        assert written(table).endswith(f",C{self.LIMIT - 1}\n")
 
     def test_one_more_code_is_an_input_error(self):
         with pytest.raises(InputError, match="distinct country codes"):
-            parse_events(self.lines(self.LIMIT + 1), "csv")
-
-    def test_one_more_code_in_events_is_an_input_error(self):
-        events, _ = parse_events(self.lines(self.LIMIT), "csv")
-        events.append(GeoEvent("u", events[0].timestamp, country="XX"))
-        with pytest.raises(InputError, match="distinct country codes"):
-            serialize_events(events, "csv")
+            read_events(self.lines(self.LIMIT + 1), "csv")
 
 
 events_strategy = st.lists(st.builds(
-    lambda user, t, where: GeoEvent(user, t, country=where) if isinstance(where, str)
-    else GeoEvent(user, t, lat=where[0], lon=where[1]),
+    lambda user, t, where: Event(user, t, country=where) if isinstance(where, str)
+    else Event(user, t, lat=where[0], lon=where[1]),
     user_ids.filter(lambda u: u and u == u.strip()), instants,
     st.one_of(st.sampled_from(["GB", "FR", "ES"]), points)), max_size=20)
 
@@ -631,11 +665,13 @@ class TestSerializeRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(events_strategy, st.sampled_from(["csv", "jsonl"]), st.booleans())
     def test_parse_serialize_round_trip(self, events, format, header):
-        text = serialize_events(events, format, header=header and format == "csv")
-        assert text == reference_serialize_events(events, format, header=header and format == "csv")
-        reparsed, stats = parse_events(text.splitlines(keepends=True), format)
+        header = header and format == "csv"
+        text = reference_serialize_events(events, format, header=header)
+        if format == "csv":
+            assert written(table_of(events), header) == text
+        table, stats = read_events(text.splitlines(keepends=True), format)
         assert stats.total == 0
-        assert reparsed == events
+        assert events_of(table) == events
 
 
 policies = st.builds(FilterPolicy, max_events_per_day=st.integers(1, 4),
@@ -648,10 +684,11 @@ filter_instants = st.builds(lambda day, second: ts(2014, 1, 30) + timedelta(days
 
 class TestColumnarFilterMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.builds(GeoEvent, st.sampled_from(["a", "b", "c"]), filter_instants,
+    @given(st.lists(st.builds(lambda user, t, country: Event(user, t, country=country),
+                              st.sampled_from(["a", "b", "c"]), filter_instants,
                               st.sampled_from(["GB", "FR", "ES", "US"])), max_size=30), policies)
     def test_kept_events_and_rule_tallies(self, events, policy):
-        kept, stats = filter_users(events, policy)
+        kept, stats = filter_table(table_of(events), policy)
         expected, expected_stats = reference_filter_users(events, policy)
-        assert kept == expected
+        assert events_of(kept) == expected
         assert stats.as_dict() == expected_stats.as_dict()

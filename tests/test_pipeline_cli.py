@@ -430,6 +430,19 @@ class TestJsonlFormat:
         summary = pipeline.stage_ingest(config)
         assert summary["events_kept"] == 6
 
+    def test_non_string_fields_and_far_offsets_are_tallied(self, tmp_path, capsys):
+        good = [json.dumps({"user_id": "u1", "timestamp": f"2014-0{m}-10T00:00:00Z",
+                            "country": "GB"}) for m in range(1, 7)]
+        bad = ['{"user_id": "u2", "timestamp": 5, "country": "GB"}',
+               '{"user_id": "u2", "timestamp": "2014-01-10T00:00:00Z", "country": ["GB"]}',
+               '{"user_id": "u2", "timestamp": "2014-01-10T00:00:00Z", "country": 7}',
+               '{"user_id": "u2", "timestamp": "0001-01-01T00:00:00+05:30", "country": "GB"}']
+        path = write_workspace(tmp_path, input_text="\n".join(good + bad) + "\n", format="jsonl")
+        assert cli.main(["ingest", "--config", str(path)]) == 0
+        stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
+        assert stats["rejects"] == {"bad_location": 2, "bad_timestamp": 2}
+        assert stats["events_kept"] == 6
+
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 

@@ -9,23 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migtensor.events import EventTable
-from migtensor.ingestion import ConfigError, CountryRegistry, GeoEvent, InputError
+from migtensor.events import InputError
+from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import (
     MigrationEvent,
     MonthCalendar,
-    ResidenceSeries,
     detect_all,
-    detect_migrations,
-    monthly_residence,
     read_migrations,
-    residence_matrix,
     read_residences,
+    residence_matrix,
     write_migrations,
-    write_residences,
+    write_residence_matrix,
 )
 
-from conftest import reference_detect_migrations, reference_monthly_residence
+from conftest import (
+    Event,
+    reference_detect_migrations,
+    reference_monthly_residence,
+    residence_rows,
+    table_of,
+)
 
 UTC = timezone.utc
 
@@ -34,22 +37,26 @@ def ts(*args):
     return datetime(*args, tzinfo=UTC)
 
 
-def series(filled, user="u"):
-    """ResidenceSeries straight from a filled country-index list."""
-    return ResidenceSeries(user, list(filled))
+def detect(filled, k, mode="strict"):
+    """:func:`detect_all` on one user's filled residence list (None unknown)."""
+    return detect_all(["u"], residence_rows([filled], len(filled)), k, mode)
+
+
+def residence(events, calendar, registry) -> list:
+    """One user's row of :func:`residence_matrix`, None where unknown."""
+    (row,) = residence_matrix(table_of(events, registry), calendar).tolist()
+    return [None if c < 0 else c for c in row]
 
 
 def events_in_month(user, calendar, month, country, n, start_hour=0):
     year, mo = calendar.year_month(month)
-    return [GeoEvent(user, ts(year, mo, 1) + timedelta(hours=start_hour + h), country=country)
+    return [Event(user, ts(year, mo, 1) + timedelta(hours=start_hour + h), country=country)
             for h in range(n)]
 
 
 class TestMonthCalendar:
-    def test_month_index_and_label(self):
+    def test_label_and_year_month(self):
         cal = MonthCalendar(2014, 11, 5)
-        assert cal.month_index(ts(2014, 11, 1)) == 0
-        assert cal.month_index(ts(2015, 3, 31, 23, 59, 59)) == 4
         assert cal.label(0) == "2014-11"
         assert cal.label(2) == "2015-01"
         assert cal.year_month(4) == (2015, 3)
@@ -72,68 +79,60 @@ class TestMonthlyResidence:
         cal = MonthCalendar(2014, 1, 1)
         events = (events_in_month("u", cal, 0, "FR", 3)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
-        s = monthly_residence(events, cal, registry)
-        assert s.filled[0] == registry.index_of("FR")
+        assert residence(events, cal, registry)[0] == registry.index_of("FR")
 
     def test_tie_breaks_to_previous_month(self, registry):
         cal = MonthCalendar(2014, 1, 2)
         events = (events_in_month("u", cal, 0, "ES", 1)
                   + events_in_month("u", cal, 1, "FR", 2)
                   + events_in_month("u", cal, 1, "ES", 2, start_hour=10))
-        s = monthly_residence(events, cal, registry)
-        assert s.filled[1] == registry.index_of("ES")
+        assert residence(events, cal, registry)[1] == registry.index_of("ES")
 
     def test_tie_without_previous_breaks_to_latest_event(self, registry):
         cal = MonthCalendar(2014, 1, 1)
         events = (events_in_month("u", cal, 0, "FR", 2)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
-        s = monthly_residence(events, cal, registry)
-        assert s.filled[0] == registry.index_of("ES")  # ES events are later
+        assert residence(events, cal, registry)[0] == registry.index_of("ES")  # ES events are later
 
     def test_forward_fill(self, registry):
         cal = MonthCalendar(2014, 1, 5)
         events = (events_in_month("u", cal, 0, "FR", 1)
                   + events_in_month("u", cal, 3, "ES", 1))
-        s = monthly_residence(events, cal, registry)
         fr, es = registry.index_of("FR"), registry.index_of("ES")
-        assert s.filled == [fr, fr, fr, es, es]
+        assert residence(events, cal, registry) == [fr, fr, fr, es, es]
 
     def test_months_before_first_observation_stay_undefined(self, registry):
         cal = MonthCalendar(2014, 1, 4)
         events = events_in_month("u", cal, 2, "GB", 1)
-        s = monthly_residence(events, cal, registry)
         gb = registry.index_of("GB")
-        assert s.filled == [None, None, gb, gb]
+        assert residence(events, cal, registry) == [None, None, gb, gb]
 
-    def test_no_events_all_undefined(self, registry):
+    def test_no_events_no_rows(self, registry):
         cal = MonthCalendar(2014, 1, 3)
-        s = monthly_residence([], cal, registry)
-        assert s.filled == [None, None, None]
+        assert residence_matrix(table_of([], registry), cal).shape == (0, 3)
 
-    def test_multiple_users_rejected(self, registry):
+    def test_unresolved_events_rejected(self, registry):
         cal = MonthCalendar(2014, 1, 1)
-        events = (events_in_month("a", cal, 0, "FR", 1)
-                  + events_in_month("b", cal, 0, "FR", 1))
-        with pytest.raises(ValueError):
-            monthly_residence(events, cal, registry)
+        events = [Event("u", ts(2014, 1, 1), lat=0.0, lon=0.0)]
+        with pytest.raises(ValueError, match="residence_matrix requires country-resolved events"):
+            residence_matrix(table_of(events, registry), cal)
 
 
 class TestDetectStrict:
     def test_single_change_k1(self):
-        events = detect_migrations(series([1, 1, 2, 2]), 1)
+        events = detect([1, 1, 2, 2], 1)
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
 
     def test_single_change_k2(self):
-        events = detect_migrations(series([1, 1, 2, 2]), 2)
+        events = detect([1, 1, 2, 2], 2)
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
 
     def test_alternating_series_k2_has_no_uniform_window(self):
-        assert detect_migrations(series([1, 2, 1, 2]), 2) == []
+        assert detect([1, 2, 1, 2], 2) == []
 
     def test_constant_series_no_events(self):
-        s = series([3] * 12)
         for k in range(1, 7):
-            assert detect_migrations(s, k) == []
+            assert detect([3] * 12, k) == []
 
     def test_single_change_detected_at_change_month_for_every_k(self):
         rng = np.random.default_rng(0)
@@ -142,7 +141,7 @@ class TestDetectStrict:
             change = int(rng.integers(1, M))
             filled = [0] * change + [1] * (M - change)
             for k in range(1, M // 2 + 1):
-                events = detect_migrations(series(filled), k)
+                events = detect(filled, k)
                 if k <= change <= M - k:
                     assert [(ev.month, ev.origin, ev.destination) for ev in events] \
                         == [(change, 0, 1)]
@@ -151,9 +150,9 @@ class TestDetectStrict:
 
     def test_undefined_months_never_anchor_windows(self):
         # change month preceded by an undefined gap: back window undefined
-        assert detect_migrations(series([None, 1, 2, 2]), 2) == []
-        assert detect_migrations(series([None, None, 2, 2]), 1) == []
-        events = detect_migrations(series([None, 1, 2, 2]), 1)
+        assert detect([None, 1, 2, 2], 2) == []
+        assert detect([None, None, 2, 2], 1) == []
+        events = detect([None, 1, 2, 2], 1)
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
 
     def test_k_monotonicity_on_random_series(self):
@@ -161,18 +160,18 @@ class TestDetectStrict:
         M = 24
         for _ in range(200):
             filled = [int(c) for c in rng.integers(0, 3, size=M)]
-            counts = [len(detect_migrations(series(filled), k)) for k in range(1, 6)]
+            counts = [len(detect(filled, k)) for k in range(1, 6)]
             assert all(a >= b for a, b in zip(counts, counts[1:])), (filled, counts)
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
-            detect_migrations(series([1, 2, 1, 2]), 0)
+            detect([1, 2, 1, 2], 0)
         with pytest.raises(ConfigError):
-            detect_migrations(series([1, 2, 1, 2]), 3)
+            detect([1, 2, 1, 2], 3)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            detect_migrations(series([1, 2]), 1, mode="fuzzy")
+            detect([1, 2], 1, mode="fuzzy")
 
     def test_full_windows_and_distinct_endpoints(self):
         rng = np.random.default_rng(11)
@@ -180,7 +179,7 @@ class TestDetectStrict:
         for _ in range(100):
             filled = [int(c) for c in rng.integers(0, 4, size=M)]
             for k in (1, 2, 3):
-                for ev in detect_migrations(series(filled), k):
+                for ev in detect(filled, k):
                     assert ev.origin != ev.destination
                     assert k <= ev.month <= M - k
                     assert all(c == ev.origin for c in filled[ev.month - k:ev.month])
@@ -191,13 +190,13 @@ class TestDetectModal:
     def test_majority_window(self):
         # back [1,1,2] -> 1, forward [2,2,1] -> 2: detected under modal only
         filled = [1, 1, 2, 2, 2, 1]
-        assert detect_migrations(series(filled), 3, mode="strict") == []
-        events = detect_migrations(series(filled), 3, mode="modal")
+        assert detect(filled, 3, mode="strict") == []
+        events = detect(filled, 3, mode="modal")
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(3, 1, 2)]
 
     def test_tied_window_is_undefined(self):
         # every 2-month window around the change ties 1:1 except the clean cut
-        events = detect_migrations(series([1, 1, 2, 2]), 2, mode="modal")
+        events = detect([1, 1, 2, 2], 2, mode="modal")
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
 
     def test_repeat_detections_collapse_to_earliest(self):
@@ -211,53 +210,57 @@ class TestDetectModal:
             if b is not None and f is not None and b != f
         ]
         assert [m for m, _, _ in raw] == [3, 4, 5]  # duplicates pre-collapse
-        events = detect_migrations(series(filled), 3, mode="modal")
+        events = detect(filled, 3, mode="modal")
         assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(3, 1, 2)]
 
     def test_distinct_pairs_do_not_collapse(self):
         filled = [1, 2, 3, 3]
-        events = detect_migrations(series(filled), 1, mode="modal")
+        events = detect(filled, 1, mode="modal")
         assert [(ev.month, ev.origin, ev.destination) for ev in events] \
             == [(1, 1, 2), (2, 2, 3)]
 
 
 @st.composite
 def detection_problems(draw):
-    """Series over few countries (so modal windows tie and (origin,
-    destination) pairs repeat), with None prefixes and gaps, and a k."""
+    """Filled residence lists (None unknown) over few countries, so modal
+    windows tie and (origin, destination) pairs repeat, with None prefixes
+    and gaps, and their month count and a k."""
     M = draw(st.integers(2, 24))
     k = draw(st.integers(1, M // 2))
     countries = st.integers(0, draw(st.integers(1, 3)))
-    users = []
-    for u in range(draw(st.integers(0, 6))):
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
         prefix = draw(st.integers(0, M))
         rest = draw(st.lists(st.one_of(countries, countries, countries, st.none()),
                              min_size=M - prefix, max_size=M - prefix))
-        users.append(series([None] * prefix + rest, user=f"u{u}"))
-    return users, k
+        rows.append([None] * prefix + rest)
+    return rows, M, k
+
+
+def users_of(rows):
+    return [f"u{i}" for i in range(len(rows))]
 
 
 class TestBatchedDetectMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(detection_problems(), st.sampled_from(["strict", "modal"]))
-    @example(([series([1, 1, 1, 1, 2, 2, 2, 2])], 3), "modal")
-    @example(([series([1, 2, 1, 2, 1, 2, 1, 2]), series([1, 2, 1, 2, 1, 2, 1, 2], "w")], 1), "modal")
-    @example(([series([None, None, 1, 2, 2, 1, 1, 2, 2, 1])], 2), "modal")
-    def test_events_equal_per_series_reference(self, problem, mode):
-        users, k = problem
-        expected = [ev for s in users for ev in reference_detect_migrations(s, k, mode)]
-        assert detect_all(users, k, mode) == expected
-        for s in users:
-            assert detect_migrations(s, k, mode) == reference_detect_migrations(s, k, mode)
+    @example(([[1, 1, 1, 1, 2, 2, 2, 2]], 8, 3), "modal")
+    @example(([[1, 2, 1, 2, 1, 2, 1, 2], [1, 2, 1, 2, 1, 2, 1, 2]], 8, 1), "modal")
+    @example(([[None, None, 1, 2, 2, 1, 1, 2, 2, 1]], 10, 2), "modal")
+    def test_events_equal_per_user_reference(self, problem, mode):
+        rows, M, k = problem
+        users = users_of(rows)
+        expected = [ev for user, row in zip(users, rows)
+                    for ev in reference_detect_migrations(user, row, k, mode)]
+        assert detect_all(users, residence_rows(rows, M), k, mode) == expected
+        for user, row in zip(users, rows):
+            assert detect_all([user], residence_rows([row], M), k, mode) == \
+                reference_detect_migrations(user, row, k, mode)
 
-    def test_no_series_no_events(self):
-        assert detect_all([], 1, "modal") == []
+    def test_no_users_no_events(self):
+        assert detect_all([], np.empty((0, 4), dtype=np.int16), 1, "modal") == []
         with pytest.raises(ConfigError):
-            detect_all([], 1, "fuzzy")
-
-    def test_series_must_span_the_same_months(self):
-        with pytest.raises(ValueError):
-            detect_all([series([1, 2]), series([1, 2, 2])], 1)
+            detect_all([], np.empty((0, 4), dtype=np.int16), 1, "fuzzy")
 
 
 class TestStrictDetectionNests:
@@ -265,12 +268,13 @@ class TestStrictDetectionNests:
     @given(detection_problems())
     def test_detections_at_k_plus_1_are_detections_at_k(self, problem):
         # both (k+1)-windows around a month contain its k-windows
-        users, k = problem
-        M = len(users[0].filled) if users else 0
+        rows, M, k = problem
         if 2 * (k + 1) > M:
             return
-        wide = {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, k + 1)}
-        assert wide <= {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, k)}
+        users, filled = users_of(rows), residence_rows(rows, M)
+        wide = {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, filled, k + 1)}
+        assert wide <= {(ev.user_id, ev.month, ev.origin, ev.destination)
+                        for ev in detect_all(users, filled, k)}
 
 
 TIE_CALENDAR = MonthCalendar(2014, 1, 4)
@@ -286,8 +290,8 @@ def residence_events(draw):
             month = draw(st.integers(0, TIE_CALENDAR.months - 1))
             second = draw(st.sampled_from([0, 1, 86400, 27 * 86400]))
             year, mo = TIE_CALENDAR.year_month(month)
-            events.append(GeoEvent(user, ts(year, mo, 1) + timedelta(seconds=second),
-                                   country=draw(st.sampled_from(["GB", "FR", "ES"]))))
+            events.append(Event(user, ts(year, mo, 1) + timedelta(seconds=second),
+                                country=draw(st.sampled_from(["GB", "FR", "ES"]))))
     return draw(st.permutations(events))
 
 
@@ -295,25 +299,23 @@ class TestResidenceMatrixMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(residence_events())
     # GB and FR tie on count and on their latest second: FR came first
-    @example([GeoEvent("a", ts(2014, 1, 1), country="FR"), GeoEvent("a", ts(2014, 1, 1), country="GB")])
+    @example([Event("a", ts(2014, 1, 1), country="FR"), Event("a", ts(2014, 1, 1), country="GB")])
     def test_rows_equal_per_user_reference(self, events):
         registry = CountryRegistry(["GB", "FR", "ES"])
-        table = EventTable.from_events(events, registry)
+        table = table_of(events, registry)
         filled = residence_matrix(table, TIE_CALENDAR)
         assert filled.shape == (len(table.users), TIE_CALENDAR.months)
         for row, user in zip(filled.tolist(), table.users):
             expected = reference_monthly_residence([ev for ev in events if ev.user_id == user],
                                                    TIE_CALENDAR, registry)
-            assert [None if c < 0 else c for c in row] == expected.filled
-            assert monthly_residence([ev for ev in events if ev.user_id == user],
-                                     TIE_CALENDAR, registry) == expected
+            assert [None if c < 0 else c for c in row] == expected
 
     def test_equal_latest_second_breaks_to_first_seen(self, registry):
         cal = MonthCalendar(2014, 1, 1)
         at = ts(2014, 1, 5)
-        events = [GeoEvent("u", at, country="ES"), GeoEvent("u", at, country="FR")]
-        assert monthly_residence(events, cal, registry).filled == [registry.index_of("ES")]
-        assert monthly_residence(events[::-1], cal, registry).filled == [registry.index_of("FR")]
+        events = [Event("u", at, country="ES"), Event("u", at, country="FR")]
+        assert residence(events, cal, registry) == [registry.index_of("ES")]
+        assert residence(events[::-1], cal, registry) == [registry.index_of("FR")]
 
 
 def _modal(window):
@@ -333,13 +335,26 @@ class TestMigrationEvent:
 class TestDumps:
     def test_residence_round_trip(self, registry, tmp_path):
         lists = [[None, 0, 0, 1], [2, 2, 2, 2], [None, None, None, None]]
-        originals = [series(f, user=f"u{i}") for i, f in enumerate(lists)]
         path = tmp_path / "residences.csv"
-        write_residences(originals, registry, path)
-        loaded = read_residences(path, registry, 4)
+        write_residence_matrix(["u0", "u1", "u2"], residence_rows(lists, 4), registry, path)
+        users, filled = read_residences(path, registry, 4)
         # the never-observed u2 writes no rows and drops out of the dump
-        assert [s.user_id for s in loaded] == ["u0", "u1"]
-        assert [s.filled for s in loaded] == lists[:2]
+        assert users == ["u0", "u1"]
+        assert filled.dtype == np.int16
+        assert np.array_equal(filled, residence_rows(lists[:2], 4))
+
+    def test_residence_rows_come_in_user_order(self, registry, tmp_path):
+        path = tmp_path / "residences.csv"
+        path.write_text("user_id,month_index,country\nv,1,FR\nu,0,GB\nv,0,ES\n")
+        users, filled = read_residences(path, registry, 2)
+        assert users == ["u", "v"]
+        assert filled.tolist() == [[0, -1], [2, 1]]
+
+    def test_empty_residence_dump(self, registry, tmp_path):
+        path = tmp_path / "residences.csv"
+        path.write_text("user_id,month_index,country\n")
+        users, filled = read_residences(path, registry, 3)
+        assert users == [] and filled.shape == (0, 3)
 
     def test_migration_round_trip(self, registry, tmp_path):
         events = [MigrationEvent("a", 3, 0, 1), MigrationEvent("b", 7, 2, 4)]
@@ -349,7 +364,7 @@ class TestDumps:
 
     def test_residence_csv_shape(self, registry, tmp_path):
         path = tmp_path / "residences.csv"
-        write_residences([series([0, None, 1])], registry, path)
+        write_residence_matrix(["u"], residence_rows([[0, None, 1]], 3), registry, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "user_id,month_index,country"
         # undefined months are omitted, defined ones spelled as codes

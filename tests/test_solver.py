@@ -492,7 +492,7 @@ class TestModelFile:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("# cp 2 2 3 1\n1.0\n")
-        from migtensor.ingestion import InputError
+        from migtensor.events import InputError
         with pytest.raises(InputError):
             load_model(path)
 
@@ -510,7 +510,7 @@ class TestModelFile:
         (1, "# cp 2 2 3 3", 2, "expected 3 fields, got 2"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, line, text, bad_line, message):
-        from migtensor.ingestion import InputError
+        from migtensor.events import InputError
         model = FactorModel(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), np.ones(2))
         path = tmp_path / "model.txt"
         save_model(model, path)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import detect_migrations, monthly_residence
+from migtensor.residence import detect_all, residence_matrix
 from migtensor.synth import (
     PlantedComponent,
     SynthSpec,
@@ -24,25 +25,17 @@ def spec_with(**kwargs):
     return SynthSpec(**defaults)
 
 
-def detected_moves(events, spec, registry, k=1):
-    """Run residence + strict detection over generated events, no filtering."""
-    calendar = spec.calendar
-    by_user = {}
-    for ev in events:
-        by_user.setdefault(ev.user_id, []).append(ev)
-    moves = []
-    for user in sorted(by_user):
-        series = monthly_residence(by_user[user], calendar, registry)
-        for ev in detect_migrations(series, k):
-            moves.append((ev.user_id, ev.month,
-                          registry.code(ev.origin), registry.code(ev.destination)))
-    return moves
+def detected_moves(table, spec, registry, k=1):
+    """Run residence + strict detection over a generated table, no filtering."""
+    filled = residence_matrix(table, spec.calendar)
+    return [(ev.user_id, ev.month, table.codes[ev.origin], table.codes[ev.destination])
+            for ev in detect_all(table.users, filled, k)]
 
 
 class TestGenerate:
     def test_zero_users_empty_stream(self, registry):
-        events, truth = generate_synthetic(spec_with(users=0), registry)
-        assert events == []
+        table, truth = generate_synthetic(spec_with(users=0), registry)
+        assert len(table) == 0 and table.users == []
         assert truth["planted"] == [] and truth["noise_moves"] == []
 
     def test_same_seed_identical_streams(self, registry, tmp_path):
@@ -58,17 +51,17 @@ class TestGenerate:
     def test_different_seeds_differ(self, registry):
         spec_a = spec_with(components=(PlantedComponent("GB", "ES", (10,), 5.0),), seed=1)
         spec_b = spec_with(components=(PlantedComponent("GB", "ES", (10,), 5.0),), seed=2)
-        events_a, _ = generate_synthetic(spec_a, registry)
-        events_b, _ = generate_synthetic(spec_b, registry)
-        assert events_a != events_b
+        table_a, _ = generate_synthetic(spec_a, registry)
+        table_b, _ = generate_synthetic(spec_b, registry)
+        assert len(table_a) != len(table_b) or not np.array_equal(table_a.seconds, table_b.seconds)
 
     def test_all_migrations_land_on_the_planted_month(self, registry):
         spec = spec_with(
             users=50,
             components=(PlantedComponent("GB", "ES", (10,), 8.0),),
             noise_rate=0.0)
-        events, truth = generate_synthetic(spec, registry)
-        moves = detected_moves(events, spec, registry, k=1)
+        table, truth = generate_synthetic(spec, registry)
+        moves = detected_moves(table, spec, registry, k=1)
         assert moves, "expected at least one planted mover"
         assert all(m == 10 for _, m, _, _ in moves)
         assert all((o, d) == ("GB", "ES") for _, _, o, d in moves)
@@ -79,8 +72,8 @@ class TestGenerate:
             components=(PlantedComponent("GB", "ES", (5, 6), 6.0),
                         PlantedComponent("US", "KW", (12,), 5.0)),
             noise_rate=0.0, seed=3)
-        events, truth = generate_synthetic(spec, registry)
-        detected = set(detected_moves(events, spec, registry, k=1))
+        table, truth = generate_synthetic(spec, registry)
+        detected = set(detected_moves(table, spec, registry, k=1))
         planted = {(p["user_id"], p["month"], p["origin"], p["destination"])
                    for p in truth["planted"]}
         assert detected == planted
@@ -103,16 +96,18 @@ class TestGenerate:
 
     def test_filler_users_fill_the_pool(self, registry):
         spec = spec_with(users=30)
-        events, _ = generate_synthetic(spec, registry)
-        assert len({ev.user_id for ev in events}) == 30
+        table, _ = generate_synthetic(spec, registry)
+        assert table.users == [f"u{i:06d}" for i in range(1, 31)]
+        assert np.array_equal(np.unique(table.user), np.arange(30))
 
     def test_events_sorted_by_user_and_time(self, registry):
         spec = spec_with(users=40,
                          components=(PlantedComponent("GB", "ES", (8,), 3.0),),
                          noise_rate=0.5)
-        events, _ = generate_synthetic(spec, registry)
-        keys = [(ev.user_id, ev.timestamp) for ev in events]
+        table, _ = generate_synthetic(spec, registry)
+        keys = list(zip(table.user.tolist(), table.seconds.tolist()))
         assert keys == sorted(keys)
+        assert table.codes == registry.codes
 
 
 class TestSpecValidation:

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from migtensor.ingestion import InputError
+from migtensor.events import InputError
 from migtensor.residence import MigrationEvent
 from migtensor.tensor import (
     MigrationTensor,
