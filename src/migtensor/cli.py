@@ -90,6 +90,8 @@ def _run_synth_command(args) -> int:
         registry = load_registry(args.registry)
     except OSError as exc:
         raise InputError(f"cannot read registry: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.registry}: not UTF-8 text ({exc.reason})") from exc
     summary = synth.write_synthetic(spec, registry, args.out_events, args.out_truth)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

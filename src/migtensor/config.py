@@ -7,12 +7,11 @@ file values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .ingestion import ConfigError, FilterPolicy
+from .ingestion import ConfigError, FilterPolicy, load_json_object
 from .residence import MonthCalendar
 from .solver import FitConfig
 
@@ -93,16 +92,7 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return _build(raw, path.parent)
+    return _build(load_json_object(path, "config"), path.parent)
 
 
 # CLI-overridable fields and their types; fit fields are nested under ``fit``

@@ -101,10 +101,6 @@ class EventTable:
         return len(self.seconds)
 
 
-# column dtypes of a parsed block: user, seconds, country, lat, lon
-_COLUMNS = (np.int32, np.int64, np.int16, np.float64, np.float64)
-
-
 def parse_timestamp(raw: str) -> datetime:
     """Parse an RFC 3339 UTC timestamp, truncating to second precision."""
     raw = raw.strip()
@@ -114,52 +110,6 @@ def parse_timestamp(raw: str) -> datetime:
     if ts.tzinfo is None:
         raise ValueError("timestamp must carry a UTC offset")
     return ts.astimezone(timezone.utc).replace(microsecond=0)
-
-
-def _finish_event(user_id, raw_ts, country, lat, lon, bounds, registry, stats):
-    """The per-record rules, for rows the columnar check does not take.
-
-    Returns ``(seconds, country code or None, lat, lon)``, or None after
-    tallying the first rule the record breaks. ``bounds`` is the study
-    interval in epoch seconds, ``[start, end)``.
-    """
-    if not user_id or raw_ts is None:
-        stats.add(MISSING_FIELD)
-        return None
-    if type(raw_ts) is not str:  # a JSON number, boolean, array or object
-        stats.add(BAD_TIMESTAMP)
-        return None
-    try:
-        seconds = _epoch_seconds(parse_timestamp(raw_ts))
-    except (ValueError, OverflowError):  # OverflowError: an offset past year 1 or 9999
-        stats.add(BAD_TIMESTAMP)
-        return None
-    if bounds is not None:
-        start, end = bounds
-        if not (start <= seconds < end):
-            stats.add(OUT_OF_INTERVAL)
-            return None
-    if country is not None:
-        country = country.strip().upper()
-        if not country:
-            stats.add(MISSING_FIELD)
-            return None
-        if registry is not None and country not in registry:
-            stats.add(UNKNOWN_COUNTRY)
-            return None
-        return seconds, country, math.nan, math.nan
-    try:
-        lat, lon = float(lat), float(lon)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
-        stats.add(BAD_COORDINATES)
-        return None
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        stats.add(BAD_COORDINATES)
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        stats.add(BAD_COORDINATES)
-        return None
-    return seconds, None, lat, lon
 
 
 # character positions of the digits and of the separators in the canonical
@@ -288,42 +238,62 @@ _PARSE_BLOCK = 8192
 def _finish_block(columns, bounds, registry, codes: dict, users: dict, stats) -> tuple:
     """Columns of a block's accepted rows, in input order.
 
-    A row with a canonical timestamp, a user and a known code (or a point)
-    is judged by array checks; every other row by :func:`_finish_event`.
-    Both apply the same rules in the same order, so tallies match.
-    ``codes`` and ``users`` map codes and user ids to their indices and grow
-    with new ones (codes only without a registry).
+    Each rule tallies and drops the rows still accepted that break it, in
+    this order: an empty user or no timestamp (a missing field); a
+    timestamp that is not a string or does not parse; a second outside
+    ``bounds``, the study interval in epoch seconds ``[start, end)``; an
+    empty country code (a missing field); a code not in the registry; a
+    point that is not finite or lies off the globe. ``codes`` and ``users``
+    map codes and user ids to their indices and grow, in row order, with
+    the accepted rows' new ones (codes only without a registry).
     """
     user, stamp, country, lat, lon = columns
     n = len(user)
-    if not n:
-        return tuple(np.empty(0, dtype) for dtype in _COLUMNS)
-    seconds, columnar = _canonical_seconds(stamp)
-    columnar &= np.fromiter(map(bool, user), bool, n)
-    # -1 a point, -2 a code that only the per-record rules can judge
-    code = np.fromiter(map({**codes, None: -1}.get, country, repeat(-2)), np.int32, n)
-    columnar &= code != -2
-    accepted = columnar.copy()
+    accepted = np.ones(n, dtype=bool)
+
+    def reject(reason, bad):
+        bad &= accepted
+        stats.add(reason, int(np.count_nonzero(bad)))
+        accepted[bad] = False
+
+    seconds, canonical = _canonical_seconds(stamp)
+    missing = ~np.fromiter(map(bool, user), bool, n)
+    unparsed = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(~canonical).tolist():
+        if stamp[i] is None:
+            missing[i] = True
+        elif type(stamp[i]) is not str:  # a JSON number, boolean, array or object
+            unparsed[i] = True
+        else:
+            try:
+                seconds[i] = _epoch_seconds(parse_timestamp(stamp[i]))
+            except (ValueError, OverflowError):  # OverflowError: an offset past year 1 or 9999
+                unparsed[i] = True
+    reject(MISSING_FIELD, missing)
+    reject(BAD_TIMESTAMP, unparsed)
     if bounds is not None:
-        inside = (bounds[0] <= seconds) & (seconds < bounds[1])
-        stats.add(OUT_OF_INTERVAL, int(np.count_nonzero(accepted & ~inside)))
-        accepted &= inside
+        reject(OUT_OF_INTERVAL, (seconds < bounds[0]) | (seconds >= bounds[1]))
+    # -1 a point, -2 a spelling that is not a code's key
+    code = np.fromiter(map({**codes, None: -1}.get, country, repeat(-2)), np.int32, n)
+    empty, unknown = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(accepted & (code == -2)).tolist():
+        name = country[i].strip().upper()
+        if not name:
+            empty[i] = True
+        elif registry is None or name in codes:
+            code[i] = codes.setdefault(name, len(codes))
+        else:
+            unknown[i] = True
+    reject(MISSING_FIELD, empty)
+    reject(UNKNOWN_COUNTRY, unknown)
+    _check_code_count(codes)
     lat_col, lon_col = np.full(n, np.nan), np.full(n, np.nan)
     points = np.flatnonzero(accepted & (code == -1))
     lat_col[points] = [_coordinate(lat[i]) for i in points.tolist()]
     lon_col[points] = [_coordinate(lon[i]) for i in points.tolist()]
     # NaN and infinities fail the range test too
-    bad = points[~((lat_col[points] >= -90.0) & (lat_col[points] <= 90.0)
-                   & (lon_col[points] >= -180.0) & (lon_col[points] <= 180.0))]
-    stats.add(BAD_COORDINATES, bad.size)
-    accepted[bad] = False
-    for i in np.flatnonzero(~columnar).tolist():
-        event = _finish_event(user[i], stamp[i], country[i], lat[i], lon[i], bounds, registry, stats)
-        if event is not None:
-            accepted[i] = True
-            seconds[i], name, lat_col[i], lon_col[i] = event
-            code[i] = -1 if name is None else codes.setdefault(name, len(codes))
-    _check_code_count(codes)
+    reject(BAD_COORDINATES, ~((lat_col >= -90.0) & (lat_col <= 90.0)
+                              & (lon_col >= -180.0) & (lon_col <= 180.0)) & (code == -1))
     keep = np.flatnonzero(accepted)
     kept_users = list(map(user.__getitem__, keep.tolist()))
     for u in dict.fromkeys(kept_users):

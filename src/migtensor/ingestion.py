@@ -8,6 +8,7 @@ live in :mod:`migtensor.events`; :func:`resolve_table` and
 from __future__ import annotations
 
 import csv
+import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -55,6 +56,23 @@ def load_registry(path) -> CountryRegistry:
     if not codes:
         raise ConfigError(f"registry file {path} is empty")
     return CountryRegistry(codes)
+
+
+def load_json_object(path, what: str) -> dict:
+    """The JSON object held by the file at ``path``, a ``what`` (such as a
+    config); a :class:`ConfigError` naming it where it cannot be read as one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return raw
 
 
 def save_registry(registry: CountryRegistry, path) -> None:

@@ -115,6 +115,12 @@ class FitConfig:
     restarts: int = 10
 
     def __post_init__(self):
+        for name in ("rank", "max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float such as 2.0, or a boolean
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1 or self.restarts < 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventTable, write_events
-from .ingestion import ConfigError, CountryRegistry
+from .ingestion import ConfigError, CountryRegistry, load_json_object
 from .residence import MonthCalendar
 
 
@@ -68,8 +68,7 @@ class SynthSpec:
 
 
 def load_synth_spec(path) -> SynthSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json_object(path, "synth spec")
     try:
         components = tuple(
             PlantedComponent(c["origin"], c["destination"],

@@ -583,6 +583,12 @@ class TestColumnarParseMatchesReference:
     @given(csv_streams(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 7, 8192]))
     # a line break moved from the end of one line to the end of the next
     @example(["u,2014-01-01T00:00:00Z,GB", "v,2014-01-02T00:00:00Z,FR\n\n"], False, False, 8192)
+    # records that break two rules next to each other in the reject order
+    @example([",2014-01-01T00:00:00.5Z,GB\n"], True, True, 8192)  # no user, bad timestamp
+    @example(["u,2013-02-30T00:00:00Z,GB\n"], True, True, 8192)  # bad timestamp, before the interval
+    @example(["u,2013-06-01T00:00:00Z, \n"], True, True, 8192)  # out of interval, empty code
+    @example(["u,2013-06-01T00:00:00Z,XX\n"], True, True, 8192)  # out of interval, unknown code
+    @example(["u,2013-06-01T00:00:00Z,95.0,0.0\n"], True, True, 8192)  # out of interval, off the globe
     def test_csv_events_and_tallies(self, lines, use_interval, use_registry, block):
         interval = INTERVAL if use_interval else None
         registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None
@@ -594,6 +600,16 @@ class TestColumnarParseMatchesReference:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(jsonl_lines(), max_size=25), st.booleans(), st.booleans(), st.sampled_from([1, 3, 8192]))
+    # records that break two rules next to each other in the reject order
+    @example(['{"timestamp": 5, "country": "GB"}\n'], True, True, 8192)  # no user, bad timestamp
+    @example(['{"user_id": "u", "timestamp": "2013-02-30T00:00:00Z", "country": "GB"}\n'],
+             True, True, 8192)  # bad timestamp, before the interval
+    @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "country": ""}\n'],
+             True, True, 8192)  # out of interval, empty code
+    @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "country": "xx"}\n'],
+             True, True, 8192)  # out of interval, unknown code
+    @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "lat": 95.0, "lon": 0}\n'],
+             True, True, 8192)  # out of interval, off the globe
     def test_jsonl_events_and_tallies(self, lines, use_interval, use_registry, block):
         interval = INTERVAL if use_interval else None
         registry = CountryRegistry(["GB", "FR", "ES"]) if use_registry else None

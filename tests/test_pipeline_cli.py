@@ -264,6 +264,41 @@ class TestCli:
                        "--out-events", str(tmp_path / "events.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("text", [b"{nope", b"[1]", b'{"users": 1, "seed": "\xff"}'],
+                             ids=["not JSON", "not an object", "not UTF-8"])
+    def test_unreadable_synth_spec_exits_2(self, tmp_path, capsys, text):
+        (tmp_path / "spec.json").write_bytes(text)
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        assert f"error [config] synth spec {tmp_path / 'spec.json'}" in capsys.readouterr().err
+
+    def test_synth_registry_not_utf8_exits_3(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "users": 1, "noise_rate": 0.0, "seed": 1,
+            "epoch": {"year": 2014, "month": 1}, "months": 6}))
+        (tmp_path / "registry.txt").write_bytes(REGISTRY.encode() + b"\xff\n")
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 3
+        assert f"{tmp_path / 'registry.txt'}: not UTF-8" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"out"', b'"out\xff"'))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"error [config] config {path} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fit", [{"rank": 2.5}, {"restarts": 2.0}, {"max_iters": 3.0}, {"seed": -1}],
+                             ids=["rank", "restarts", "max_iters", "seed"])
+    def test_fit_setting_out_of_its_domain_exits_2(self, tmp_path, capsys, fit):
+        path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100, "seed": 0, **fit})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"error [config] bad config: {next(iter(fit))} must be" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         # The `migtensor` entry point declared in pyproject.toml, run the way
         # an installer's generated launcher runs it, against this checkout's
