@@ -8,14 +8,13 @@ profile for plotting.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingestion import CountryRegistry
+from .ingestion import CountryRegistry, write_json
 from .residence import MonthCalendar
 from .solver import FactorModel
 
@@ -128,12 +127,9 @@ def emit_reports(reports: list[ComponentReport], calendar: MonthCalendar, out_di
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary_path = out_dir / "summary.json"
-    payload = {"components": [
+    write_json(summary_path, {"components": [
         dict(r.as_dict(), rank=rank) for rank, r in enumerate(reports, start=1)
-    ]}
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ]})
     written.append(summary_path)
     for rank, report in enumerate(reports, start=1):
         time_path = out_dir / f"component_{rank}_time.csv"

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import pipeline, synth
-from .config import OVERRIDE_KEYS, apply_overrides, load_config
+from .config import DETECTION_MODES, FORMATS, OVERRIDE_KEYS, apply_overrides, load_config
 from .events import InputError
 from .ingestion import ConfigError, load_registry
 
@@ -20,23 +20,16 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
-_STAGE_COMMANDS = {
-    "ingest": pipeline.stage_ingest,
-    "residences": pipeline.stage_residences,
-    "detect": pipeline.stage_detect,
-    "tensorize": pipeline.stage_tensorize,
-    "fit": pipeline.stage_fit,
-    "analyze": pipeline.stage_analyze,
-}
+_STAGE_COMMANDS = dict(pipeline.STAGES)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--input", help="override the input event stream path")
-    parser.add_argument("--format", choices=("csv", "jsonl"), help="input stream format")
+    parser.add_argument("--format", choices=FORMATS, help="input stream format")
     parser.add_argument("--out-dir", dest="out_dir", help="override the artifact directory")
     parser.add_argument("--window-k", dest="window_k", type=int, help="migration window length in months")
-    parser.add_argument("--detection-mode", dest="detection_mode", choices=("strict", "modal"))
+    parser.add_argument("--detection-mode", dest="detection_mode", choices=DETECTION_MODES)
     parser.add_argument("--rank", type=int, help="number of components K")
     parser.add_argument("--seed", type=int, help="solver RNG seed")
     parser.add_argument("--restarts", type=int, help="independent solver restarts")
@@ -86,13 +79,7 @@ def _run_stage_command(args) -> int:
 
 def _run_synth_command(args) -> int:
     spec = synth.load_synth_spec(args.spec)
-    try:
-        registry = load_registry(args.registry)
-    except OSError as exc:
-        raise InputError(f"cannot read registry: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{args.registry}: not UTF-8 text ({exc.reason})") from exc
-    summary = synth.write_synthetic(spec, registry, args.out_events, args.out_truth)
+    summary = synth.write_synthetic(spec, load_registry(args.registry), args.out_events, args.out_truth)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .ingestion import ConfigError, FilterPolicy, load_json_object
+from .ingestion import ConfigError, FilterPolicy, load_json_object, require_int
 from .residence import MonthCalendar
 from .solver import FitConfig
 
@@ -37,6 +37,8 @@ class PipelineConfig:
     n_top: int = 5
 
     def __post_init__(self):
+        for name in ("epoch_year", "epoch_month", "months", "window_k", "top_k", "n_top"):
+            require_int(name, getattr(self, name))
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.detection_mode not in DETECTION_MODES:
@@ -58,7 +60,7 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
         value = raw.get(key)
         if value is None:
             if required:
-                raise ConfigError(f"config is missing required path {key!r}")
+                raise ConfigError(f"missing required path {key!r}")
             return None
         p = Path(value)
         return p if p.is_absolute() else base / p
@@ -69,23 +71,21 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
         fit_raw = dict(raw.get("fit", {}))
         fit = FitConfig(**fit_raw)
         return PipelineConfig(
-            epoch_year=int(epoch["year"]),
-            epoch_month=int(epoch["month"]),
-            months=int(raw["months"]),
+            epoch_year=epoch["year"],
+            epoch_month=epoch["month"],
+            months=raw["months"],
             registry=path_of("registry"),
             input=path_of("input"),
             out_dir=path_of("out_dir"),
             centroids=path_of("centroids", required=False),
             format=raw.get("format", "csv"),
-            window_k=int(raw.get("window_k", 1)),
+            window_k=raw.get("window_k", 1),
             detection_mode=raw.get("detection_mode", "strict"),
             filter_policy=filter_policy,
             fit=fit,
-            top_k=int(raw.get("top_k", 10)),
-            n_top=int(raw.get("n_top", 5)),
+            top_k=raw.get("top_k", 10),
+            n_top=raw.get("n_top", 5),
         )
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 

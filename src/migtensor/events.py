@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
@@ -40,6 +41,17 @@ BAD_LOCATION = "bad_location"
 
 class InputError(ValueError):
     """Unusable input source (unknown format tag, unreadable file, ...)."""
+
+
+@contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text; a byte that is not UTF-8
+    raises :class:`InputError` naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 @dataclass

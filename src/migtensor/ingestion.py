@@ -15,11 +15,19 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .events import EventTable, run_starts
+from .events import EventTable, open_text, run_starts
 
 
 class ConfigError(ValueError):
     """Invalid configuration (bad registry, empty centroid table, ...)."""
+
+
+def require_int(name: str, value) -> None:
+    """The one rule for integer settings: ``value`` must be an ``int`` as
+    such, so a float such as ``2.0``, a string or a boolean is a
+    :class:`ConfigError`, never truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class CountryRegistry:
@@ -51,7 +59,7 @@ class CountryRegistry:
 
 
 def load_registry(path) -> CountryRegistry:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         codes = [line.strip() for line in fh if line.strip()]
     if not codes:
         raise ConfigError(f"registry file {path} is empty")
@@ -73,6 +81,13 @@ def load_json_object(path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object")
     return raw
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_registry(registry: CountryRegistry, path) -> None:
@@ -110,7 +125,7 @@ class CentroidTable:
 
 def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         for lineno, parts in enumerate(reader, start=1):
             if not parts:

@@ -4,6 +4,12 @@ with byte-identical results. Each stage re-reads its input artifact from
 disk, also inside a one-shot ``run``: nothing passes between stages in
 memory.
 
+Each stage has one boundary, :func:`_stage`. The stage body calls the
+loaders and writers directly; the boundary turns what they raise into a
+:class:`StageError` tagged with the stage's name: a configuration error
+exits 2, an input error or a failed read or write exits 3, and a file
+missing under ``out_dir`` names the stage to run first.
+
 Artifact layout inside ``out_dir``::
 
     events.csv          parsed, resolved, filtered event stream
@@ -19,12 +25,14 @@ Artifact layout inside ``out_dir``::
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from pathlib import Path
 
 from . import analysis, events, ingestion, residence, solver, tensor
 from .config import PipelineConfig
+from .events import InputError, open_text
+from .ingestion import ConfigError, write_json
 
 
 class StageError(Exception):
@@ -36,57 +44,36 @@ class StageError(Exception):
         self.exit_code = exit_code
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _stage(fn):
+    """``fn`` behind the stage boundary. A file missing under ``out_dir`` is
+    the artifact of the stage before, so its message says to run that one."""
+    name = fn.__name__.removeprefix("stage_")
+
+    @functools.wraps(fn)
+    def stage(config: PipelineConfig) -> dict:
+        try:
+            return fn(config)
+        except ConfigError as exc:
+            raise StageError(name, str(exc), 2) from exc
+        except (InputError, OSError) as exc:
+            message = str(exc)
+            names = [n for n, _ in STAGES]
+            previous = dict(zip(names[1:], names)).get(name)
+            if (previous and isinstance(exc, FileNotFoundError) and exc.filename is not None
+                    and Path(exc.filename).parent == config.out_dir):
+                message = f"missing {exc.filename}; run {previous} first"
+            raise StageError(name, message, 3) from exc
+    return stage
 
 
-def _read(stage: str, path, read, missing: str):
-    """``read()``, which reads ``path``; a missing, non-UTF-8 or malformed
-    file is an input error of ``stage`` (exit 3)."""
-    try:
-        return read()
-    except OSError as exc:
-        raise StageError(stage, missing.format(exc=exc), 3)
-    except UnicodeDecodeError as exc:
-        raise StageError(stage, f"{path}: not UTF-8 text ({exc.reason})", 3)
-    except events.InputError as exc:
-        raise StageError(stage, str(exc), 3)
-
-
-def _load_registry(config: PipelineConfig) -> ingestion.CountryRegistry:
-    try:
-        return _read("ingest", config.registry, lambda: ingestion.load_registry(config.registry),
-                     "cannot read registry: {exc}")
-    except ingestion.ConfigError as exc:
-        raise StageError("ingest", str(exc), 2)
-
-
-def _read_events(stage: str, path, format: str, config: PipelineConfig, registry, missing: str):
-    def read():
-        with open(path, "r", encoding="utf-8") as fh:
-            return events.read_events(fh, format, config.calendar.interval(), registry)
-    return _read(stage, path, read, missing)
-
-
+@_stage
 def stage_ingest(config: PipelineConfig) -> dict:
     """Parse the raw stream, resolve geo points, filter users, dump events."""
-    registry = _load_registry(config)
-    centroids = None
-    if config.centroids is not None:
-        try:
-            centroids = _read("ingest", config.centroids,
-                          lambda: ingestion.load_centroids(config.centroids, registry),
-                          "cannot read centroid table: {exc}")
-        except ingestion.ConfigError as exc:
-            raise StageError("ingest", str(exc), 2)
-    table, rejects = _read_events("ingest", config.input, config.format, config, registry,
-                                  "cannot read input: {exc}")
-    try:
-        table = ingestion.resolve_table(table, centroids)
-    except ingestion.ConfigError as exc:
-        raise StageError("ingest", str(exc), 2)
+    registry = ingestion.load_registry(config.registry)
+    centroids = None if config.centroids is None else ingestion.load_centroids(config.centroids, registry)
+    with open_text(config.input) as fh:
+        table, rejects = events.read_events(fh, config.format, config.calendar.interval(), registry)
+    table = ingestion.resolve_table(table, centroids)
     kept, drops = ingestion.filter_table(table, config.filter_policy)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,56 +85,54 @@ def stage_ingest(config: PipelineConfig) -> dict:
         "rejects": rejects.as_dict(),
         "filter": drops.as_dict(),
     }
-    _write_json(config.out_dir / "ingest_stats.json", summary)
+    write_json(config.out_dir / "ingest_stats.json", summary)
     return summary
 
 
+@_stage
 def stage_residences(config: PipelineConfig) -> dict:
     """Monthly residence of every user in the event artifact."""
-    registry = _load_registry(config)
+    registry = ingestion.load_registry(config.registry)
     path = config.out_dir / "events.csv"
-    table, rejects = _read_events("residences", path, "csv", config, registry,
-                                  "missing events artifact ({exc}); run ingest first")
+    with open_text(path) as fh:
+        table, rejects = events.read_events(fh, "csv", config.calendar.interval(), registry)
     if rejects.total:
-        raise StageError("residences", f"{path}: events artifact is corrupt: {rejects.as_dict()}", 3)
+        raise InputError(f"{path}: events artifact is corrupt: {rejects.as_dict()}")
     if (table.country < 0).any():
-        raise StageError("residences", f"{path}: events artifact holds an unresolved point", 3)
+        raise InputError(f"{path}: events artifact holds an unresolved point")
     filled = residence.residence_matrix(table, config.calendar)
     residence.write_residence_matrix(table.users, filled, registry, config.out_dir / "residences.csv")
     return {"users": len(table.users)}
 
 
+@_stage
 def stage_detect(config: PipelineConfig) -> dict:
     """Window-k migration detection over the residence artifact."""
-    registry = _load_registry(config)
-    path = config.out_dir / "residences.csv"
-    users, filled = _read("detect", path, lambda: residence.read_residences(path, registry, config.months),
-                          "missing residences artifact ({exc}); run residences first")
+    registry = ingestion.load_registry(config.registry)
+    users, filled = residence.read_residences(config.out_dir / "residences.csv", registry, config.months)
     migrations = residence.detect_all(users, filled, config.window_k, config.detection_mode)
     residence.write_migrations(migrations, registry, config.out_dir / "migrations.csv")
     return {"migrations": len(migrations)}
 
 
+@_stage
 def stage_tensorize(config: PipelineConfig) -> dict:
-    registry = _load_registry(config)
-    path = config.out_dir / "migrations.csv"
-    migrations = _read("tensorize", path, lambda: residence.read_migrations(path, registry, config.months),
-                       "missing migrations artifact ({exc}); run detect first")
+    registry = ingestion.load_registry(config.registry)
+    migrations = residence.read_migrations(config.out_dir / "migrations.csv", registry, config.months)
     t = tensor.build_tensor(migrations, registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
     return {"nnz": t.nnz, "total": t.total}
 
 
+@_stage
 def stage_fit(config: PipelineConfig) -> dict:
-    path = config.out_dir / "tensor.txt"
-    t = _read("fit", path, lambda: tensor.load_tensor(path),
-              "missing tensor artifact ({exc}); run tensorize first")
+    t = tensor.load_tensor(config.out_dir / "tensor.txt")
     model_path = config.out_dir / "model.txt"
     if t.nnz == 0:
         model_path.unlink(missing_ok=True)
         summary = {"skipped": True, "reason": "empty tensor"}
-        _write_json(config.out_dir / "fit_summary.json", summary)
+        write_json(config.out_dir / "fit_summary.json", summary)
         return summary
     model, trace = solver.fit(t, config.fit)
     final = trace.objectives[-1]
@@ -163,29 +148,26 @@ def stage_fit(config: PipelineConfig) -> dict:
         "converged": trace.converged,
         "objective": final,
     }
-    _write_json(config.out_dir / "fit_summary.json", summary)
+    write_json(config.out_dir / "fit_summary.json", summary)
     return summary
 
 
+@_stage
 def stage_analyze(config: PipelineConfig) -> dict:
-    registry = _load_registry(config)
+    registry = ingestion.load_registry(config.registry)
     model_path = config.out_dir / "model.txt"
     reports_dir = config.out_dir / "reports"
-    if not model_path.exists():
-        path = config.out_dir / "tensor.txt"
-        t = _read("analyze", path, lambda: tensor.load_tensor(path),
-                  "missing model artifact ({exc}); run fit first")
-        if t.nnz != 0:
-            raise StageError("analyze", "missing model artifact; run fit first", 3)
+    # fit writes no model for an empty tensor; for any other, loading the
+    # missing model fails below
+    if not model_path.exists() and tensor.load_tensor(config.out_dir / "tensor.txt").nnz == 0:
         analysis.emit_reports([], config.calendar, reports_dir)
         return {"components_reported": 0, "top_ginis": []}
-    model = _read("analyze", model_path, lambda: solver.load_model(model_path),
-                  "cannot read model artifact: {exc}")
+    model = solver.load_model(model_path)
     N, M = len(registry), config.months
     if (len(model.O), len(model.D), len(model.T)) != (N, N, M):
-        raise StageError("analyze", f"{model_path}: model of {len(model.O)} x {len(model.D)} countries x "
+        raise InputError(f"{model_path}: model of {len(model.O)} x {len(model.D)} countries x "
                          f"{len(model.T)} months does not match the config's {N} countries and {M} "
-                         "months; run fit again", 3)
+                         "months; run fit again")
     reports = analysis.rank_components(model, registry, config.top_k, config.n_top)
     analysis.emit_reports(reports, config.calendar, reports_dir)
     return {
@@ -224,7 +206,7 @@ def run_pipeline(config: PipelineConfig, echo=print) -> dict:
         "top_ginis": summary["analyze"]["top_ginis"],
     }
     summary["overview"] = overview
-    _write_json(config.out_dir / "run_summary.json", summary)
+    write_json(config.out_dir / "run_summary.json", summary)
     if echo is not None:
         echo(f"users kept:      {overview['users_kept']}")
         echo(f"events kept:     {overview['events_kept']}")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventTable, InputError, run_starts
+from .events import EventTable, InputError, open_text, run_starts
 from .ingestion import ConfigError, CountryRegistry
 
 
@@ -247,7 +247,7 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
     cells = bytearray()
     view = memoryview(cells).cast("h")
     unknown = b"\xff\xff" * months  # -1 in every cell
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = _dump_reader(fh, path, RESIDENCE_HEADER)
         for parts in reader:
             try:
@@ -286,7 +286,7 @@ def read_migrations(path, registry: CountryRegistry, months: int) -> list[Migrat
     naming its ``path:line``."""
     index = registry.index
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = _dump_reader(fh, path, MIGRATION_HEADER)
         for parts in reader:
             try:

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import InputError
+from .events import InputError, open_text
+from .ingestion import require_int
 from .tensor import MigrationTensor
 
 # floor applied to reconstructed rates inside update ratios; factor entries
@@ -116,9 +117,7 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("rank", "max_iters", "restarts", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a float such as 2.0, or a boolean
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.rank < 1:
@@ -373,7 +372,7 @@ def load_model(path) -> FactorModel:
     A malformed header or row raises :class:`InputError` naming its
     ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         try:
             if header[:2] != ["#", "cp"] or len(header) != 6:

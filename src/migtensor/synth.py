@@ -9,7 +9,6 @@ recovery can be scored.
 
 from __future__ import annotations
 
-import json
 from calendar import monthrange
 from dataclasses import dataclass
 from datetime import date
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventTable, write_events
-from .ingestion import ConfigError, CountryRegistry, load_json_object
+from .ingestion import ConfigError, CountryRegistry, load_json_object, require_int, write_json
 from .residence import MonthCalendar
 
 
@@ -30,6 +29,8 @@ class PlantedComponent:
     intensity: float  # expected movers per active month
 
     def __post_init__(self):
+        for month in self.active_months:
+            require_int("active month", month)
         if self.origin == self.destination:
             raise ConfigError("planted component needs distinct origin and destination")
         if self.intensity < 0:
@@ -49,6 +50,8 @@ class SynthSpec:
     dwell_months: int = 6  # months of residence emitted on each side of a move
 
     def __post_init__(self):
+        for name in ("users", "seed", "epoch_year", "epoch_month", "months", "dwell_months"):
+            require_int(name, getattr(self, name))
         if self.users < 0:
             raise ConfigError("user count must be >= 0")
         if self.noise_rate < 0:
@@ -72,19 +75,19 @@ def load_synth_spec(path) -> SynthSpec:
     try:
         components = tuple(
             PlantedComponent(c["origin"], c["destination"],
-                             tuple(int(m) for m in c["active_months"]),
+                             tuple(c["active_months"]),
                              float(c["intensity"]))
             for c in raw.get("components", []))
         return SynthSpec(
-            users=int(raw["users"]),
+            users=raw["users"],
             components=components,
             noise_rate=float(raw.get("noise_rate", 0.0)),
-            seed=int(raw["seed"]),
-            epoch_year=int(raw["epoch"]["year"]),
-            epoch_month=int(raw["epoch"]["month"]),
-            months=int(raw["months"]),
+            seed=raw["seed"],
+            epoch_year=raw["epoch"]["year"],
+            epoch_month=raw["epoch"]["month"],
+            months=raw["months"],
             tweets_per_month=float(raw.get("tweets_per_month", 3.0)),
-            dwell_months=int(raw.get("dwell_months", 6)),
+            dwell_months=raw.get("dwell_months", 6),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad synth spec: {exc}") from exc
@@ -219,8 +222,6 @@ def write_synthetic(spec: SynthSpec, registry: CountryRegistry,
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
         write_events(table, fh)
     if truth_path is not None:
-        with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(truth, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(truth_path, truth)
     return {"events": len(table), "planted_moves": len(truth["planted"]),
             "noise_moves": len(truth["noise_moves"])}

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .events import InputError
+from .events import InputError, open_text
 from .ingestion import CountryRegistry
 from .residence import MigrationEvent
 
@@ -116,7 +116,7 @@ def load_tensor(path) -> MigrationTensor:
     A malformed header or entry raises :class:`InputError` naming its
     ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         body = fh.read()
     try:

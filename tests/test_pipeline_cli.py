@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from migtensor import cli, pipeline
+from migtensor import cli, ingestion, pipeline, residence, solver
 from migtensor.config import OVERRIDE_KEYS, apply_overrides, load_config
+from migtensor.events import InputError
 from migtensor.ingestion import ConfigError
 from migtensor.tensor import load_tensor
 
@@ -51,6 +52,24 @@ def write_workspace(root, input_text=FIXTURE_CSV, **config_extra):
     path = root / "config.json"
     path.write_text(json.dumps(raw, indent=2))
     return path
+
+
+# a centroid per registry country, at which the geo workspace's points lie
+CENTROIDS = {"GB": (54.0, -2.0), "FR": (46.0, 2.0), "ES": (40.0, -4.0),
+             "US": (38.0, -97.0), "KW": (29.5, 47.75), "DE": (51.0, 9.0)}
+
+
+def write_geo_workspace(root):
+    """The fixture's events as JSONL lat/lon points at their countries'
+    centroids, resolved through a centroid table."""
+    (root / "centroids.csv").write_text(
+        "country,lat,lon\n" + "".join(f"{c},{lat},{lon}\n" for c, (lat, lon) in CENTROIDS.items()))
+    points = []
+    for row in sorted(FIXTURE_ROWS):
+        user, timestamp, code = row.split(",")
+        lat, lon = CENTROIDS[code]
+        points.append(json.dumps({"user_id": user, "timestamp": timestamp, "lat": lat, "lon": lon}))
+    return write_workspace(root, "\n".join(points) + "\n", format="jsonl", centroids="centroids.csv")
 
 
 def artifact_bytes(out_dir):
@@ -106,12 +125,33 @@ class TestRunPipeline:
         a.pop("run_summary.json")  # written by the one-shot runner only
         assert a == b
 
-    def test_stage_out_of_order_fails_with_input_code(self, tmp_path):
+    # every stage after the first, with the artifact the stage before it writes
+    @pytest.mark.parametrize("stage, artifact", [
+        ("residences", "events.csv"), ("detect", "residences.csv"), ("tensorize", "migrations.csv"),
+        ("fit", "tensor.txt"), ("analyze", "model.txt")])
+    def test_stage_out_of_order_fails_with_input_code(self, tmp_path, stage, artifact):
         config = load_config(write_workspace(tmp_path))
+        index = STAGE_NAMES.index(stage)
+        for _, earlier in pipeline.STAGES[:index - 1]:
+            earlier(config)
+        with pytest.raises(pipeline.StageError) as err:
+            dict(pipeline.STAGES)[stage](config)
+        assert err.value.exit_code == 3
+        assert str(err.value).startswith(f"[{stage}] ")
+        assert str(config.out_dir / artifact) in str(err.value)
+        assert f"run {STAGE_NAMES[index - 1]} first" in str(err.value)
+
+    def test_os_error_without_a_file_name_keeps_its_message(self, tmp_path, monkeypatch):
+        config = load_config(write_workspace(tmp_path))
+
+        def fail(path):
+            raise FileNotFoundError("no such thing")
+
+        monkeypatch.setattr(ingestion, "load_registry", fail)
         with pytest.raises(pipeline.StageError) as err:
             pipeline.stage_detect(config)
         assert err.value.exit_code == 3
-        assert "residences" in str(err.value)
+        assert str(err.value) == "[detect] no such thing"
 
     def test_missing_input_file(self, tmp_path):
         path = write_workspace(tmp_path)
@@ -210,6 +250,12 @@ class TestCli:
         path = write_workspace(tmp_path)
         assert cli.main(["detect", "--config", str(path)]) == 3
 
+    def test_write_failure_is_tagged_with_its_stage(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        (tmp_path / "out").write_text("")  # a plain file where the artifact directory goes
+        assert cli.main(["ingest", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error [ingest] ")
+
     def test_numerical_failure_exits_4(self, tmp_path, monkeypatch):
         path = write_workspace(tmp_path)
 
@@ -298,6 +344,30 @@ class TestCli:
         path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100, "seed": 0, **fit})
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"error [config] bad config: {next(iter(fit))} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, name", [
+        ({"months": 6.8}, "months"), ({"window_k": 1.5}, "window_k"), ({"top_k": True}, "top_k"),
+        ({"n_top": 2.0}, "n_top"), ({"epoch": {"year": "2014", "month": 1}}, "epoch_year"),
+        ({"epoch": {"year": 2014, "month": 1.9}}, "epoch_month")])
+    def test_integer_setting_of_another_type_exits_2(self, tmp_path, capsys, change, name):
+        path = write_workspace(tmp_path, **change)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"error [config] bad config: {name} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, name", [
+        ({"users": 10.7}, "users"), ({"seed": "1"}, "seed"), ({"months": True}, "months"),
+        ({"dwell_months": 2.0}, "dwell_months"), ({"epoch": {"year": "2014", "month": 1}}, "epoch_year"),
+        ({"components": [{"origin": "GB", "destination": "ES", "active_months": [1.5], "intensity": 1.0}]},
+         "active month")])
+    def test_synth_integer_setting_of_another_type_exits_2(self, tmp_path, capsys, change, name):
+        spec = {"users": 10, "noise_rate": 0.0, "seed": 1, "epoch": {"year": 2014, "month": 1}, "months": 6}
+        (tmp_path / "spec.json").write_text(json.dumps(dict(spec, **change)))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        assert f"bad synth spec: {name} must be an integer" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         # The `migtensor` entry point declared in pyproject.toml, run the way
@@ -407,32 +477,60 @@ class TestCorruptArtifacts:
 
 
 # every file a stage reads, by path under the workspace, with the stage
-# command that reads it
+# command that reads it and the workspace that has the file
 UNDECODABLE = {
-    "input": ("events.csv", "ingest"),
-    "registry": ("registry.txt", "ingest"),
-    "events": ("out/events.csv", "residences"),
-    "residences": ("out/residences.csv", "detect"),
-    "migrations": ("out/migrations.csv", "tensorize"),
-    "tensor": ("out/tensor.txt", "fit"),
-    "model": ("out/model.txt", "analyze"),
+    "input": ("events.csv", "ingest", write_workspace),
+    "registry": ("registry.txt", "ingest", write_workspace),
+    "centroids": ("centroids.csv", "ingest", write_geo_workspace),
+    "events": ("out/events.csv", "residences", write_workspace),
+    "residences": ("out/residences.csv", "detect", write_workspace),
+    "migrations": ("out/migrations.csv", "tensorize", write_workspace),
+    "tensor": ("out/tensor.txt", "fit", write_workspace),
+    "model": ("out/model.txt", "analyze", write_workspace),
 }
+
+# the library loader of each file a stage reads through one, called with the
+# file's path and the workspace's registry
+LOADERS = {
+    "registry": ("registry.txt", lambda path, registry: ingestion.load_registry(path)),
+    "centroids": ("centroids.csv", ingestion.load_centroids),
+    "residences": ("out/residences.csv", lambda path, registry: residence.read_residences(path, registry, 6)),
+    "migrations": ("out/migrations.csv", lambda path, registry: residence.read_migrations(path, registry, 6)),
+    "tensor": ("out/tensor.txt", lambda path, registry: load_tensor(path)),
+    "model": ("out/model.txt", lambda path, registry: solver.load_model(path)),
+}
+
+
+def insert_undecodable_byte(target):
+    """Put a byte that is not UTF-8 at the end of the file's line 2."""
+    data = target.read_bytes()
+    end_of_line_2 = data.index(b"\n", data.index(b"\n") + 1)
+    target.write_bytes(data[:end_of_line_2] + b"\xff" + data[end_of_line_2:])
 
 
 class TestUndecodableFiles:
     @pytest.mark.parametrize("name", sorted(UNDECODABLE))
     def test_non_utf8_byte_exits_3_naming_stage_and_path(self, tmp_path, capsys, name):
-        relative, stage = UNDECODABLE[name]
-        path = write_workspace(tmp_path)
+        relative, stage, workspace = UNDECODABLE[name]
+        path = workspace(tmp_path)
         run_stages_before(stage, path)
         target = tmp_path / relative
-        data = target.read_bytes()
-        end_of_line_2 = data.index(b"\n", data.index(b"\n") + 1)
-        target.write_bytes(data[:end_of_line_2] + b"\xff" + data[end_of_line_2:])
+        insert_undecodable_byte(target)
         capsys.readouterr()
         assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"[{stage}]" in err and f"{target}: not UTF-8" in err
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    def test_loader_raises_input_error_naming_path(self, tmp_path, name):
+        relative, load = LOADERS[name]
+        assert cli.main(["run", "--config", str(write_geo_workspace(tmp_path))]) == 0
+        registry = ingestion.load_registry(tmp_path / "registry.txt")
+        target = tmp_path / relative
+        insert_undecodable_byte(target)
+        with pytest.raises(InputError) as err:
+            load(target, registry)
+        assert str(err.value).startswith(f"{target}: not UTF-8 text")
 
 
 class TestModelShapeChecked:
