@@ -95,24 +95,14 @@ def load_config(path) -> PipelineConfig:
     return _build(load_json_object(path, "config"), path.parent)
 
 
-# CLI-overridable fields and their types; fit fields are nested under ``fit``
-_PLAIN_OVERRIDES = {
-    "input": Path,
-    "format": str,
-    "out_dir": Path,
-    "window_k": int,
-    "detection_mode": str,
-    "top_k": int,
-    "n_top": int,
-}
-_FIT_OVERRIDES = {
-    "rank": int,
-    "seed": int,
-    "restarts": int,
-    "max_iters": int,
-    "rel_tol": float,
-}
+# CLI-overridable fields; fit fields are nested under ``fit``
+_PLAIN_OVERRIDES = ("input", "format", "out_dir", "window_k", "detection_mode", "top_k", "n_top")
+_FIT_OVERRIDES = ("rank", "seed", "restarts", "max_iters", "rel_tol")
 OVERRIDE_KEYS = (*_PLAIN_OVERRIDES, *_FIT_OVERRIDES)
+# conversions of the fields that get one; every other value reaches the
+# dataclasses' checks as given, as a config file's value does
+_CONVERSIONS = {"input": Path, "format": str, "out_dir": Path, "detection_mode": str,
+                "rel_tol": float}
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
@@ -121,12 +111,11 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in _PLAIN_OVERRIDES:
-            plain[key] = _PLAIN_OVERRIDES[key](value)
-        elif key in _FIT_OVERRIDES:
-            fit_kwargs[key] = _FIT_OVERRIDES[key](value)
-        else:
+        if key not in OVERRIDE_KEYS:
             raise ConfigError(f"unknown override {key!r}")
+        if key in _CONVERSIONS:
+            value = _CONVERSIONS[key](value)
+        (fit_kwargs if key in _FIT_OVERRIDES else plain)[key] = value
     try:
         if fit_kwargs:
             plain["fit"] = replace(config.fit, **fit_kwargs)

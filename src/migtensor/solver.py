@@ -14,17 +14,32 @@ With prior_shape a=1 and prior_rate b=0 the updates are exact
 maximum-likelihood steps and the negative log-likelihood is non-increasing
 sweep over sweep; a>1 / b>0 adds Gamma(a, b) MAP smoothing.
 
-The kernels produce the same bits as the plain formulation (fancy-index
-row gathers, ``np.add.at`` scatter); only their per-call overhead is tuned.
-Row gathers are ``np.take`` copies. The scatter of the update's numerator
-is one ``np.bincount`` per factor column: like ``np.add.at`` it adds each
-nonzero's term into its output cell one at a time in nnz order, starting
-from 0.0, so every cell sums the same terms in the same order. Gathers and
-elementwise products write into two nnz x K scratch arrays that ``fit``
-allocates once and passes to every kernel call. That changes no value, but
-fresh nnz x K temporaries on every call are returned to the operating
-system by the C allocator between calls and page-fault again on first
-touch, which costs more than the arithmetic on them.
+``fit`` sweeps a block of restarts together: their factors are stacked
+as (R, N, K), (R, N, K) and (R, M, K) arrays plus (R, K) weights, and
+every gather, product and row sum runs on two (R, nnz, K) C-order scratch
+buffers that ``fit`` allocates once. Restarts share a block while
+R * nnz * K fits ``BLOCK_ELEMENTS``; a tensor whose nnz * K alone exceeds
+it runs one restart per block, on scratch of one restart's size. A
+restart leaves the block once it converges or turns non-finite. The
+per-sweep likelihood is fused into the time update, which has already
+built O[ii] * D[jj]: the new rates are that product times the new T's
+rows, dotted with the new weights. ``FactorModel`` is built and
+validated only at the API boundary (the winner, the public kernels),
+not on every update. ``mode_update`` and ``log_likelihood`` are the same
+kernels run on a block of one.
+
+Every result has the bits of the plain per-restart formulation
+(fancy-index row gathers, ``np.add.at`` scatter). Gathers are ``np.take``
+copies; a restart's row sums see the same (nnz, K) rows in the same C
+order, and a stacked ``matmul`` gives each restart the bits of its own
+``prod @ weights``. The update's numerator is scattered with one
+``np.bincount`` per factor column over the bins r * n + row: like
+``np.add.at`` it adds each nonzero's term into its cell one at a time in
+nnz order, starting from 0.0. The likelihood's ``counts @ log(rates)``
+stays one dot per restart. Scratch is reused rather than allocated per
+call because fresh nnz x K temporaries are returned to the operating
+system between calls and page-fault again on first touch, which costs
+more than the arithmetic on them.
 """
 
 from __future__ import annotations
@@ -46,6 +61,11 @@ from .tensor import MigrationTensor
 RATE_EPS = 1e-12
 
 MODES = ("origin", "destination", "time")
+
+# elements in each of fit's two scratch buffers: a block of R restarts
+# sweeps together while R * nnz * K fits, and a tensor with nnz * K above
+# it runs one restart per block on an (nnz, K) scratch pair
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -144,17 +164,19 @@ class FitTrace:
     restart: int = 0
 
 
-def _draw_factors(dims: tuple[int, int, int], rank: int, rng: np.random.Generator) -> FactorModel:
+def _draw_factors(dims: tuple[int, int, int], rank: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     N1, N2, M = dims
     O = rng.uniform(0.1, 1.1, size=(N1, rank))
     D = rng.uniform(0.1, 1.1, size=(N2, rank))
     T = rng.uniform(0.1, 1.1, size=(M, rank))
-    return FactorModel(O, D, T, np.ones(rank))
+    return O, D, T
 
 
 def init_factors(dims: tuple[int, int, int], config: FitConfig) -> FactorModel:
     """Seeded random start: entries i.i.d. uniform on (0.1, 1.1), weights 1."""
-    return _draw_factors(dims, config.rank, np.random.default_rng(config.seed))
+    return FactorModel(*_draw_factors(dims, config.rank, np.random.default_rng(config.seed)),
+                       np.ones(config.rank))
 
 
 def reconstruct_entry(model: FactorModel, i: int, j: int, t: int) -> float:
@@ -162,29 +184,26 @@ def reconstruct_entry(model: FactorModel, i: int, j: int, t: int) -> float:
     return float((model.O[i] * model.D[j] * model.T[t]) @ model.weights)
 
 
-def _new_scratch(nnz: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty((nnz, rank)), np.empty((nnz, rank))
-
-
-def _scratch(tensor: MigrationTensor, model: FactorModel, scratch) -> tuple[np.ndarray, np.ndarray]:
+def _check_scratch(tensor: MigrationTensor, model: FactorModel, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """The caller's (nnz, K) scratch pair as a one-restart block, or a new one."""
     if scratch is None:
-        return _new_scratch(tensor.nnz, model.K)
+        return np.empty((1, tensor.nnz, model.K)), np.empty((1, tensor.nnz, model.K))
     # C order keeps the row sums' summation order, and so their bits
     if any(buf.shape != (tensor.nnz, model.K) or buf.dtype != np.float64
            or not buf.flags.c_contiguous for buf in scratch):
         raise ValueError("scratch arrays must be C-contiguous float64 of shape "
                          f"{(tensor.nnz, model.K)}")
-    return scratch
+    return tuple(buf[None] for buf in scratch)
 
 
 def _gather(mat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[:] = mat[idx]``, written in place.
+    """``out[r] = mat[r][idx]`` for every restart r, written in place.
 
     Every index is in range (tensor entries are checked on construction and
     the model's dims match the tensor's), so mode "clip" never clips; unlike
     the default "raise" it writes into ``out`` without a temporary copy.
     """
-    return np.take(mat, idx, axis=0, out=out, mode="clip")
+    return np.take(mat, idx, axis=1, out=out, mode="clip")
 
 
 def _index_columns(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,20 +211,50 @@ def _index_columns(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.
     return tuple(np.ascontiguousarray(col) for col in tensor.coords.T)
 
 
-def _rates(model: FactorModel, tensor: MigrationTensor, scratch) -> np.ndarray:
-    ii, jj, tt = _index_columns(tensor)
-    prod, tmp = scratch
-    _gather(model.O, ii, prod)
-    prod *= _gather(model.D, jj, tmp)
-    prod *= _gather(model.T, tt, tmp)
-    return prod @ model.weights
+def _bins(rows: np.ndarray, n: int, R: int) -> np.ndarray:
+    """Scatter index of a block of R restarts: row i of restart r is bin r*n + i.
+
+    A block's first R' restarts use the first R' * nnz entries.
+    """
+    return rows if R == 1 else (np.arange(R)[:, None] * n + rows).reshape(-1)
 
 
-def _reconstructed_mass(model: FactorModel) -> float:
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``mat[r] @ vec[r]`` for every restart r, as one stacked ``matmul``."""
+    return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _rates(factors, lam: np.ndarray, index, scratch) -> np.ndarray:
+    """Reconstructed rate of every entry, one row per restart."""
+    (O, D, T), (ii, jj, tt), (prod, tmp) = factors, index, scratch
+    _gather(O, ii, prod)
+    prod *= _gather(D, jj, tmp)
+    prod *= _gather(T, tt, tmp)
+    return _matvec(prod, lam)
+
+
+def _mass(factors, lam: np.ndarray) -> np.ndarray:
     """Total reconstructed rate over admissible cells (diagonal excluded)."""
-    full = model.weights @ (model.O.sum(0) * model.D.sum(0) * model.T.sum(0))
-    diag = model.weights @ ((model.O * model.D).sum(0) * model.T.sum(0))
-    return float(full - diag)
+    O, D, T = factors
+    sum_T = T.sum(1)
+    full = _matvec(lam[:, None], O.sum(1) * D.sum(1) * sum_T)
+    diag = _matvec(lam[:, None], (O * D).sum(1) * sum_T)
+    return (full - diag)[:, 0]
+
+
+def _log_likelihoods(counts: np.ndarray, rates: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Each restart's Poisson log-likelihood from its row of ``rates``.
+
+    One ``counts @ log(rates[r])`` dot per restart: a single product over
+    all rows would sum in another order. -inf for a restart that gives
+    rate zero to a cell with observed counts.
+    """
+    out = -mass
+    if len(counts):
+        zero = (rates <= 0).any(axis=1)
+        for r, row in enumerate(rates):
+            out[r] = float("-inf") if zero[r] else counts @ np.log(row) - mass[r]
+    return out
 
 
 def log_likelihood(tensor: MigrationTensor, model: FactorModel, *, scratch=None) -> float:
@@ -217,24 +266,52 @@ def log_likelihood(tensor: MigrationTensor, model: FactorModel, *, scratch=None)
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
-    mass = _reconstructed_mass(model)
-    if tensor.nnz == 0:
-        return -mass
-    rates = _rates(model, tensor, _scratch(tensor, model, scratch))
-    if (rates <= 0).any():
-        return float("-inf")
-    return float(tensor.counts @ np.log(rates) - mass)
+    factors = (model.O[None], model.D[None], model.T[None])
+    lam = model.weights[None]
+    scratch = _check_scratch(tensor, model, scratch)
+    rates = _rates(factors, lam, _index_columns(tensor), scratch)
+    return float(_log_likelihoods(tensor.counts, rates, _mass(factors, lam))[0])
 
 
-def _unnormalized(model: FactorModel, mode: str) -> np.ndarray:
-    """The given mode's factor matrix with the weights absorbed into it."""
-    if mode == "origin":
-        return model.O * model.weights
-    if mode == "destination":
-        return model.D * model.weights
-    if mode == "time":
-        return model.T * model.weights
-    raise ValueError(f"unknown mode {mode!r}")
+def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
+            a: float, b: float, scratch, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One multiplicative update of factor matrix ``mode`` in every restart.
+
+    Returns the new (R, n, K) matrix and (R, K) weights. On return
+    ``scratch[0]`` holds the product of the other two modes' rows.
+    """
+    O, D, T = factors
+    ii, jj, tt = index
+    contrib, work = scratch
+    W = factors[mode] * lam[:, None]
+    sum_T = T.sum(1)[:, None]
+
+    # contrib is the product of the other two modes' rows: D[jj] * T[tt] etc.
+    if mode == 0:
+        rows, (P, p), (Q, q) = ii, (D, jj), (T, tt)
+        denom = b + D.sum(1)[:, None] * sum_T - D * sum_T
+    elif mode == 1:
+        rows, (P, p), (Q, q) = jj, (O, ii), (T, tt)
+        denom = b + O.sum(1)[:, None] * sum_T - O * sum_T
+    else:
+        rows, (P, p), (Q, q) = tt, (O, ii), (D, jj)
+        denom = b + (O.sum(1) * D.sum(1) - (O * D).sum(1))[:, None]
+    np.multiply(_gather(P, p, contrib), _gather(Q, q, work), out=contrib)
+    rates = np.multiply(_gather(W, rows, work), contrib, out=work).sum(axis=2)
+
+    num = np.zeros_like(W)
+    if len(counts):
+        R, n, K = W.shape
+        ratio = counts / np.maximum(rates, RATE_EPS)
+        terms = np.multiply(contrib, ratio[..., None], out=work)
+        for k in range(K):
+            num[..., k] = np.bincount(bins, weights=terms[..., k].reshape(-1),
+                                      minlength=R * n).reshape(R, n)
+
+    W_new = ((a - 1.0) + W * num) / np.maximum(denom, RATE_EPS)
+    lam_new = W_new.sum(1)
+    scale = np.where(lam_new > 0, lam_new, 1.0)
+    return W_new / scale[:, None], lam_new
 
 
 def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
@@ -256,48 +333,84 @@ def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
-    a, b = prior_shape, prior_rate
-    ii, jj, tt = _index_columns(tensor)
-    contrib, work = _scratch(tensor, model, scratch)
-    W = _unnormalized(model, mode)
-    sum_T = model.T.sum(0)
-
-    # contrib is the product of the other two modes' rows: D[jj] * T[tt] etc.
-    if mode == "origin":
-        rows, (P, p), (Q, q) = ii, (model.D, jj), (model.T, tt)
-        denom = b + model.D.sum(0) * sum_T - model.D * sum_T
-    elif mode == "destination":
-        rows, (P, p), (Q, q) = jj, (model.O, ii), (model.T, tt)
-        denom = b + model.O.sum(0) * sum_T - model.O * sum_T
-    else:
-        rows, (P, p), (Q, q) = tt, (model.O, ii), (model.D, jj)
-        denom = b + np.broadcast_to(
-            model.O.sum(0) * model.D.sum(0) - (model.O * model.D).sum(0), W.shape)
-    np.multiply(_gather(P, p, contrib), _gather(Q, q, work), out=contrib)
-    rates = np.multiply(_gather(W, rows, work), contrib, out=work).sum(axis=1)
-
-    num = np.zeros_like(W)
-    if tensor.nnz:
-        ratio = tensor.counts / np.maximum(rates, RATE_EPS)
-        for k in range(model.K):
-            num[:, k] = np.bincount(rows, weights=contrib[:, k] * ratio, minlength=len(num))
-
-    W_new = ((a - 1.0) + W * num) / np.maximum(denom, RATE_EPS)
-
-    lam_new = W_new.sum(0)
-    scale = np.where(lam_new > 0, lam_new, 1.0)
-    mat_new = W_new / scale
-    if mode == "origin":
-        return FactorModel(mat_new, model.D, model.T, lam_new)
-    if mode == "destination":
-        return FactorModel(model.O, mat_new, model.T, lam_new)
-    return FactorModel(model.O, model.D, mat_new, lam_new)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    m = MODES.index(mode)
+    factors = [model.O[None], model.D[None], model.T[None]]
+    index = _index_columns(tensor)
+    factors[m], lam = _update(tensor.counts, index, factors, model.weights[None], m,
+                              prior_shape, prior_rate, _check_scratch(tensor, model, scratch),
+                              index[m])
+    return FactorModel(*(mat[0] for mat in factors), lam[0])
 
 
 def _restart_key(trace: FitTrace) -> tuple[bool, float]:
     """Sort key of a restart: finite final objectives first, lowest first."""
     final = trace.objectives[-1]
     return (not math.isfinite(final), final)
+
+
+def _fit_block(tensor: MigrationTensor, index, starts: list, first: int,
+               config: FitConfig, scratch) -> list[tuple[tuple, FitTrace]]:
+    """Sweep a block of restarts together: each one's (O, D, T, weights) and trace.
+
+    ``starts`` holds the block's (O, D, T) draws, ``first`` the number of
+    its first restart and ``scratch`` two flat buffers of at least
+    len(starts) * nnz * K elements. Restart r reads and writes slab r of
+    every stacked array only, so dropping a finished restart from the
+    active set changes no other restart's bits.
+    """
+    R, nnz, K = len(starts), tensor.nnz, config.rank
+    a, b, counts = config.prior_shape, config.prior_rate, tensor.counts
+    factors = [np.stack(mats) for mats in zip(*starts)]
+    lam = np.ones((R, K))
+    bins = [_bins(rows, n, R) for rows, n in zip(index, tensor.dims)]
+    traces = [FitTrace(restart=first + r) for r in range(R)]
+    results = [None] * R
+    active = list(range(R))
+
+    def views(n):
+        return ([buf[:n * nnz * K].reshape(n, nnz, K) for buf in scratch],
+                [col[:n * nnz] for col in bins])
+
+    block_scratch, block_bins = views(R)
+    lls = _log_likelihoods(counts, _rates(factors, lam, index, block_scratch), _mass(factors, lam))
+    objs = [-float(ll) for ll in lls]
+    for trace, obj in zip(traces, objs):
+        trace.objectives.append(obj)
+    rel = [float("inf")] * R
+    for _ in range(config.max_iters):
+        keep = [pos for pos in range(len(active))
+                if math.isfinite(objs[pos]) and rel[pos] > config.rel_tol]
+        for pos, r in enumerate(active):
+            if pos not in keep:
+                traces[r].converged = math.isfinite(objs[pos])
+                results[r] = tuple(mat[pos] for mat in (*factors, lam))
+        if not keep:
+            break
+        if len(keep) < len(active):
+            factors, lam = [mat[keep] for mat in factors], lam[keep]
+            active, objs, rel = ([seq[pos] for pos in keep] for seq in (active, objs, rel))
+            block_scratch, block_bins = views(len(active))
+        for m in range(3):
+            factors[m], lam = _update(counts, index, factors, lam, m, a, b,
+                                      block_scratch, block_bins[m])
+        # the time update left O[ii] * D[jj] in scratch[0], the product that
+        # _rates builds first, so the new rates cost one gather and a multiply
+        contrib, tmp = block_scratch
+        prod = np.multiply(contrib, _gather(factors[2], index[2], tmp), out=tmp)
+        lls = _log_likelihoods(counts, _matvec(prod, lam), _mass(factors, lam))
+        for pos, r in enumerate(active):
+            new_obj = -float(lls[pos])
+            traces[r].objectives.append(new_obj)
+            traces[r].n_sweeps += 1
+            rel[pos] = abs(objs[pos] - new_obj) / max(abs(objs[pos]), 1.0)
+            objs[pos] = new_obj
+    else:
+        for pos, r in enumerate(active):
+            traces[r].converged = rel[pos] <= config.rel_tol
+            results[r] = tuple(mat[pos] for mat in (*factors, lam))
+    return list(zip(results, traces))
 
 
 def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTrace]:
@@ -317,36 +430,22 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
             f"rank {config.rank} exceeds min tensor dim {min(N, M)}; "
             "the decomposition is overcomplete", RuntimeWarning)
     rng = np.random.default_rng(config.seed)
-    scratch = _new_scratch(tensor.nnz, config.rank)
-    best_model: FactorModel | None = None
-    best_trace: FitTrace | None = None
-    for restart in range(config.restarts):
-        # sweeps are gauge-covariant, so the raw draw needs no normalizing
-        # here; the winner is canonicalized exactly once on return
-        model = _draw_factors(tensor.dims, config.rank, rng)
-        trace = FitTrace(restart=restart)
-        obj = -log_likelihood(tensor, model, scratch=scratch)
-        trace.objectives.append(obj)
-        rel_change = float("inf")
-        for _ in range(config.max_iters):
-            if not math.isfinite(obj):
-                break
-            if rel_change <= config.rel_tol:
-                trace.converged = True
-                break
-            for mode in MODES:
-                model = mode_update(tensor, model, mode, config.prior_shape,
-                                    config.prior_rate, scratch=scratch)
-            new_obj = -log_likelihood(tensor, model, scratch=scratch)
-            trace.objectives.append(new_obj)
-            trace.n_sweeps += 1
-            rel_change = abs(obj - new_obj) / max(abs(obj), 1.0)
-            obj = new_obj
-        else:
-            trace.converged = rel_change <= config.rel_tol
-        if best_trace is None or _restart_key(trace) < _restart_key(best_trace):
-            best_model, best_trace = model, trace
-    return best_model.normalized().sorted_by_weight(), best_trace
+    size = tensor.nnz * config.rank
+    per_block = max(1, min(config.restarts, BLOCK_ELEMENTS // max(size, 1)))
+    scratch = (np.empty(per_block * size), np.empty(per_block * size))
+    index = _index_columns(tensor)
+    best, best_trace = None, None
+    for first in range(0, config.restarts, per_block):
+        # drawn block by block, the starts still come off the stream in
+        # restart order
+        starts = [_draw_factors(tensor.dims, config.rank, rng)
+                  for _ in range(min(per_block, config.restarts - first))]
+        for result, trace in _fit_block(tensor, index, starts, first, config, scratch):
+            if best_trace is None or _restart_key(trace) < _restart_key(best_trace):
+                best, best_trace = result, trace
+    # sweeps are gauge-covariant, so the raw draws needed no normalizing;
+    # the winner is validated and canonicalized exactly once, here
+    return FactorModel(*best).normalized().sorted_by_weight(), best_trace
 
 
 def save_model(model: FactorModel, path) -> None:

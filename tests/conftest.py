@@ -31,7 +31,7 @@ from migtensor.events import (
 )
 from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import MigrationEvent
-from migtensor.solver import RATE_EPS, FactorModel
+from migtensor.solver import MODES, RATE_EPS, FactorModel, FitTrace
 from migtensor.tensor import MigrationTensor
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -210,6 +210,49 @@ def reference_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) 
     if mode == "destination":
         return FactorModel(model.O, mat_new, model.T, lam_new)
     return FactorModel(model.O, model.D, mat_new, lam_new)
+
+
+def reference_fit(tensor, config):
+    """``solver.fit`` as one restart after another on the reference kernels.
+
+    Returns the winner's normalized, sorted model and trace, then every
+    restart's trace.
+    """
+    def key(trace):  # finite final objectives first, lowest first
+        return (not math.isfinite(trace.objectives[-1]), trace.objectives[-1])
+
+    rng = np.random.default_rng(config.seed)
+    N1, N2, M = tensor.dims
+    best_model, best_trace, traces = None, None, []
+    for restart in range(config.restarts):
+        model = FactorModel(rng.uniform(0.1, 1.1, size=(N1, config.rank)),
+                            rng.uniform(0.1, 1.1, size=(N2, config.rank)),
+                            rng.uniform(0.1, 1.1, size=(M, config.rank)),
+                            np.ones(config.rank))
+        trace = FitTrace(restart=restart)
+        obj = -reference_log_likelihood(tensor, model)
+        trace.objectives.append(obj)
+        rel_change = float("inf")
+        for _ in range(config.max_iters):
+            if not math.isfinite(obj):
+                break
+            if rel_change <= config.rel_tol:
+                trace.converged = True
+                break
+            for mode in MODES:
+                model = reference_mode_update(tensor, model, mode, config.prior_shape,
+                                              config.prior_rate)
+            new_obj = -reference_log_likelihood(tensor, model)
+            trace.objectives.append(new_obj)
+            trace.n_sweeps += 1
+            rel_change = abs(obj - new_obj) / max(abs(obj), 1.0)
+            obj = new_obj
+        else:
+            trace.converged = rel_change <= config.rel_tol
+        traces.append(trace)
+        if best_trace is None or key(trace) < key(best_trace):
+            best_model, best_trace = model, trace
+    return best_model.normalized().sorted_by_weight(), best_trace, traces
 
 
 def reference_resolve_country(point, table) -> str:

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -200,6 +201,15 @@ class TestConfig:
         config = load_config(write_workspace(tmp_path))
         with pytest.raises(ConfigError):
             apply_overrides(config, {"rank": 0})
+
+    @pytest.mark.parametrize("value", [1.5, 2.7, True, "3"])
+    @pytest.mark.parametrize("key", ["window_k", "top_k", "n_top", "rank", "seed",
+                                     "restarts", "max_iters"])
+    def test_integer_override_of_another_type_rejected(self, tmp_path, key, value):
+        # as in a config file: never truncated or parsed into an int
+        config = load_config(write_workspace(tmp_path))
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            apply_overrides(config, {key: value})
 
     def test_unknown_top_level_keys_are_ignored(self, tmp_path):
         # such as an option since retired that older configs still carry

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from conftest import (
     dense_log_likelihood,
     make_tensor,
     random_tensor,
+    reference_fit,
     reference_log_likelihood,
     reference_mode_update,
 )
@@ -375,48 +378,114 @@ class TestFit:
     def test_non_finite_restart_stops_and_loses(self, monkeypatch, bad):
         rng = np.random.default_rng(28)
         tensor = random_tensor(rng, (6, 6, 5), 40)
-        real = solver.log_likelihood
-        calls = []
+        real = solver._log_likelihoods
+        evaluated = []  # restarts evaluated by each call, in restart order
 
-        def spoiled(tensor, model, **kwargs):
-            calls.append(model)
-            # restart 0: initial objective, then a non-finite one after sweep 2
-            return bad if len(calls) == 3 else real(tensor, model, **kwargs)
+        def spoiled(counts, rates, mass):
+            out = real(counts, rates, mass)
+            evaluated.append(len(out))
+            if len(evaluated) == 3:
+                out[0] = bad  # restart 0 after sweep 2
+            return out
 
-        monkeypatch.setattr(solver, "log_likelihood", spoiled)
+        monkeypatch.setattr(solver, "_log_likelihoods", spoiled)
         cfg = FitConfig(rank=2, max_iters=30, rel_tol=1e-12, seed=9, restarts=2)
         _, trace = fit(tensor, cfg)
         assert trace.restart == 1
         assert math.isfinite(trace.objectives[-1])
-        # restart 0 made 3 calls (start + 2 sweeps); restart 1 ran its 30 sweeps
-        assert len(calls) == 3 + 1 + 30
+        # restart 0 was evaluated 3 times (start + 2 sweeps), restart 1
+        # 31 times (start + its 30 sweeps)
+        assert evaluated == [2, 2, 2] + [1] * 28
+        # dropping restart 0 from the block changed none of restart 1's bits
+        assert trace.objectives == reference_fit(tensor, cfg)[2][1].objectives
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_non_finite_objective_ends_restart_unconverged(self, monkeypatch, bad):
         rng = np.random.default_rng(29)
         tensor = random_tensor(rng, (6, 6, 5), 40)
-        real = solver.log_likelihood
-        calls = []
+        real = solver._log_likelihoods
+        evaluated = []
 
-        def spoiled(tensor, model, **kwargs):
-            calls.append(model)
-            return bad if len(calls) == 2 else real(tensor, model, **kwargs)
+        def spoiled(counts, rates, mass):
+            out = real(counts, rates, mass)
+            evaluated.append(len(out))
+            if len(evaluated) == 2:
+                out[0] = bad
+            return out
 
-        monkeypatch.setattr(solver, "log_likelihood", spoiled)
+        monkeypatch.setattr(solver, "_log_likelihoods", spoiled)
         _, trace = fit(tensor, FitConfig(rank=2, max_iters=50, seed=4, restarts=1))
         assert trace.n_sweeps == 1
         assert not trace.converged
         assert len(trace.objectives) == 2 and not math.isfinite(trace.objectives[-1])
-        assert len(calls) == 2
+        assert evaluated == [1, 1]
 
     def test_all_restarts_non_finite_earliest_wins(self, monkeypatch):
         rng = np.random.default_rng(30)
         tensor = random_tensor(rng, (6, 6, 5), 40)
-        monkeypatch.setattr(solver, "log_likelihood", lambda *args, **kwargs: float("nan"))
+        monkeypatch.setattr(solver, "_log_likelihoods",
+                            lambda counts, rates, mass: np.full(len(mass), np.nan))
         _, trace = fit(tensor, FitConfig(rank=2, max_iters=50, seed=4, restarts=3))
         assert trace.restart == 0
         assert trace.n_sweeps == 0
         assert not trace.converged
+
+
+def assert_fit_matches_reference(tensor, cfg):
+    """``fit`` returns the bits of one-restart-at-a-time ``reference_fit``."""
+    model, trace = fit(tensor, cfg)
+    expected_model, expected, traces = reference_fit(tensor, cfg)
+    assert_same_bits(model, expected_model)
+    assert trace == expected
+    return traces
+
+
+@st.composite
+def fit_problems(draw):
+    """A small tensor, a fit setting and a block budget from below one
+    restart's nnz * K (one restart per block) to above all of them."""
+    N = draw(st.integers(2, 7))
+    M = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), st.integers(0, M - 1))
+    cells = draw(st.dictionaries(cell.filter(lambda c: c[0] != c[1]),
+                                 st.integers(1, 50), max_size=60))
+    prior = draw(st.one_of(st.just((1.0, 0.0)),
+                           st.tuples(st.floats(1.0, 2.0), st.floats(0.0, 1.0))))
+    cfg = FitConfig(rank=draw(st.integers(1, 16)), restarts=draw(st.integers(1, 12)),
+                    max_iters=draw(st.integers(1, 30)),
+                    rel_tol=draw(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-6])),
+                    seed=draw(st.integers(0, 2**16)),
+                    prior_shape=prior[0], prior_rate=prior[1])
+    size = max(len(cells) * cfg.rank, 1)
+    budget = draw(st.integers(1, (cfg.restarts + 1) * size))
+    return make_tensor((N, N, M), cells), cfg, budget
+
+
+class TestFitMatchesReference:
+    """Batched restarts return exactly the bits of sequential ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fit_problems())
+    def test_any_block_budget(self, problem):
+        tensor, cfg, budget = problem
+        with warnings.catch_warnings(), mock.patch.object(solver, "BLOCK_ELEMENTS", budget):
+            warnings.simplefilter("ignore", RuntimeWarning)  # overcomplete rank
+            assert_fit_matches_reference(tensor, cfg)
+
+    # nnz * K below the budget (blocks of 4, 4 and 2 restarts) and above it
+    # (one restart per block)
+    @pytest.mark.parametrize("dims, nnz, cfg", [
+        ((20, 20, 8), 2000, FitConfig(rank=8, max_iters=40, rel_tol=1e-3, seed=3, restarts=10)),
+        ((30, 30, 16), 4400, FitConfig(rank=16, max_iters=3, seed=4, restarts=2,
+                                      prior_shape=1.2, prior_rate=0.1)),
+    ])
+    def test_block_budget_of_the_module(self, dims, nnz, cfg):
+        rng = np.random.default_rng(33)
+        tensor = random_tensor(rng, dims, nnz)
+        traces = assert_fit_matches_reference(tensor, cfg)
+        if cfg.restarts > 2:
+            # restarts left the block at different sweeps
+            assert len({t.n_sweeps for t in traces}) > 1
 
 
 class TestGauge:
