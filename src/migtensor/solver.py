@@ -184,16 +184,9 @@ def reconstruct_entry(model: FactorModel, i: int, j: int, t: int) -> float:
     return float((model.O[i] * model.D[j] * model.T[t]) @ model.weights)
 
 
-def _check_scratch(tensor: MigrationTensor, model: FactorModel, scratch) -> tuple[np.ndarray, np.ndarray]:
-    """The caller's (nnz, K) scratch pair as a one-restart block, or a new one."""
-    if scratch is None:
-        return np.empty((1, tensor.nnz, model.K)), np.empty((1, tensor.nnz, model.K))
-    # C order keeps the row sums' summation order, and so their bits
-    if any(buf.shape != (tensor.nnz, model.K) or buf.dtype != np.float64
-           or not buf.flags.c_contiguous for buf in scratch):
-        raise ValueError("scratch arrays must be C-contiguous float64 of shape "
-                         f"{(tensor.nnz, model.K)}")
-    return tuple(buf[None] for buf in scratch)
+def _block_of_one(tensor: MigrationTensor, model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh (1, nnz, K) scratch pair for a public kernel's one-restart block."""
+    return np.empty((1, tensor.nnz, model.K)), np.empty((1, tensor.nnz, model.K))
 
 
 def _gather(mat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -257,19 +250,17 @@ def _log_likelihoods(counts: np.ndarray, rates: np.ndarray, mass: np.ndarray) ->
     return out
 
 
-def log_likelihood(tensor: MigrationTensor, model: FactorModel, *, scratch=None) -> float:
+def log_likelihood(tensor: MigrationTensor, model: FactorModel) -> float:
     """Poisson log-likelihood up to the constant log(A!) term.
 
     Returns -inf (rather than raising) when the model assigns rate zero to
-    a cell with observed counts. ``scratch``, two float64 arrays of shape
-    (nnz, K), is overwritten; without it the call allocates its own.
+    a cell with observed counts.
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
     factors = (model.O[None], model.D[None], model.T[None])
     lam = model.weights[None]
-    scratch = _check_scratch(tensor, model, scratch)
-    rates = _rates(factors, lam, _index_columns(tensor), scratch)
+    rates = _rates(factors, lam, _index_columns(tensor), _block_of_one(tensor, model))
     return float(_log_likelihoods(tensor.counts, rates, _mass(factors, lam))[0])
 
 
@@ -315,7 +306,7 @@ def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
 
 
 def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
-                prior_shape: float = 1.0, prior_rate: float = 0.0, *, scratch=None) -> FactorModel:
+                prior_shape: float = 1.0, prior_rate: float = 0.0) -> FactorModel:
     """One multiplicative update of a single factor matrix.
 
     Absorbs the weights into the updated mode, applies the Poisson
@@ -328,8 +319,6 @@ def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
     scattered into its rows with one ``np.bincount`` per column, which
     adds the terms of each cell in nnz order exactly as ``np.add.at``
     would, so the result is bit-identical to that formulation.
-    ``scratch``, two float64 arrays of shape (nnz, K), is overwritten;
-    without it the call allocates its own.
     """
     if model.dims != tensor.dims:
         raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
@@ -339,8 +328,7 @@ def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
     factors = [model.O[None], model.D[None], model.T[None]]
     index = _index_columns(tensor)
     factors[m], lam = _update(tensor.counts, index, factors, model.weights[None], m,
-                              prior_shape, prior_rate, _check_scratch(tensor, model, scratch),
-                              index[m])
+                              prior_shape, prior_rate, _block_of_one(tensor, model), index[m])
     return FactorModel(*(mat[0] for mat in factors), lam[0])
 
 

@@ -255,11 +255,6 @@ def assert_same_bits(got: FactorModel, expected: FactorModel):
         assert x.tobytes() == y.tobytes()
 
 
-def nan_scratch(nnz, K):
-    """Scratch arrays full of NaN: a kernel must overwrite what it reads."""
-    return np.full((nnz, K), np.nan), np.full((nnz, K), np.nan)
-
-
 class TestKernelsMatchReference:
     """The tuned kernels return exactly the bits of the plain formulation."""
 
@@ -272,8 +267,6 @@ class TestKernelsMatchReference:
         tensor, model, (a, b) = problem
         expected = reference_mode_update(tensor, model, mode, a, b)
         assert_same_bits(mode_update(tensor, model, mode, a, b), expected)
-        scratch = nan_scratch(tensor.nnz, model.K)
-        assert_same_bits(mode_update(tensor, model, mode, a, b, scratch=scratch), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_problems())
@@ -283,31 +276,16 @@ class TestKernelsMatchReference:
         tensor, model, _ = problem
         expected = reference_log_likelihood(tensor, model)
         assert log_likelihood(tensor, model) == expected
-        scratch = nan_scratch(tensor.nnz, model.K)
-        assert log_likelihood(tensor, model, scratch=scratch) == expected
 
     def test_sweeps_of_a_fit_match_reference(self):
         rng = np.random.default_rng(31)
         tensor = random_tensor(rng, (7, 7, 6), 80)
         model = expected = init_factors(tensor.dims, FitConfig(rank=3, seed=2))
-        scratch = nan_scratch(tensor.nnz, model.K)
         for _ in range(5):
             for mode in MODES:
-                model = mode_update(tensor, model, mode, 1.0, 0.1, scratch=scratch)
+                model = mode_update(tensor, model, mode, 1.0, 0.1)
                 expected = reference_mode_update(tensor, expected, mode, 1.0, 0.1)
                 assert_same_bits(model, expected)
-
-    def test_scratch_of_wrong_shape_rejected(self):
-        rng = np.random.default_rng(32)
-        tensor = random_tensor(rng, (4, 4, 3), 10)
-        model = random_model(rng, tensor.dims, 2)
-        with pytest.raises(ValueError, match="scratch"):
-            mode_update(tensor, model, "origin", scratch=nan_scratch(tensor.nnz, 3))
-        with pytest.raises(ValueError, match="scratch"):
-            log_likelihood(tensor, model, scratch=nan_scratch(tensor.nnz + 1, 2))
-        fortran = tuple(np.asfortranarray(buf) for buf in nan_scratch(tensor.nnz, 2))
-        with pytest.raises(ValueError, match="scratch"):
-            mode_update(tensor, model, "time", scratch=fortran)
 
 
 class TestFit:
