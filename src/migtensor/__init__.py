@@ -37,14 +37,11 @@ from .solver import (
     FitConfig,
     FitTrace,
     fit,
-    init_factors,
     load_model,
-    log_likelihood,
-    mode_update,
     save_model,
 )
 from .synth import PlantedComponent, SynthSpec, generate_synthetic, load_synth_spec
-from .tensor import MigrationTensor, build_tensor, load_tensor, mode_marginals, save_tensor
+from .tensor import MigrationTensor, build_tensor, load_tensor, save_tensor
 
 __all__ = [
     "CentroidTable",
@@ -69,15 +66,11 @@ __all__ = [
     "fit",
     "generate_synthetic",
     "gini",
-    "init_factors",
     "load_centroids",
     "load_model",
     "load_registry",
     "load_synth_spec",
     "load_tensor",
-    "log_likelihood",
-    "mode_marginals",
-    "mode_update",
     "rank_components",
     "read_events",
     "read_residences",

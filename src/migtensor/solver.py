@@ -24,9 +24,7 @@ restart leaves the block once it converges or turns non-finite. The
 per-sweep likelihood is fused into the time update, which has already
 built O[ii] * D[jj]: the new rates are that product times the new T's
 rows, dotted with the new weights. ``FactorModel`` is built and
-validated only at the API boundary (the winner, the public kernels),
-not on every update. ``mode_update`` and ``log_likelihood`` are the same
-kernels run on a block of one.
+validated once, for the winning restart, not on every update.
 
 Every result has the bits of the plain per-restart formulation
 (fancy-index row gathers, ``np.add.at`` scatter). Gathers are ``np.take``
@@ -59,8 +57,6 @@ from .tensor import MigrationTensor
 # floor applied to reconstructed rates inside update ratios; factor entries
 # themselves are never floored, so zeros stay absorbing
 RATE_EPS = 1e-12
-
-MODES = ("origin", "destination", "time")
 
 # elements in each of fit's two scratch buffers: a block of R restarts
 # sweeps together while R * nnz * K fits, and a tensor with nnz * K above
@@ -146,8 +142,9 @@ class FitConfig:
             raise ValueError("max_iters and restarts must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.prior_shape < 1 or self.prior_rate < 0:
-            raise ValueError("need prior_shape >= 1 and prior_rate >= 0")
+        # chained, so that NaN fails both bounds as it fails every comparison
+        if not (1 <= self.prior_shape < math.inf and 0 <= self.prior_rate < math.inf):
+            raise ValueError("need finite prior_shape >= 1 and prior_rate >= 0")
 
 
 @dataclass
@@ -171,22 +168,6 @@ def _draw_factors(dims: tuple[int, int, int], rank: int,
     D = rng.uniform(0.1, 1.1, size=(N2, rank))
     T = rng.uniform(0.1, 1.1, size=(M, rank))
     return O, D, T
-
-
-def init_factors(dims: tuple[int, int, int], config: FitConfig) -> FactorModel:
-    """Seeded random start: entries i.i.d. uniform on (0.1, 1.1), weights 1."""
-    return FactorModel(*_draw_factors(dims, config.rank, np.random.default_rng(config.seed)),
-                       np.ones(config.rank))
-
-
-def reconstruct_entry(model: FactorModel, i: int, j: int, t: int) -> float:
-    """Reconstructed rate at one cell: sum_k lam_k * O_ik * D_jk * T_tk."""
-    return float((model.O[i] * model.D[j] * model.T[t]) @ model.weights)
-
-
-def _block_of_one(tensor: MigrationTensor, model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh (1, nnz, K) scratch pair for a public kernel's one-restart block."""
-    return np.empty((1, tensor.nnz, model.K)), np.empty((1, tensor.nnz, model.K))
 
 
 def _gather(mat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,20 +231,6 @@ def _log_likelihoods(counts: np.ndarray, rates: np.ndarray, mass: np.ndarray) ->
     return out
 
 
-def log_likelihood(tensor: MigrationTensor, model: FactorModel) -> float:
-    """Poisson log-likelihood up to the constant log(A!) term.
-
-    Returns -inf (rather than raising) when the model assigns rate zero to
-    a cell with observed counts.
-    """
-    if model.dims != tensor.dims:
-        raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
-    factors = (model.O[None], model.D[None], model.T[None])
-    lam = model.weights[None]
-    rates = _rates(factors, lam, _index_columns(tensor), _block_of_one(tensor, model))
-    return float(_log_likelihoods(tensor.counts, rates, _mass(factors, lam))[0])
-
-
 def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
             a: float, b: float, scratch, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One multiplicative update of factor matrix ``mode`` in every restart.
@@ -303,33 +270,6 @@ def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
     lam_new = W_new.sum(1)
     scale = np.where(lam_new > 0, lam_new, 1.0)
     return W_new / scale[:, None], lam_new
-
-
-def mode_update(tensor: MigrationTensor, model: FactorModel, mode: str,
-                prior_shape: float = 1.0, prior_rate: float = 0.0) -> FactorModel:
-    """One multiplicative update of a single factor matrix.
-
-    Absorbs the weights into the updated mode, applies the Poisson
-    multiplicative rule over the nonzero entries (cost O(nnz * K)), then
-    renormalizes that matrix's columns back into (factors, weights). The
-    other two matrices pass through untouched. Denominators subtract the
-    structurally-absent diagonal's contribution.
-
-    The numerator ``sum over nonzeros of contrib * count / rate`` is
-    scattered into its rows with one ``np.bincount`` per column, which
-    adds the terms of each cell in nnz order exactly as ``np.add.at``
-    would, so the result is bit-identical to that formulation.
-    """
-    if model.dims != tensor.dims:
-        raise ValueError(f"model dims {model.dims} != tensor dims {tensor.dims}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    m = MODES.index(mode)
-    factors = [model.O[None], model.D[None], model.T[None]]
-    index = _index_columns(tensor)
-    factors[m], lam = _update(tensor.counts, index, factors, model.weights[None], m,
-                              prior_shape, prior_rate, _block_of_one(tensor, model), index[m])
-    return FactorModel(*(mat[0] for mat in factors), lam[0])
 
 
 def _restart_key(trace: FitTrace) -> tuple[bool, float]:

@@ -56,11 +56,6 @@ class MigrationTensor:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dims, dtype=np.int64)
-        dense[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = self.counts
-        return dense
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MigrationTensor)
@@ -87,18 +82,6 @@ def build_tensor(events: Iterable[MigrationEvent], registry: CountryRegistry, mo
         coords = np.zeros((0, 3), dtype=np.int64)
         counts = np.zeros(0, dtype=np.int64)
     return MigrationTensor((N, N, months), coords, counts)
-
-
-def mode_marginals(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Totals by origin, destination and month, each summing to the tensor total.
-
-    ``np.bincount`` sums in float64, which is exact for integer totals
-    below 2**53; the likelihood already takes the counts as float64.
-    """
-    N, _, M = tensor.dims
-    return tuple(
-        np.bincount(tensor.coords[:, axis], weights=tensor.counts, minlength=size).astype(np.int64)
-        for axis, size in enumerate((N, N, M)))
 
 
 def save_tensor(tensor: MigrationTensor, path) -> None:

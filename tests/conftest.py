@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from migtensor import ingestion
+from migtensor import ingestion, solver
 from migtensor.events import (
     BAD_COORDINATES,
     BAD_FIELD_COUNT,
@@ -31,8 +31,10 @@ from migtensor.events import (
 )
 from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import MigrationEvent
-from migtensor.solver import MODES, RATE_EPS, FactorModel, FitTrace
+from migtensor.solver import RATE_EPS, FactorModel, FitTrace
 from migtensor.tensor import MigrationTensor
+
+MODES = ("origin", "destination", "time")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -137,9 +139,16 @@ def random_tensor(rng, dims, nnz) -> MigrationTensor:
     return make_tensor(dims, cells)
 
 
+def dense(tensor) -> np.ndarray:
+    """The tensor as an (N, N, M) int64 array, zero off its entries."""
+    out = np.zeros(tensor.dims, dtype=np.int64)
+    out[tuple(tensor.coords.T)] = tensor.counts
+    return out
+
+
 def dense_log_likelihood(tensor, model) -> float:
     """Poisson log-likelihood evaluated cell by cell over the dense array."""
-    dense = tensor.to_dense()
+    counts = dense(tensor)
     N1, N2, M = tensor.dims
     acc = 0.0
     for i in range(N1):
@@ -150,7 +159,7 @@ def dense_log_likelihood(tensor, model) -> float:
                 rate = math.fsum(
                     model.weights[k] * model.O[i, k] * model.D[j, k] * model.T[t, k]
                     for k in range(model.K))
-                count = dense[i, j, t]
+                count = counts[i, j, t]
                 if count > 0:
                     if rate <= 0:
                         return float("-inf")
@@ -166,7 +175,8 @@ def reference_rates(model, coords) -> np.ndarray:
 
 
 def reference_log_likelihood(tensor, model) -> float:
-    """``solver.log_likelihood`` on top of ``reference_rates``."""
+    """Poisson log-likelihood up to the constant log(A!) term on top of
+    ``reference_rates``: -inf where a cell with counts has rate zero."""
     full = model.weights @ (model.O.sum(0) * model.D.sum(0) * model.T.sum(0))
     diag = model.weights @ ((model.O * model.D).sum(0) * model.T.sum(0))
     mass = float(full - diag)
@@ -179,8 +189,11 @@ def reference_log_likelihood(tensor, model) -> float:
 
 
 def reference_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) -> FactorModel:
-    """``solver.mode_update`` with fancy-index gathers and an ``np.add.at``
-    scatter: the plain formulation its kernel must match bit for bit."""
+    """One multiplicative update of factor matrix ``mode`` with fancy-index
+    gathers and an ``np.add.at`` scatter: the plain formulation that
+    ``solver._update`` must match bit for bit. The weights are absorbed into
+    that matrix, updated, and renormalized back out of its columns; the
+    other two matrices pass through."""
     a, b = prior_shape, prior_rate
     ii, jj, tt = tensor.coords[:, 0], tensor.coords[:, 1], tensor.coords[:, 2]
     W = {"origin": model.O, "destination": model.D, "time": model.T}[mode] * model.weights
@@ -210,6 +223,34 @@ def reference_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) 
     if mode == "destination":
         return FactorModel(model.O, mat_new, model.T, lam_new)
     return FactorModel(model.O, model.D, mat_new, lam_new)
+
+
+def _one_restart(tensor, model):
+    """The model as ``fit``'s stacked (1, n, K) factors and (1, K) weights,
+    with a NaN-filled (1, nnz, K) scratch pair: a kernel that reads scratch
+    before writing it shows NaN."""
+    scratch = tuple(np.full((1, tensor.nnz, model.K), np.nan) for _ in range(2))
+    return [model.O[None], model.D[None], model.T[None]], model.weights[None], scratch
+
+
+def kernel_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) -> FactorModel:
+    """``solver._update`` of factor matrix ``mode``, as ``fit`` runs it, on a
+    block of one restart."""
+    m = MODES.index(mode)
+    factors, lam, scratch = _one_restart(tensor, model)
+    index = solver._index_columns(tensor)
+    bins = solver._bins(index[m], tensor.dims[m], 1)
+    factors[m], lam = solver._update(tensor.counts, index, factors, lam, m,
+                                     prior_shape, prior_rate, scratch, bins)
+    return FactorModel(*(mat[0] for mat in factors), lam[0])
+
+
+def kernel_log_likelihood(tensor, model) -> float:
+    """``solver._log_likelihoods`` of ``solver._rates``, the objective ``fit``
+    starts each restart from, on a block of one restart."""
+    factors, lam, scratch = _one_restart(tensor, model)
+    rates = solver._rates(factors, lam, solver._index_columns(tensor), scratch)
+    return float(solver._log_likelihoods(tensor.counts, rates, solver._mass(factors, lam))[0])
 
 
 def reference_fit(tensor, config):

@@ -65,9 +65,11 @@ def ts(*args):
 
 
 def written(table, header=False) -> str:
+    """``write_events``'s text, less its header line unless ``header``."""
     buf = io.StringIO()
-    write_events(table, buf, header)
-    return buf.getvalue()
+    write_events(table, buf)
+    text = buf.getvalue()
+    return text if header else text.partition("\n")[2]
 
 
 class TestParseCsv:

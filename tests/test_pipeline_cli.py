@@ -355,6 +355,12 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"error [config] bad config: {next(iter(fit))} must be" in capsys.readouterr().err
 
+    def test_nan_prior_exits_2(self, tmp_path, capsys):
+        path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100,
+                                              "seed": 0, "prior_shape": float("nan")})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "error [config] bad config: need finite prior_shape" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change, name", [
         ({"months": 6.8}, "months"), ({"window_k": 1.5}, "window_k"), ({"top_k": True}, "top_k"),
         ({"n_top": 2.0}, "n_top"), ({"epoch": {"year": "2014", "month": 1}}, "epoch_year"),

@@ -13,26 +13,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from migtensor import solver
-from migtensor.solver import (
-    MODES,
-    FactorModel,
-    FitConfig,
-    fit,
-    init_factors,
-    load_model,
-    log_likelihood,
-    mode_update,
-    reconstruct_entry,
-    save_model,
-)
+from migtensor.solver import FactorModel, FitConfig, fit, load_model, save_model
 
 from conftest import (
+    MODES,
     dense_log_likelihood,
+    kernel_log_likelihood,
+    kernel_mode_update,
     make_tensor,
     random_tensor,
     reference_fit,
     reference_log_likelihood,
     reference_mode_update,
+    reference_rates,
 )
 
 
@@ -49,6 +42,16 @@ def absorbed(model, mode):
     return mat * model.weights
 
 
+def rate_at(model, i, j, t) -> float:
+    """Reconstructed rate at one cell: sum_k lam_k * O_ik * D_jk * T_tk."""
+    return float(reference_rates(model, np.array([[i, j, t]]))[0])
+
+
+def random_start(dims, rank, seed):
+    """``fit``'s random start for one restart, from a fresh seeded stream."""
+    return solver._draw_factors(dims, rank, np.random.default_rng(seed))
+
+
 def integer_model_and_dense_tensor(rng, dims, K):
     """Model with integer factors whose off-diagonal reconstruction is a
     dense positive-integer tensor (every admissible cell in nnz)."""
@@ -63,39 +66,35 @@ def integer_model_and_dense_tensor(rng, dims, K):
             if i == j:
                 continue
             for t in range(M):
-                cells[(i, j, t)] = int(round(reconstruct_entry(model, i, j, t)))
+                cells[(i, j, t)] = int(round(rate_at(model, i, j, t)))
     return model, make_tensor(dims, cells)
 
 
-class TestInitFactors:
+class TestDrawFactors:
     def test_same_seed_identical(self):
-        cfg = FitConfig(rank=3, seed=42)
-        a = init_factors((5, 5, 7), cfg)
-        b = init_factors((5, 5, 7), cfg)
-        assert (a.O == b.O).all() and (a.D == b.D).all() and (a.T == b.T).all()
-        assert (a.weights == b.weights).all()
+        a = random_start((5, 5, 7), 3, 42)
+        b = random_start((5, 5, 7), 3, 42)
+        assert all((x == y).all() for x, y in zip(a, b))
 
     def test_adjacent_seeds_differ(self):
-        a = init_factors((5, 5, 7), FitConfig(rank=3, seed=0))
-        b = init_factors((5, 5, 7), FitConfig(rank=3, seed=1))
-        assert (a.O != b.O).any()
+        a = random_start((5, 5, 7), 3, 0)
+        b = random_start((5, 5, 7), 3, 1)
+        assert (a[0] != b[0]).any()
 
     def test_shapes(self):
-        m = init_factors((3, 3, 4), FitConfig(rank=2))
-        assert m.O.shape == (3, 2) and m.D.shape == (3, 2) and m.T.shape == (4, 2)
-        assert m.weights.tolist() == [1.0, 1.0]
+        O, D, T = random_start((3, 3, 4), 2, 0)
+        assert O.shape == (3, 2) and D.shape == (3, 2) and T.shape == (4, 2)
 
     def test_entries_in_open_interval(self):
-        m = init_factors((10, 10, 10), FitConfig(rank=4, seed=9))
-        for mat in (m.O, m.D, m.T):
+        for mat in random_start((10, 10, 10), 4, 9):
             assert (mat > 0.1).all() and (mat < 1.1).all()
 
 
-class TestReconstructEntry:
+class TestReferenceRates:
     def test_rank_one_closed_form(self):
         model = FactorModel(np.full((2, 1), 0.5), np.full((2, 1), 0.5),
                             np.full((3, 1), 0.5), np.array([2.0]))
-        assert reconstruct_entry(model, 0, 1, 2) == pytest.approx(0.25, abs=1e-15)
+        assert rate_at(model, 0, 1, 2) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_origin_row_annihilates(self):
         rng = np.random.default_rng(1)
@@ -103,7 +102,7 @@ class TestReconstructEntry:
         model.O[2] = 0.0
         for j in (0, 1, 3):
             for t in range(5):
-                assert reconstruct_entry(model, 2, j, t) == 0.0
+                assert rate_at(model, 2, j, t) == 0.0
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -113,7 +112,7 @@ class TestReconstructEntry:
             expected = math.fsum(
                 model.weights[k] * model.O[i, k] * model.D[j, k] * model.T[t, k]
                 for k in range(3))
-            assert reconstruct_entry(model, i, j, t) == pytest.approx(expected, rel=1e-12)
+            assert rate_at(model, i, j, t) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLogLikelihood:
@@ -122,36 +121,30 @@ class TestLogLikelihood:
         model = FactorModel(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
                             np.array([[1.0]]), np.array([1.0]))
         tensor = make_tensor((2, 2, 1), {(0, 1, 0): 1})
-        assert log_likelihood(tensor, model) == pytest.approx(-1.0, abs=1e-15)
+        assert kernel_log_likelihood(tensor, model) == pytest.approx(-1.0, abs=1e-15)
 
     def test_empty_tensor_is_negative_mass(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, (5, 5, 6), 2)
         tensor = make_tensor((5, 5, 6), {})
         mass = math.fsum(
-            reconstruct_entry(model, i, j, t)
+            rate_at(model, i, j, t)
             for i in range(5) for j in range(5) if i != j for t in range(6))
-        assert log_likelihood(tensor, model) == pytest.approx(-mass, rel=1e-12)
+        assert kernel_log_likelihood(tensor, model) == pytest.approx(-mass, rel=1e-12)
 
     def test_zero_rate_at_positive_count_is_neg_inf(self):
         model = FactorModel(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]),
                             np.ones((3, 1)), np.array([1.0]))
         tensor = make_tensor((2, 2, 3), {(0, 1, 1): 2})
-        assert log_likelihood(tensor, model) == float("-inf")
+        assert kernel_log_likelihood(tensor, model) == float("-inf")
 
     def test_matches_dense_loop_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             tensor = random_tensor(rng, (5, 5, 4), 30)
             model = random_model(rng, (5, 5, 4), 3)
-            assert log_likelihood(tensor, model) == pytest.approx(
+            assert kernel_log_likelihood(tensor, model) == pytest.approx(
                 dense_log_likelihood(tensor, model), rel=1e-9)
-
-    def test_shape_mismatch_fatal(self):
-        rng = np.random.default_rng(7)
-        model = random_model(rng, (4, 4, 5), 2)
-        with pytest.raises(ValueError):
-            log_likelihood(make_tensor((5, 5, 5), {}), model)
 
 
 class TestModeUpdate:
@@ -159,7 +152,7 @@ class TestModeUpdate:
         rng = np.random.default_rng(11)
         model, tensor = integer_model_and_dense_tensor(rng, (4, 4, 3), 2)
         for mode in MODES:
-            updated = mode_update(tensor, model, mode)
+            updated = kernel_mode_update(tensor, model, mode)
             np.testing.assert_allclose(absorbed(updated, mode), absorbed(model, mode),
                                        rtol=1e-12, atol=1e-12)
 
@@ -167,7 +160,7 @@ class TestModeUpdate:
         rng = np.random.default_rng(12)
         tensor = random_tensor(rng, (4, 4, 3), 20)
         model = random_model(rng, (4, 4, 3), 2)
-        updated = mode_update(tensor, model, "origin")
+        updated = kernel_mode_update(tensor, model, "origin")
         assert (updated.D == model.D).all() and (updated.T == model.T).all()
 
     def test_zero_column_is_absorbing(self):
@@ -176,7 +169,7 @@ class TestModeUpdate:
         model = random_model(rng, (4, 4, 3), 3)
         model.O[:, 1] = 0.0
         for mode in MODES:
-            model = mode_update(tensor, model, mode)
+            model = kernel_mode_update(tensor, model, mode)
         assert (absorbed(model, "origin")[:, 1] == 0.0).all()
 
     def test_objective_never_decreases_on_random_instances(self):
@@ -184,10 +177,10 @@ class TestModeUpdate:
         for _ in range(20):
             tensor = random_tensor(rng, (4, 4, 5), 25)
             model = random_model(rng, (4, 4, 5), 3)
-            before = log_likelihood(tensor, model)
+            before = kernel_log_likelihood(tensor, model)
             for mode in MODES:
-                model = mode_update(tensor, model, mode)
-                after = log_likelihood(tensor, model)
+                model = kernel_mode_update(tensor, model, mode)
+                after = kernel_log_likelihood(tensor, model)
                 assert after >= before - 1e-9
                 before = after
 
@@ -196,8 +189,8 @@ class TestModeUpdate:
         rng = np.random.default_rng(15)
         tensor = random_tensor(rng, (4, 4, 3), 10)
         model = random_model(rng, (4, 4, 3), 2)
-        plain = mode_update(tensor, model, "origin")
-        shrunk = mode_update(tensor, model, "origin", prior_shape=1.0, prior_rate=50.0)
+        plain = kernel_mode_update(tensor, model, "origin")
+        shrunk = kernel_mode_update(tensor, model, "origin", prior_shape=1.0, prior_rate=50.0)
         assert shrunk.weights.sum() < plain.weights.sum()
 
     def test_non_negativity_preserved(self):
@@ -206,14 +199,9 @@ class TestModeUpdate:
         model = random_model(rng, (5, 5, 4), 3)
         for sweep in range(5):
             for mode in MODES:
-                model = mode_update(tensor, model, mode, prior_shape=1.2, prior_rate=0.5)
+                model = kernel_mode_update(tensor, model, mode, prior_shape=1.2, prior_rate=0.5)
         for arr in (model.O, model.D, model.T, model.weights):
             assert (arr >= 0).all()
-
-    def test_unknown_mode(self):
-        rng = np.random.default_rng(17)
-        with pytest.raises(ValueError):
-            mode_update(make_tensor((3, 3, 2), {}), random_model(rng, (3, 3, 2), 1), "depth")
 
 
 @st.composite
@@ -256,7 +244,7 @@ def assert_same_bits(got: FactorModel, expected: FactorModel):
 
 
 class TestKernelsMatchReference:
-    """The tuned kernels return exactly the bits of the plain formulation."""
+    """``fit``'s kernels return exactly the bits of the plain formulation."""
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_problems(), st.sampled_from(MODES))
@@ -266,7 +254,7 @@ class TestKernelsMatchReference:
     def test_mode_update(self, problem, mode):
         tensor, model, (a, b) = problem
         expected = reference_mode_update(tensor, model, mode, a, b)
-        assert_same_bits(mode_update(tensor, model, mode, a, b), expected)
+        assert_same_bits(kernel_mode_update(tensor, model, mode, a, b), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_problems())
@@ -275,17 +263,7 @@ class TestKernelsMatchReference:
     def test_log_likelihood(self, problem):
         tensor, model, _ = problem
         expected = reference_log_likelihood(tensor, model)
-        assert log_likelihood(tensor, model) == expected
-
-    def test_sweeps_of_a_fit_match_reference(self):
-        rng = np.random.default_rng(31)
-        tensor = random_tensor(rng, (7, 7, 6), 80)
-        model = expected = init_factors(tensor.dims, FitConfig(rank=3, seed=2))
-        for _ in range(5):
-            for mode in MODES:
-                model = mode_update(tensor, model, mode, 1.0, 0.1)
-                expected = reference_mode_update(tensor, expected, mode, 1.0, 0.1)
-                assert_same_bits(model, expected)
+        assert kernel_log_likelihood(tensor, model) == expected
 
 
 class TestFit:
@@ -295,7 +273,7 @@ class TestFit:
         cfg = FitConfig(rank=1, max_iters=500, rel_tol=1e-12, seed=0, restarts=3)
         model, trace = fit(tensor, cfg)
         for (i, j, t), c in zip(tensor.coords.tolist(), tensor.counts):
-            rate = reconstruct_entry(model, i, j, t)
+            rate = rate_at(model, i, j, t)
             assert abs(rate - c) <= 0.01 * c
 
     def test_infinite_rel_tol_returns_normalized_init(self):
@@ -306,7 +284,8 @@ class TestFit:
         assert trace.n_sweeps == 0
         assert trace.converged
         assert len(trace.objectives) == 1
-        expected = init_factors((5, 5, 6), cfg).normalized().sorted_by_weight()
+        start = FactorModel(*random_start((5, 5, 6), cfg.rank, cfg.seed), np.ones(cfg.rank))
+        expected = start.normalized().sorted_by_weight()
         assert (model.O == expected.O).all()
         assert (model.D == expected.D).all()
         assert (model.T == expected.T).all()
@@ -475,8 +454,8 @@ class TestGauge:
         scaled.weights[1] /= 10.0
         for _ in range(20):
             i, j, t = rng.integers(0, 5), rng.integers(0, 5), rng.integers(0, 4)
-            assert reconstruct_entry(scaled, i, j, t) == pytest.approx(
-                reconstruct_entry(model, i, j, t), rel=1e-12)
+            assert rate_at(scaled, i, j, t) == pytest.approx(
+                rate_at(model, i, j, t), rel=1e-12)
 
     def test_normalized_preserves_reconstruction(self):
         rng = np.random.default_rng(32)
@@ -486,8 +465,8 @@ class TestGauge:
             np.testing.assert_allclose(mat.sum(axis=0), 1.0, rtol=1e-12)
         for _ in range(10):
             i, j, t = rng.integers(0, 5), rng.integers(0, 5), rng.integers(0, 4)
-            assert reconstruct_entry(norm, i, j, t) == pytest.approx(
-                reconstruct_entry(model, i, j, t), rel=1e-12)
+            assert rate_at(norm, i, j, t) == pytest.approx(
+                rate_at(model, i, j, t), rel=1e-12)
 
 
 class TestModelValidationAndConfig:
@@ -503,7 +482,10 @@ class TestModelValidationAndConfig:
 
     def test_config_validation(self):
         for kwargs in ({"rank": 0}, {"max_iters": 0}, {"restarts": 0},
-                       {"rel_tol": 0.0}, {"prior_shape": 0.5}, {"prior_rate": -1.0}):
+                       {"rel_tol": 0.0}, {"prior_shape": 0.5}, {"prior_rate": -1.0},
+                       {"prior_shape": math.nan}, {"prior_rate": math.nan},
+                       {"prior_shape": math.inf}, {"prior_rate": math.inf},
+                       {"prior_shape": -math.inf}, {"prior_rate": -math.inf}):
             with pytest.raises(ValueError):
                 FitConfig(**kwargs)
 

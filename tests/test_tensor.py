@@ -1,4 +1,4 @@
-"""Sparse count tensor construction, marginals and file format tests."""
+"""Sparse count tensor construction and file format tests."""
 
 from __future__ import annotations
 
@@ -13,11 +13,10 @@ from migtensor.tensor import (
     MigrationTensor,
     build_tensor,
     load_tensor,
-    mode_marginals,
     save_tensor,
 )
 
-from conftest import make_tensor, random_tensor
+from conftest import dense, make_tensor, random_tensor
 
 
 def random_events(rng, N, M, n_events):
@@ -45,7 +44,7 @@ class TestBuildTensor:
         t = build_tensor([], registry, 7)
         assert t.dims == (6, 6, 7)
         assert t.nnz == 0 and t.total == 0
-        assert t.to_dense().sum() == 0
+        assert dense(t).sum() == 0
 
     def test_counts_match_hash_map_tally(self, registry):
         rng = np.random.default_rng(3)
@@ -108,36 +107,6 @@ class TestMigrationTensorInvariants:
         t = MigrationTensor((3, 3, 2), [[2, 0, 1], [0, 1, 0]], [5, 7])
         assert t.coords.tolist() == [[0, 1, 0], [2, 0, 1]]
         assert t.counts.tolist() == [7, 5]
-
-
-class TestModeMarginals:
-    def test_single_entry(self):
-        t = make_tensor((7, 7, 8), {(0, 1, 5): 3})
-        origin, destination, month = mode_marginals(t)
-        assert origin.tolist() == [3, 0, 0, 0, 0, 0, 0]
-        assert destination.tolist() == [0, 3, 0, 0, 0, 0, 0]
-        assert month.tolist() == [0] * 5 + [3, 0, 0]
-
-    def test_empty_tensor(self):
-        origin, destination, month = mode_marginals(make_tensor((4, 4, 3), {}))
-        assert origin.tolist() == [0] * 4
-        assert destination.tolist() == [0] * 4
-        assert month.tolist() == [0] * 3
-
-    def test_matches_dense_accumulation(self):
-        rng = np.random.default_rng(13)
-        t = random_tensor(rng, (8, 8, 6), 120)
-        dense = t.to_dense()
-        origin, destination, month = mode_marginals(t)
-        assert origin.tolist() == dense.sum(axis=(1, 2)).tolist()
-        assert destination.tolist() == dense.sum(axis=(0, 2)).tolist()
-        assert month.tolist() == dense.sum(axis=(0, 1)).tolist()
-
-    def test_each_marginal_sums_to_total(self):
-        rng = np.random.default_rng(17)
-        t = random_tensor(rng, (5, 5, 9), 60)
-        for vec in mode_marginals(t):
-            assert vec.sum() == t.total
 
 
 class TestTensorFile:
