@@ -241,6 +241,15 @@ class TestRoundTrip:
         assert stats.total == 0
         assert events_of(table) == self._events()
 
+    def test_empty_table_writes_header_only(self):
+        assert written(table_of([]), header=True) == "user_id,timestamp,country\n"
+
+    def test_rows_past_a_block_all_written_in_order(self):
+        events = self._events() * 3
+        with mock.patch("migtensor.events._PARSE_BLOCK", 2):
+            text = written(table_of(events))
+        assert text == reference_serialize_events(events, "csv")
+
 
 class TestRegistry:
     def test_bijection(self, registry):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -358,6 +359,15 @@ class TestCli:
     def test_nan_prior_exits_2(self, tmp_path, capsys):
         path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100,
                                               "seed": 0, "prior_shape": float("nan")})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "error [config] bad config: need finite prior_shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior", [{"prior_rate": math.nan}, {"prior_shape": math.inf},
+                                       {"prior_rate": math.inf}],
+                             ids=["nan_rate", "inf_shape", "inf_rate"])
+    def test_non_finite_prior_exits_2(self, tmp_path, capsys, prior):
+        path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100,
+                                              "seed": 0, **prior})
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "error [config] bad config: need finite prior_shape" in capsys.readouterr().err
 

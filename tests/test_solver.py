@@ -265,6 +265,16 @@ class TestKernelsMatchReference:
         expected = reference_log_likelihood(tensor, model)
         assert kernel_log_likelihood(tensor, model) == expected
 
+    def test_sweeps_of_a_fit_match_reference(self):
+        rng = np.random.default_rng(31)
+        tensor = random_tensor(rng, (7, 7, 6), 80)
+        model = expected = FactorModel(*random_start(tensor.dims, 3, 2), np.ones(3))
+        for _ in range(5):
+            for mode in MODES:
+                model = kernel_mode_update(tensor, model, mode, 1.0, 0.1)
+                expected = reference_mode_update(tensor, expected, mode, 1.0, 0.1)
+                assert_same_bits(model, expected)
+
 
 class TestFit:
     def test_recovers_noiseless_rank_one(self):
