@@ -22,7 +22,6 @@ from .ingestion import (
     filter_table,
     load_centroids,
     load_registry,
-    resolve_table,
     save_registry,
 )
 from .residence import (
@@ -75,7 +74,6 @@ __all__ = [
     "read_events",
     "read_residences",
     "residence_matrix",
-    "resolve_table",
     "save_model",
     "save_registry",
     "save_tensor",

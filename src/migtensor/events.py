@@ -3,9 +3,11 @@
 An event stream is held as one columnar :class:`EventTable`: integer user,
 second and country columns. :func:`read_events` parses line-delimited CSV
 or JSONL records (a user id, an RFC 3339 UTC timestamp, and an ISO 3166-1
-alpha-2 country code or a (lat, lon) pair) into a table, and
-:func:`write_events` writes one back as CSV. Malformed records are never
-dropped silently: every rejection is tallied per reason.
+alpha-2 country code or a (lat, lon) pair) into a table, giving each
+point the country of its nearest centroid as it goes, and
+:func:`write_events` writes one back as CSV. Every row of a table has a
+country. Malformed records are never dropped silently: every rejection is
+tallied per reason.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, TextIO
 import numpy as np
 
 if TYPE_CHECKING:
-    from .ingestion import CountryRegistry
+    from .ingestion import CentroidTable, CountryRegistry
 
 CSV_HEADER_COUNTRY = "user_id,timestamp,country"
 CSV_HEADER_GEO = "user_id,timestamp,lat,lon"
@@ -37,6 +39,10 @@ OUT_OF_INTERVAL = "out_of_interval"
 BAD_COORDINATES = "bad_coordinates"
 UNKNOWN_COUNTRY = "unknown_country"
 BAD_LOCATION = "bad_location"
+
+
+class ConfigError(ValueError):
+    """Invalid configuration (bad registry, empty centroid table, ...)."""
 
 
 class InputError(ValueError):
@@ -95,10 +101,9 @@ class EventTable:
     """Events as columns, one row per event.
 
     Row i is user ``users[user[i]]`` at ``seconds[i]`` (whole UTC seconds
-    since 1970) in country ``codes[country[i]]``, or, where ``country[i]``
-    is -1, at the point (``lat[i]``, ``lon[i]``); ``lat`` and ``lon`` are
-    NaN on coded rows. ``users`` is sorted and names exactly the users that
-    have rows, so user index order is user id order.
+    since 1970) in country ``codes[country[i]]``. ``users`` is sorted and
+    names exactly the users that have rows, so user index order is user id
+    order.
     """
 
     users: list[str]
@@ -106,8 +111,6 @@ class EventTable:
     user: np.ndarray  # int32
     seconds: np.ndarray  # int64
     country: np.ndarray  # int16
-    lat: np.ndarray  # float64
-    lon: np.ndarray  # float64
 
     def __len__(self) -> int:
         return len(self.seconds)
@@ -211,6 +214,14 @@ def _json_number(value):
     return value if type(value) in (int, float) else None
 
 
+def _json_user(value) -> str:
+    """A JSON string, or the text of a JSON integer (not a boolean); any
+    other value as "", which is rejected as a missing field."""
+    if type(value) is str:
+        return value.strip()
+    return str(value) if type(value) is int else ""
+
+
 def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
     """``(user, timestamp, country, lat, lon)`` columns of a block's JSONL objects."""
     rows = []
@@ -235,7 +246,7 @@ def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
         if has_point and (lat is None or lon is None):
             stats.add(BAD_COORDINATES)
             continue
-        rows.append((str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
+        rows.append((_json_user(obj.get("user_id")), obj.get("timestamp"),
                      country, _json_number(lat), _json_number(lon)))
     return _columns(rows)
 
@@ -249,17 +260,19 @@ _FIELDS = {"csv": _csv_fields, "jsonl": _jsonl_fields}
 _PARSE_BLOCK = 2048
 
 
-def _finish_block(columns, bounds, registry, codes: dict, users: dict, stats) -> tuple:
-    """Columns of a block's accepted rows, in input order.
+def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict, stats) -> tuple:
+    """Columns of a block's accepted rows, in input order, every row coded.
 
     Each rule tallies and drops the rows still accepted that break it, in
     this order: an empty user or no timestamp (a missing field); a
     timestamp that is not a string or does not parse; a second outside
     ``bounds``, the study interval in epoch seconds ``[start, end)``; an
     empty country code (a missing field); a code not in the registry; a
-    point that is not finite or lies off the globe. ``codes`` and ``users``
-    map codes and user ids to their indices and grow, in row order, with
-    the accepted rows' new ones (codes only without a registry).
+    point that is not finite or lies off the globe. Each point left takes
+    the code of its nearest row of ``centroids``; a point without a
+    centroid table is a :class:`ConfigError`. ``codes`` and ``users`` map
+    codes and user ids to their indices and grow, in row order, with the
+    accepted rows' new ones (codes only without a registry).
     """
     user, stamp, country, lat, lon = columns
     n = len(user)
@@ -300,20 +313,26 @@ def _finish_block(columns, bounds, registry, codes: dict, users: dict, stats) ->
             unknown[i] = True
     reject(MISSING_FIELD, empty)
     reject(UNKNOWN_COUNTRY, unknown)
-    _check_code_count(codes)
-    lat_col, lon_col = np.full(n, np.nan), np.full(n, np.nan)
     points = np.flatnonzero(accepted & (code == -1))
-    lat_col[points] = [_coordinate(lat[i]) for i in points.tolist()]
-    lon_col[points] = [_coordinate(lon[i]) for i in points.tolist()]
+    point_lat = np.array([_coordinate(lat[i]) for i in points.tolist()], dtype=float)
+    point_lon = np.array([_coordinate(lon[i]) for i in points.tolist()], dtype=float)
     # NaN and infinities fail the range test too
-    reject(BAD_COORDINATES, ~((lat_col >= -90.0) & (lat_col <= 90.0)
-                              & (lon_col >= -180.0) & (lon_col <= 180.0)) & (code == -1))
+    on_globe = (point_lat >= -90.0) & (point_lat <= 90.0) & (point_lon >= -180.0) & (point_lon <= 180.0)
+    off_globe = np.zeros(n, dtype=bool)
+    off_globe[points[~on_globe]] = True
+    reject(BAD_COORDINATES, off_globe)
+    if on_globe.any():
+        if centroids is None:
+            raise ConfigError("geo_point events present but no centroid table configured")
+        row_code = np.array([codes.setdefault(c, len(codes)) for c in centroids.codes], dtype=np.int32)
+        code[points[on_globe]] = row_code[centroids.nearest(point_lat[on_globe], point_lon[on_globe])]
+    _check_code_count(codes)
     keep = np.flatnonzero(accepted)
     kept_users = list(map(user.__getitem__, keep.tolist()))
     for u in dict.fromkeys(kept_users):
         users.setdefault(u, len(users))
     ids = np.fromiter(map(users.__getitem__, kept_users), np.int32, keep.size)
-    return ids, seconds[keep], code[keep].astype(np.int16), lat_col[keep], lon_col[keep]
+    return ids, seconds[keep], code[keep].astype(np.int16)
 
 
 def _ceil_seconds(ts: datetime) -> int:
@@ -325,14 +344,17 @@ def read_events(
     format: str,
     interval: Optional[tuple[datetime, datetime]] = None,
     registry: Optional[CountryRegistry] = None,
+    centroids: Optional[CentroidTable] = None,
 ) -> tuple[EventTable, RejectStats]:
     """Parse a line-delimited event stream into an :class:`EventTable`.
 
     ``format`` is ``"csv"`` or ``"jsonl"``. When ``interval`` is given,
     records outside ``[start, end)`` are rejected; when ``registry`` is
     given, unknown country codes are rejected and the table's codes are the
-    registry's. Rows come in input order. The stream is read in blocks of
-    lines, so memory holds columns, not lines.
+    registry's. A (lat, lon) point takes the code of its nearest centroid
+    in ``centroids``; a point in a stream read without one is a
+    :class:`ConfigError`. Rows come in input order. The stream is read in
+    blocks of lines, so memory holds columns, not lines.
     """
     if format not in _FIELDS:
         raise InputError(f"unknown input format {format!r}")
@@ -349,17 +371,17 @@ def read_events(
         if first is not None and first.strip() not in (CSV_HEADER_COUNTRY, CSV_HEADER_GEO):
             lines = chain([first], lines)
     # typed empty columns first, so that an empty stream concatenates too
-    blocks = [_finish_block(_columns([]), None, None, codes, users, stats)]
+    blocks = [_finish_block(_columns([]), None, None, None, codes, users, stats)]
     while block := list(islice(lines, _PARSE_BLOCK)):
-        blocks.append(_finish_block(fields(block, stats), bounds, registry, codes, users, stats))
-    user, seconds, country, lat, lon = (np.concatenate(column) for column in zip(*blocks))
+        blocks.append(_finish_block(fields(block, stats), bounds, registry, centroids, codes, users,
+                                    stats))
+    user, seconds, country = (np.concatenate(column) for column in zip(*blocks))
     # renumber users from first-seen to sorted order
     names = list(users)
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int32)
     rank[order] = np.arange(len(names), dtype=np.int32)
-    table = EventTable([names[i] for i in order], list(codes), rank[user], seconds, country, lat, lon)
-    return table, stats
+    return EventTable([names[i] for i in order], list(codes), rank[user], seconds, country), stats
 
 
 def _format_seconds(seconds: np.ndarray) -> list[str]:
@@ -369,19 +391,14 @@ def _format_seconds(seconds: np.ndarray) -> list[str]:
 
 def write_events(table: EventTable, fh: TextIO) -> None:
     """Write the table as CSV in the format :func:`read_events` reads: the
-    ``user_id,timestamp,country`` header, then one row per event, with
-    ``lat,lon`` (their ``repr``) in place of the country on a point row."""
+    ``user_id,timestamp,country`` header, then one row per event."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["user_id", "timestamp", "country"])
-    codes = table.codes
     for start in range(0, len(table), _PARSE_BLOCK):
         rows = slice(start, start + _PARSE_BLOCK)
-        writer.writerows(
-            (user, stamp, codes[country]) if country >= 0 else (user, stamp, repr(lat), repr(lon))
-            for user, stamp, country, lat, lon in zip(
-                map(table.users.__getitem__, table.user[rows].tolist()),
-                _format_seconds(table.seconds[rows]), table.country[rows].tolist(),
-                table.lat[rows].tolist(), table.lon[rows].tolist()))
+        writer.writerows(zip(map(table.users.__getitem__, table.user[rows].tolist()),
+                             _format_seconds(table.seconds[rows]),
+                             map(table.codes.__getitem__, table.country[rows].tolist())))
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Country resolution, the country registry and user-level noise filtering.
+"""The country registry, the centroid table and user-level noise filtering.
 
 The event table and the stream formats it is read from and written to
-live in :mod:`migtensor.events`; :func:`resolve_table` and
-:func:`filter_table` work on that table.
+live in :mod:`migtensor.events`; :func:`~migtensor.events.read_events`
+resolves points through a :class:`CentroidTable` as it parses, and
+:func:`filter_table` works on the table it returns.
 """
 
 from __future__ import annotations
@@ -10,16 +11,12 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .events import EventTable, open_text, run_starts
-
-
-class ConfigError(ValueError):
-    """Invalid configuration (bad registry, empty centroid table, ...)."""
+from .events import ConfigError, EventTable, open_text, run_starts
 
 
 def require_int(name: str, value) -> None:
@@ -96,6 +93,12 @@ def save_registry(registry: CountryRegistry, path) -> None:
             fh.write(code + "\n")
 
 
+# points per block of the nearest-centroid search: a block's (points x
+# centroids) float64 temporaries stay a few hundred kB, so peak memory does
+# not grow with the stream
+_RESOLVE_BLOCK = 256
+
+
 class CentroidTable:
     """Country centroid coordinates used by the nearest-centroid resolver.
 
@@ -121,6 +124,30 @@ class CentroidTable:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    def nearest(self, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
+        """Row index of the nearest centroid for each point, by great-circle distance.
+
+        Ties break to the centroid with the smaller registry index (rows
+        are stored in that order and argmin keeps the first minimum). The
+        sphere radius cancels in the argmin, so only central angles are
+        compared.
+        """
+        if not self.codes:
+            raise ConfigError("centroid table is empty")
+        nearest = np.empty(len(lat_deg), dtype=np.intp)
+        cos_table_lat = np.cos(self._lat_rad)
+        for start in range(0, len(lat_deg), _RESOLVE_BLOCK):
+            stop = start + _RESOLVE_BLOCK
+            lat = np.radians(lat_deg[start:stop])[:, None]
+            lon = np.radians(lon_deg[start:stop])[:, None]
+            # haversine central angle of every point in the block against every row
+            dlat = self._lat_rad - lat
+            dlon = self._lon_rad - lon
+            h = np.sin(dlat / 2.0) ** 2 + np.cos(lat) * cos_table_lat * np.sin(dlon / 2.0) ** 2
+            angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+            nearest[start:stop] = angle.argmin(axis=1)
+        return nearest
 
 
 def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
@@ -183,55 +210,6 @@ class DroppedUserStats:
         }
 
 
-# points per block of the batched resolver: a block's (points x centroids)
-# float64 temporaries stay a few hundred kB, so peak memory does not grow
-# with the stream
-_RESOLVE_BLOCK = 256
-
-
-def _nearest_centroids(lat_deg: np.ndarray, lon_deg: np.ndarray, table: CentroidTable) -> np.ndarray:
-    """Row index of the nearest centroid for each point, by great-circle distance.
-
-    Ties break to the centroid with the smaller registry index (the table
-    is stored in that order and argmin keeps the first minimum). The sphere
-    radius cancels in the argmin, so only central angles are compared.
-    """
-    if len(table) == 0:
-        raise ConfigError("centroid table is empty")
-    nearest = np.empty(len(lat_deg), dtype=np.intp)
-    cos_table_lat = np.cos(table._lat_rad)
-    for start in range(0, len(lat_deg), _RESOLVE_BLOCK):
-        stop = start + _RESOLVE_BLOCK
-        lat = np.radians(lat_deg[start:stop])[:, None]
-        lon = np.radians(lon_deg[start:stop])[:, None]
-        # haversine central angle of every point in the block against every row
-        dlat = table._lat_rad - lat
-        dlon = table._lon_rad - lon
-        h = np.sin(dlat / 2.0) ** 2 + np.cos(lat) * cos_table_lat * np.sin(dlon / 2.0) ** 2
-        angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-        nearest[start:stop] = angle.argmin(axis=1)
-    return nearest
-
-
-def resolve_table(table: EventTable, centroids: Optional[CentroidTable]) -> EventTable:
-    """Give every point row the code of its nearest centroid.
-
-    Coded rows are unchanged. A point row without a centroid table is a
-    configuration error.
-    """
-    points = np.flatnonzero(table.country < 0)
-    if not points.size:
-        return table
-    if centroids is None:
-        raise ConfigError("geo_point events present but no centroid table configured")
-    nearest = _nearest_centroids(table.lat[points], table.lon[points], centroids)
-    index = {code: i for i, code in enumerate(table.codes)}
-    row_code = np.array([index.setdefault(code, len(index)) for code in centroids.codes], dtype=np.int16)
-    country = table.country.copy()
-    country[points] = row_code[nearest]
-    return replace(table, codes=list(index), country=country)
-
-
 # filter rule names
 RULE_MAX_EVENTS_PER_DAY = "max_events_per_day"
 RULE_MAX_COUNTRIES_PER_DAY = "max_countries_per_day"
@@ -242,12 +220,10 @@ RULE_MIN_ACTIVE_MONTHS = "min_active_months"
 def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, DroppedUserStats]:
     """Drop whole users that trip any policy rule.
 
-    Rows must be country-resolved. The kept rows come sorted by (user,
-    time), rows of equal time in table order; all of a user's rows are kept
-    or none are. Days and months are UTC calendar days and months.
+    The kept rows come sorted by (user, time), rows of equal time in table
+    order; all of a user's rows are kept or none are. Days and months are
+    UTC calendar days and months.
     """
-    if (table.country < 0).any():
-        raise ValueError("filter_table requires country-resolved events")
     order = np.lexsort((table.seconds, table.user))
     user, seconds, country = table.user[order], table.seconds[order], table.country[order]
     n_users = len(table.users)
@@ -283,6 +259,5 @@ def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, D
     new_index = (np.cumsum(~dropped) - 1).astype(np.int32)
     kept = EventTable(
         [u for u, gone in zip(table.users, dropped.tolist()) if not gone], table.codes,
-        new_index[user[keep]], seconds[keep], country[keep],
-        table.lat[order][keep], table.lon[order][keep])
+        new_index[user[keep]], seconds[keep], country[keep])
     return kept, stats

@@ -72,8 +72,8 @@ def stage_ingest(config: PipelineConfig) -> dict:
     registry = ingestion.load_registry(config.registry)
     centroids = None if config.centroids is None else ingestion.load_centroids(config.centroids, registry)
     with open_text(config.input) as fh:
-        table, rejects = events.read_events(fh, config.format, config.calendar.interval(), registry)
-    table = ingestion.resolve_table(table, centroids)
+        table, rejects = events.read_events(fh, config.format, config.calendar.interval(), registry,
+                                            centroids)
     kept, drops = ingestion.filter_table(table, config.filter_policy)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,12 +94,13 @@ def stage_residences(config: PipelineConfig) -> dict:
     """Monthly residence of every user in the event artifact."""
     registry = ingestion.load_registry(config.registry)
     path = config.out_dir / "events.csv"
-    with open_text(path) as fh:
-        table, rejects = events.read_events(fh, "csv", config.calendar.interval(), registry)
+    try:
+        with open_text(path) as fh:
+            table, rejects = events.read_events(fh, "csv", config.calendar.interval(), registry)
+    except ConfigError as exc:  # a point row, which ingest resolves before writing
+        raise InputError(f"{path}: events artifact holds an unresolved point") from exc
     if rejects.total:
         raise InputError(f"{path}: events artifact is corrupt: {rejects.as_dict()}")
-    if (table.country < 0).any():
-        raise InputError(f"{path}: events artifact holds an unresolved point")
     filled = residence.residence_matrix(table, config.calendar)
     residence.write_residence_matrix(table.users, filled, registry, config.out_dir / "residences.csv")
     return {"users": len(table.users)}

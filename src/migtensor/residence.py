@@ -35,6 +35,10 @@ class MonthCalendar:
             raise ConfigError(f"epoch month must be 1..12, got {self.epoch_month}")
         if self.months < 1:
             raise ConfigError("calendar must cover at least one month")
+        # the interval's bounds are datetimes, which hold years 1 to 9999
+        if self.epoch_year < 1 or self.year_month(self.months)[0] > 9999:
+            raise ConfigError(f"calendar of {self.months} months from {self.label(0)} must start "
+                              "in year 1 or later and end by November 9999")
 
     def year_month(self, index: int) -> tuple[int, int]:
         total = self.epoch_year * 12 + (self.epoch_month - 1) + index
@@ -64,7 +68,7 @@ class MigrationEvent:
 
 
 def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
-    """Filled monthly residence of every user of a resolved table.
+    """Filled monthly residence of every user of an event table.
 
     Returns a ``(len(table.users), calendar.months)`` int16 matrix of
     indices into ``table.codes``, -1 where unknown. A month with events
@@ -75,8 +79,6 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     before it; months before a user's first event stay -1.
     """
     U, M, N = len(table.users), calendar.months, max(len(table.codes), 1)
-    if (table.country < 0).any():
-        raise ValueError("residence_matrix requires country-resolved events")
     epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
     month = table.seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) - epoch
     if ((month < 0) | (month >= M)).any():

@@ -60,6 +60,7 @@ class SynthSpec:
             raise ConfigError("dwell_months must be >= 1")
         if self.tweets_per_month < 0:
             raise ConfigError("tweets_per_month must be >= 0")
+        self.calendar  # validates epoch and length
         for comp in self.components:
             bad = [m for m in comp.active_months if not 0 <= m < self.months]
             if bad:
@@ -200,8 +201,7 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
     seconds = np.fromiter((second for _, second, _ in rows), np.int64, n)
     country = np.fromiter((code for _, _, code in rows), np.int16, n)
     order = np.lexsort((seconds, user))  # stable: equal (user, second) rows keep draw order
-    table = EventTable(users, registry.codes, user[order], seconds[order], country[order],
-                       np.full(n, np.nan), np.full(n, np.nan))
+    table = EventTable(users, registry.codes, user[order], seconds[order], country[order])
     truth = {
         "planted": planted,
         "noise_moves": noise_moves,

@@ -55,31 +55,25 @@ class Event(NamedTuple):
 
 
 def table_of(events, registry=None) -> EventTable:
-    """The events as an :class:`EventTable`, rows in the given order.
-    ``codes`` starts with the registry's, if given, then any other code."""
+    """The country-coded events as an :class:`EventTable`, rows in the
+    given order. ``codes`` starts with the registry's, if given, then any
+    other code."""
     users = sorted({ev.user_id for ev in events})
     rank = {u: i for i, u in enumerate(users)}
     index = {} if registry is None else dict(registry.index)
-    country = [-1 if ev.has_point else index.setdefault(ev.country, len(index)) for ev in events]
+    country = [index.setdefault(ev.country, len(index)) for ev in events]
     return EventTable(
         users, list(index),
         np.array([rank[ev.user_id] for ev in events], dtype=np.int32),
         np.array([(ev.timestamp - EPOCH) // timedelta(seconds=1) for ev in events], dtype=np.int64),
-        np.array(country, dtype=np.int16),
-        np.array([ev.lat if ev.has_point else math.nan for ev in events], dtype=float),
-        np.array([ev.lon if ev.has_point else math.nan for ev in events], dtype=float))
+        np.array(country, dtype=np.int16))
 
 
 def events_of(table: EventTable) -> list:
     """One :class:`Event` per row of the table, in row order."""
-    events = []
-    for user, seconds, country, lat, lon in zip(
-            table.user.tolist(), table.seconds.tolist(), table.country.tolist(),
-            table.lat.tolist(), table.lon.tolist()):
-        ts = EPOCH + timedelta(seconds=seconds)
-        events.append(Event(table.users[user], ts, country=table.codes[country]) if country >= 0
-                      else Event(table.users[user], ts, lat=lat, lon=lon))
-    return events
+    return [Event(table.users[user], EPOCH + timedelta(seconds=seconds), country=table.codes[country])
+            for user, seconds, country in zip(
+                table.user.tolist(), table.seconds.tolist(), table.country.tolist())]
 
 
 def residence_rows(rows, months: int) -> np.ndarray:
@@ -309,6 +303,13 @@ def reference_resolve_country(point, table) -> str:
     return table.codes[int(np.argmin(angle))]
 
 
+def reference_resolve_events(events, table) -> list:
+    """The events with each point replaced by its nearest centroid's
+    country, one point at a time through :func:`reference_resolve_country`."""
+    return [Event(ev.user_id, ev.timestamp, country=reference_resolve_country((ev.lat, ev.lon), table))
+            if ev.has_point else ev for ev in events]
+
+
 def _window_residence_strict(filled, lo, hi):
     first = filled[lo]
     if first is None:
@@ -449,7 +450,11 @@ def reference_parse_events(lines, format, interval=None, registry=None):
             stats.add(BAD_COORDINATES)
             continue
         number = lambda v: v if type(v) in (int, float) else None  # noqa: E731
-        ev = _reference_finish_event(str(obj.get("user_id") or "").strip(), obj.get("timestamp"),
+        user_id = obj.get("user_id")
+        user_id = (user_id.strip() if isinstance(user_id, str)
+                   else str(user_id) if isinstance(user_id, int) and not isinstance(user_id, bool)
+                   else "")
+        ev = _reference_finish_event(user_id, obj.get("timestamp"),
                                      obj.get("country"), number(lat), number(lon),
                                      interval, registry, stats)
         if ev is not None:

@@ -395,6 +395,29 @@ class TestCli:
         assert rc == 2
         assert f"bad synth spec: {name} must be an integer" in capsys.readouterr().err
 
+    # datetime holds years 1 to 9999, and the end of the study interval is
+    # the month after the calendar's last
+    EPOCHS_PAST_RANGE = [((0, 1), 24), ((9999, 1), 24), ((9999, 11), 2)]
+    EPOCH_IDS = ["year 0", "past 9999", "ends 9999"]
+
+    @pytest.mark.parametrize("epoch, months", EPOCHS_PAST_RANGE, ids=EPOCH_IDS)
+    def test_epoch_past_datetime_range_exits_2(self, tmp_path, capsys, epoch, months):
+        path = write_workspace(tmp_path, epoch={"year": epoch[0], "month": epoch[1]}, months=months)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "error [config] bad config: calendar of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch, months", EPOCHS_PAST_RANGE, ids=EPOCH_IDS)
+    def test_synth_epoch_past_datetime_range_exits_2(self, tmp_path, capsys, epoch, months):
+        spec = {"users": 10, "noise_rate": 0.0, "seed": 1, "months": months,
+                "epoch": {"year": epoch[0], "month": epoch[1]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        assert "bad synth spec: calendar of" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         # The `migtensor` entry point declared in pyproject.toml, run the way
         # an installer's generated launcher runs it, against this checkout's

@@ -61,17 +61,25 @@ class TestMonthCalendar:
         assert cal.label(2) == "2015-01"
         assert cal.year_month(4) == (2015, 3)
 
-    def test_interval_is_half_open(self):
-        cal = MonthCalendar(2014, 1, 12)
-        start, end = cal.interval()
-        assert start == ts(2014, 1, 1)
-        assert end == ts(2015, 1, 1)
+    # the last is the widest calendar whose interval datetime can hold
+    @pytest.mark.parametrize("calendar, first, after_last", [
+        ((2014, 1, 12), (2014, 1), (2015, 1)), ((1, 1, 9999 * 12 - 1), (1, 1), (9999, 12))])
+    def test_interval_is_half_open(self, calendar, first, after_last):
+        start, end = MonthCalendar(*calendar).interval()
+        assert start == ts(*first, 1)
+        assert end == ts(*after_last, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MonthCalendar(2014, 13, 5)
         with pytest.raises(ValueError):
             MonthCalendar(2014, 1, 0)
+
+    @pytest.mark.parametrize("epoch_year, epoch_month, months", [(0, 1, 24), (0, 12, 1), (-5, 1, 1),
+                                                                 (9999, 1, 24), (9999, 12, 1)])
+    def test_interval_past_datetime_range_is_config_error(self, epoch_year, epoch_month, months):
+        with pytest.raises(ConfigError, match="must start in year 1 or later and end by November 9999"):
+            MonthCalendar(epoch_year, epoch_month, months)
 
 
 class TestMonthlyResidence:
@@ -110,12 +118,6 @@ class TestMonthlyResidence:
     def test_no_events_no_rows(self, registry):
         cal = MonthCalendar(2014, 1, 3)
         assert residence_matrix(table_of([], registry), cal).shape == (0, 3)
-
-    def test_unresolved_events_rejected(self, registry):
-        cal = MonthCalendar(2014, 1, 1)
-        events = [Event("u", ts(2014, 1, 1), lat=0.0, lon=0.0)]
-        with pytest.raises(ValueError, match="residence_matrix requires country-resolved events"):
-            residence_matrix(table_of(events, registry), cal)
 
 
 class TestDetectStrict:
