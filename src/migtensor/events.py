@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Optional, TextIO
 
 import numpy as np
@@ -230,7 +231,7 @@ def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # a JSONDecodeError, or an integer past Python's digit limit
             stats.add(BAD_JSON)
             continue
         if not isinstance(obj, dict):
@@ -389,16 +390,39 @@ def _format_seconds(seconds: np.ndarray) -> list[str]:
     return np.datetime_as_string(seconds.astype("datetime64[s]"), timezone="UTC").tolist()
 
 
+def csv_cells(firsts: list[str], lasts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Object arrays of the text ``csv.writer`` writes for each of ``firsts``
+    as the first field of a three-field row, with the comma after it, and
+    for each of ``lasts`` as the last field, with the comma before it and
+    the line end. Each value is quoted once; :func:`join_rows` gathers the
+    lines from them by index."""
+    # the writer's "file" returns what it is given, so each row comes back
+    # as its line. A writer holds a 128 KiB record buffer while it lives:
+    # one kept at module level, first used while ingest's heap was at its
+    # peak, kept that heap from shrinking and raised a 74k-event run's peak
+    # RSS by ~4 MB, so each call makes its own
+    row = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+    return (np.array([row((v, "", ""))[:-2] for v in firsts], dtype=object),
+            np.array([row(("", "", v))[1:] for v in lasts], dtype=object))
+
+
+def join_rows(heads: np.ndarray, middles, tails: np.ndarray) -> str:
+    """The lines of three-field rows, from the cells of :func:`csv_cells`
+    and middle fields that need no quoting."""
+    cells = np.empty((len(heads), 3), dtype=object)
+    cells[:, 0], cells[:, 1], cells[:, 2] = heads, middles, tails
+    return "".join(cells.ravel().tolist())
+
+
 def write_events(table: EventTable, fh: TextIO) -> None:
     """Write the table as CSV in the format :func:`read_events` reads: the
     ``user_id,timestamp,country`` header, then one row per event."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["user_id", "timestamp", "country"])
+    heads, tails = csv_cells(table.users, table.codes)
+    fh.write(CSV_HEADER_COUNTRY + "\n")
     for start in range(0, len(table), _PARSE_BLOCK):
         rows = slice(start, start + _PARSE_BLOCK)
-        writer.writerows(zip(map(table.users.__getitem__, table.user[rows].tolist()),
-                             _format_seconds(table.seconds[rows]),
-                             map(table.codes.__getitem__, table.country[rows].tolist())))
+        fh.write(join_rows(heads[table.user[rows]], _format_seconds(table.seconds[rows]),
+                           tails[table.country[rows]]))
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -1,14 +1,24 @@
-"""Stage orchestration: each stage reads and writes artifacts under the
+"""Stage orchestration: each stage writes its artifacts under the
 configured output directory, so stages can run one-shot or one at a time
-with byte-identical results. Each stage re-reads its input artifact from
-disk, also inside a one-shot ``run``: nothing passes between stages in
-memory.
+with byte-identical results.
 
-Each stage has one boundary, :func:`_stage`. The stage body calls the
-loaders and writers directly; the boundary turns what they raise into a
-:class:`StageError` tagged with the stage's name: a configuration error
-exits 2, an input error or a failed read or write exits 3, and a file
-missing under ``out_dir`` names the stage to run first.
+A stage is a loader, which reads the artifact of the stage before from
+``out_dir`` (ingest has none: its input is the raw stream), and a core,
+which writes the stage's artifacts and returns its summary and a hand-off
+for the next core. A stage command runs its loader, then its core; a
+one-shot ``run`` chains the cores and reads no artifact back. It hands
+over the kept :class:`~migtensor.events.EventTable`, the user ids with
+their residence matrix, the migrations, the tensor and the fitted model
+(None for an empty tensor). Only a file on disk can be corrupt or stale,
+so the loaders hold those checks: an events row that ingest would have
+rejected or left unresolved, and a model that does not fit the config's
+registry and months.
+
+Each stage has one boundary, around its loader and its core alike, that
+turns what they raise into a :class:`StageError` tagged with the stage's
+name: a configuration error exits 2, an input error or a failed read or
+write exits 3, and a file missing under ``out_dir`` names the stage to
+run first.
 
 Artifact layout inside ``out_dir``::
 
@@ -25,9 +35,11 @@ Artifact layout inside ``out_dir``::
 
 from __future__ import annotations
 
-import functools
 import math
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Optional
 
 from . import analysis, events, ingestion, residence, solver, tensor
 from .config import PipelineConfig
@@ -44,30 +56,43 @@ class StageError(Exception):
         self.exit_code = exit_code
 
 
-def _stage(fn):
-    """``fn`` behind the stage boundary. A file missing under ``out_dir`` is
-    the artifact of the stage before, so its message says to run that one."""
-    name = fn.__name__.removeprefix("stage_")
+@dataclass(frozen=True)
+class Stage:
+    """``load(config)`` reads the stage's input artifact (None for ingest);
+    ``core(config, given)`` writes its artifacts and returns ``(summary,
+    hand-off)``. Calling the stage runs the stage command."""
 
-    @functools.wraps(fn)
-    def stage(config: PipelineConfig) -> dict:
+    name: str
+    load: Optional[Callable[[PipelineConfig], Any]]
+    core: Callable[[PipelineConfig, Any], tuple[dict, Any]]
+
+    def __call__(self, config: PipelineConfig) -> dict:
+        with self._boundary(config):
+            return self.core(config, None if self.load is None else self.load(config))[0]
+
+    def run(self, config: PipelineConfig, given) -> tuple[dict, Any]:
+        with self._boundary(config):
+            return self.core(config, given)
+
+    @contextmanager
+    def _boundary(self, config: PipelineConfig):
+        """A file missing under ``out_dir`` is the artifact of the stage
+        before, so its message says to run that one."""
         try:
-            return fn(config)
+            yield
         except ConfigError as exc:
-            raise StageError(name, str(exc), 2) from exc
+            raise StageError(self.name, str(exc), 2) from exc
         except (InputError, OSError) as exc:
             message = str(exc)
             names = [n for n, _ in STAGES]
-            previous = dict(zip(names[1:], names)).get(name)
+            previous = dict(zip(names[1:], names)).get(self.name)
             if (previous and isinstance(exc, FileNotFoundError) and exc.filename is not None
                     and Path(exc.filename).parent == config.out_dir):
                 message = f"missing {exc.filename}; run {previous} first"
-            raise StageError(name, message, 3) from exc
-    return stage
+            raise StageError(self.name, message, 3) from exc
 
 
-@_stage
-def stage_ingest(config: PipelineConfig) -> dict:
+def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
     """Parse the raw stream, resolve geo points, filter users, dump events."""
     registry = ingestion.load_registry(config.registry)
     centroids = None if config.centroids is None else ingestion.load_centroids(config.centroids, registry)
@@ -86,12 +111,11 @@ def stage_ingest(config: PipelineConfig) -> dict:
         "filter": drops.as_dict(),
     }
     write_json(config.out_dir / "ingest_stats.json", summary)
-    return summary
+    return summary, kept
 
 
-@_stage
-def stage_residences(config: PipelineConfig) -> dict:
-    """Monthly residence of every user in the event artifact."""
+def _load_events(config: PipelineConfig) -> events.EventTable:
+    """The events artifact, which holds only rows ingest kept."""
     registry = ingestion.load_registry(config.registry)
     path = config.out_dir / "events.csv"
     try:
@@ -101,40 +125,54 @@ def stage_residences(config: PipelineConfig) -> dict:
         raise InputError(f"{path}: events artifact holds an unresolved point") from exc
     if rejects.total:
         raise InputError(f"{path}: events artifact is corrupt: {rejects.as_dict()}")
+    return table
+
+
+def _residences(config: PipelineConfig, table: events.EventTable) -> tuple[dict, tuple]:
+    """Monthly residence of every user of the kept events."""
+    registry = ingestion.load_registry(config.registry)
     filled = residence.residence_matrix(table, config.calendar)
     residence.write_residence_matrix(table.users, filled, registry, config.out_dir / "residences.csv")
-    return {"users": len(table.users)}
+    return {"users": len(table.users)}, (table.users, filled)
 
 
-@_stage
-def stage_detect(config: PipelineConfig) -> dict:
-    """Window-k migration detection over the residence artifact."""
+def _load_residences(config: PipelineConfig) -> tuple:
     registry = ingestion.load_registry(config.registry)
-    users, filled = residence.read_residences(config.out_dir / "residences.csv", registry, config.months)
-    migrations = residence.detect_all(users, filled, config.window_k, config.detection_mode)
+    return residence.read_residences(config.out_dir / "residences.csv", registry, config.months)
+
+
+def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, list]:
+    """Window-k migration detection over the users' residences."""
+    registry = ingestion.load_registry(config.registry)
+    migrations = residence.detect_all(*residences, config.window_k, config.detection_mode)
     residence.write_migrations(migrations, registry, config.out_dir / "migrations.csv")
-    return {"migrations": len(migrations)}
+    return {"migrations": len(migrations)}, migrations
 
 
-@_stage
-def stage_tensorize(config: PipelineConfig) -> dict:
+def _load_migrations(config: PipelineConfig) -> list:
     registry = ingestion.load_registry(config.registry)
-    migrations = residence.read_migrations(config.out_dir / "migrations.csv", registry, config.months)
+    return residence.read_migrations(config.out_dir / "migrations.csv", registry, config.months)
+
+
+def _tensorize(config: PipelineConfig, migrations: list) -> tuple[dict, tensor.MigrationTensor]:
+    registry = ingestion.load_registry(config.registry)
     t = tensor.build_tensor(migrations, registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
-    return {"nnz": t.nnz, "total": t.total}
+    return {"nnz": t.nnz, "total": t.total}, t
 
 
-@_stage
-def stage_fit(config: PipelineConfig) -> dict:
-    t = tensor.load_tensor(config.out_dir / "tensor.txt")
+def _load_tensor(config: PipelineConfig) -> tensor.MigrationTensor:
+    return tensor.load_tensor(config.out_dir / "tensor.txt")
+
+
+def _fit(config: PipelineConfig, t: tensor.MigrationTensor) -> tuple[dict, Optional[solver.FactorModel]]:
     model_path = config.out_dir / "model.txt"
     if t.nnz == 0:
         model_path.unlink(missing_ok=True)
         summary = {"skipped": True, "reason": "empty tensor"}
         write_json(config.out_dir / "fit_summary.json", summary)
-        return summary
+        return summary, None
     model, trace = solver.fit(t, config.fit)
     final = trace.objectives[-1]
     if not math.isfinite(final):
@@ -150,51 +188,61 @@ def stage_fit(config: PipelineConfig) -> dict:
         "objective": final,
     }
     write_json(config.out_dir / "fit_summary.json", summary)
-    return summary
+    return summary, model
 
 
-@_stage
-def stage_analyze(config: PipelineConfig) -> dict:
+def _load_model(config: PipelineConfig) -> Optional[solver.FactorModel]:
+    """The fitted model, or None where fit wrote none for an empty tensor."""
     registry = ingestion.load_registry(config.registry)
     model_path = config.out_dir / "model.txt"
-    reports_dir = config.out_dir / "reports"
-    # fit writes no model for an empty tensor; for any other, loading the
-    # missing model fails below
+    # for a tensor that is not empty, loading the missing model fails below
     if not model_path.exists() and tensor.load_tensor(config.out_dir / "tensor.txt").nnz == 0:
-        analysis.emit_reports([], config.calendar, reports_dir)
-        return {"components_reported": 0, "top_ginis": []}
+        return None
     model = solver.load_model(model_path)
     N, M = len(registry), config.months
     if (len(model.O), len(model.D), len(model.T)) != (N, N, M):
         raise InputError(f"{model_path}: model of {len(model.O)} x {len(model.D)} countries x "
                          f"{len(model.T)} months does not match the config's {N} countries and {M} "
                          "months; run fit again")
-    reports = analysis.rank_components(model, registry, config.top_k, config.n_top)
-    analysis.emit_reports(reports, config.calendar, reports_dir)
+    return model
+
+
+def _analyze(config: PipelineConfig, model: Optional[solver.FactorModel]) -> tuple[dict, None]:
+    registry = ingestion.load_registry(config.registry)
+    reports = [] if model is None else analysis.rank_components(model, registry, config.top_k,
+                                                                 config.n_top)
+    analysis.emit_reports(reports, config.calendar, config.out_dir / "reports")
     return {
         "components_reported": len(reports),
         "top_ginis": [round(r.gini, 6) for r in reports],
-    }
+    }, None
 
 
-STAGES = (
-    ("ingest", stage_ingest),
-    ("residences", stage_residences),
-    ("detect", stage_detect),
-    ("tensorize", stage_tensorize),
-    ("fit", stage_fit),
-    ("analyze", stage_analyze),
-)
+# (name, stage command) pairs in run order; each command is its stage's loader and core
+STAGES = tuple((name, Stage(name, load, core)) for name, load, core in (
+    ("ingest", None, _ingest),
+    ("residences", _load_events, _residences),
+    ("detect", _load_residences, _detect),
+    ("tensorize", _load_migrations, _tensorize),
+    ("fit", _load_tensor, _fit),
+    ("analyze", _load_model, _analyze),
+))
+stage_ingest, stage_residences, stage_detect, stage_tensorize, stage_fit, stage_analyze = (
+    stage for _, stage in STAGES)
 
 
 def run_pipeline(config: PipelineConfig, echo=print) -> dict:
-    """Run every stage in order and write run_summary.json.
+    """Run every stage's core in order, each on the hand-off of the one
+    before, and write run_summary.json.
 
     A fatal error in any stage aborts with that stage's tag and exit code.
     """
     summary: dict = {}
-    for name, fn in STAGES:
-        summary[name] = fn(config)
+    given = None
+    for name, stage in STAGES:
+        # rebinding drops each hand-off as soon as the next core has taken
+        # it, so only one is alive at a time
+        summary[name], given = stage.run(config, given)
     overview = {
         "users_kept": summary["ingest"]["filter"]["users_seen"]
         - summary["ingest"]["filter"]["users_dropped"],

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventTable, InputError, open_text, run_starts
+from .events import EventTable, InputError, csv_cells, join_rows, open_text, run_starts
 from .ingestion import ConfigError, CountryRegistry
 
 
@@ -196,15 +196,15 @@ def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: C
                            path) -> None:
     """Dump a filled residence matrix as ``user_id,month_index,country``
     rows, one per known cell, by user then month."""
+    heads, tails = csv_cells(users, registry.codes)
+    months = np.array([str(m) for m in range(filled.shape[1])], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESIDENCE_HEADER)
+        fh.write(",".join(RESIDENCE_HEADER) + "\n")
         # a block of users at a time, so the rows' Python objects stay few
         for start in range(0, len(users), _WRITE_BLOCK_USERS):
             block = filled[start:start + _WRITE_BLOCK_USERS]
-            rows, months = np.nonzero(block >= 0)
-            writer.writerows(zip(map(users.__getitem__, (rows + start).tolist()), months.tolist(),
-                                 map(registry.codes.__getitem__, block[rows, months].tolist())))
+            rows, month = np.nonzero(block >= 0)
+            fh.write(join_rows(heads[rows + start], months[month], tails[block[rows, month]]))
 
 
 def _dump_reader(fh, path, header: list[str]):

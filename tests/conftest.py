@@ -27,10 +27,11 @@ from migtensor.events import (
     UNKNOWN_COUNTRY,
     EventTable,
     RejectStats,
+    _format_seconds,
     parse_timestamp,
 )
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import MigrationEvent
+from migtensor.residence import RESIDENCE_HEADER, MigrationEvent
 from migtensor.solver import RATE_EPS, FactorModel, FitTrace
 from migtensor.tensor import MigrationTensor
 
@@ -434,7 +435,7 @@ def reference_parse_events(lines, format, interval=None, registry=None):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # a JSONDecodeError, or an integer past Python's digit limit
             stats.add(BAD_JSON)
             continue
         if not isinstance(obj, dict):
@@ -460,6 +461,25 @@ def reference_parse_events(lines, format, interval=None, registry=None):
         if ev is not None:
             events.append(ev)
     return events, stats
+
+
+def reference_write_events(table: EventTable, fh) -> None:
+    """``write_events`` through ``csv.writer``, one row per event."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["user_id", "timestamp", "country"])
+    writer.writerows(zip(map(table.users.__getitem__, table.user.tolist()),
+                         _format_seconds(table.seconds),
+                         map(table.codes.__getitem__, table.country.tolist())))
+
+
+def reference_write_residence_matrix(users, filled, registry, path) -> None:
+    """``write_residence_matrix`` through ``csv.writer``, one row per known cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESIDENCE_HEADER)
+        rows, months = np.nonzero(filled >= 0)
+        writer.writerows(zip(map(users.__getitem__, rows.tolist()), months.tolist(),
+                             map(registry.codes.__getitem__, filled[rows, months].tolist())))
 
 
 def reference_serialize_events(events, format, header=False) -> str:

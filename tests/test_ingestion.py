@@ -27,6 +27,7 @@ from migtensor.events import (
     MISSING_FIELD,
     OUT_OF_INTERVAL,
     UNKNOWN_COUNTRY,
+    EventTable,
     InputError,
     read_events,
     write_events,
@@ -55,6 +56,7 @@ from conftest import (
     reference_resolve_country,
     reference_resolve_events,
     reference_serialize_events,
+    reference_write_events,
     table_of,
 )
 
@@ -165,6 +167,19 @@ class TestParseJsonl:
     def test_bad_json(self):
         _, stats = read_events(["{not json", "[1, 2]"], "jsonl")
         assert stats.as_dict() == {BAD_JSON: 2}
+
+    def test_integer_past_the_digit_limit_is_bad_json(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer of more than sys.get_int_max_str_digits() digits
+        stamp = '"timestamp": "2014-12-03T10:00:00Z"'
+        lines = ['{"user_id": "u", %s, "lat": 1%s, "lon": 2}' % (stamp, "0" * 5000),
+                 '{"user_id": %s, %s, "country": "GB"}' % ("7" * 5000, stamp),
+                 '{"user_id": "u", %s, "country": "GB"}' % stamp]
+        table, stats = read_events(lines, "jsonl", centroids=CENTROIDS)
+        assert stats.as_dict() == {BAD_JSON: 2}
+        assert [ev.user_id for ev in events_of(table)] == ["u"]
+        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_location_must_be_exactly_one(self):
         both = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB", "lat": 1, "lon": 2}'
@@ -747,6 +762,35 @@ events_strategy = st.lists(st.builds(
     else Event(user, t, lat=where[0], lon=where[1]),
     user_ids.filter(lambda u: u and u == u.strip()), instants,
     st.one_of(st.sampled_from(["GB", "FR", "ES"]), points)), max_size=20)
+
+
+# text csv.writer quotes (a comma, a quote, a line break), pads or spells in
+# more than ASCII, mixed with plain letters
+csv_texts = st.text(alphabet=st.sampled_from(list('ab1 ,"\r\né€')), max_size=6)
+# whole seconds from year 1 to year 9999
+SECONDS = (-62135596800, 253402300799)
+
+
+@st.composite
+def event_tables(draw):
+    """A table of any rows over sorted users and codes that need quoting."""
+    users = sorted(draw(st.sets(csv_texts, min_size=1, max_size=6)))
+    codes = draw(st.lists(csv_texts, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(users) - 1), st.integers(*SECONDS),
+                                   st.integers(0, len(codes) - 1)), max_size=20))
+    user, seconds, country = zip(*rows) if rows else ((), (), ())
+    return EventTable(users, codes, np.array(user, dtype=np.int32), np.array(seconds, dtype=np.int64),
+                      np.array(country, dtype=np.int16))
+
+
+class TestWriteEventsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(event_tables(), st.sampled_from([1, 2, 7]))
+    def test_same_text_as_csv_writer(self, table, block):
+        expected = io.StringIO()
+        reference_write_events(table, expected)
+        with mock.patch("migtensor.events._PARSE_BLOCK", block):
+            assert written(table, header=True) == expected.getvalue()
 
 
 class TestSerializeRoundTrip:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from migtensor import cli, ingestion, pipeline, residence, solver
+from migtensor import cli, events, ingestion, pipeline, residence, solver, tensor
 from migtensor.config import OVERRIDE_KEYS, apply_overrides, load_config
 from migtensor.events import InputError
 from migtensor.ingestion import ConfigError
@@ -161,6 +161,40 @@ class TestRunPipeline:
         with pytest.raises(pipeline.StageError) as err:
             pipeline.run_pipeline(load_config(path), echo=None)
         assert err.value.exit_code == 3
+
+    def test_run_reads_only_the_raw_input(self, tmp_path, monkeypatch):
+        # each core takes the one before's hand-off: no artifact is read back
+        config = load_config(write_workspace(tmp_path))
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for module, name in [(events, "read_events"), (residence, "read_residences"),
+                             (residence, "read_migrations"), (tensor, "load_tensor"),
+                             (solver, "load_model")]:
+            spy(module, name)
+        pipeline.run_pipeline(config, echo=None)
+        assert [(name, Path(source.name)) for name, source in calls] == [("read_events", config.input)]
+        # a stage command still loads the artifact of the stage before
+        calls.clear()
+        pipeline.stage_detect(config)
+        assert calls == [("read_residences", config.out_dir / "residences.csv")]
+
+    def test_failure_inside_run_keeps_its_stage_tag(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        (tmp_path / "out" / "residences.csv").mkdir(parents=True)  # the residences core cannot write
+        with pytest.raises(pipeline.StageError) as err:
+            pipeline.run_pipeline(load_config(path), echo=None)
+        assert err.value.stage == "residences" and err.value.exit_code == 3
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error [residences] ")
 
 
 class TestConfig:
@@ -623,6 +657,16 @@ class TestJsonlFormat:
         assert cli.main(["ingest", "--config", str(path)]) == 0
         stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
         assert stats["rejects"] == {"bad_location": 2, "bad_timestamp": 2}
+        assert stats["events_kept"] == 6
+
+    def test_integer_past_the_digit_limit_is_tallied(self, tmp_path, capsys):
+        good = [json.dumps({"user_id": "u1", "timestamp": f"2014-0{m}-10T00:00:00Z",
+                            "country": "GB"}) for m in range(1, 7)]
+        bad = '{"user_id": %s, "timestamp": "2014-01-10T00:00:00Z", "country": "GB"}' % ("9" * 5000)
+        path = write_workspace(tmp_path, input_text="\n".join(good + [bad]) + "\n", format="jsonl")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
+        assert stats["rejects"] == {"bad_json": 1}
         assert stats["events_kept"] == 6
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     Event,
     reference_detect_migrations,
     reference_monthly_residence,
+    reference_write_residence_matrix,
     residence_rows,
     table_of,
 )
@@ -332,6 +334,36 @@ class TestMigrationEvent:
     def test_origin_must_differ_from_destination(self):
         with pytest.raises(ValueError):
             MigrationEvent("u", 3, 1, 1)
+
+
+# text csv.writer quotes (a comma, a quote, a line break), pads or spells in
+# more than ASCII, mixed with plain letters
+csv_texts = st.text(alphabet=st.sampled_from(list('ab1 ,"\r\né€')), max_size=6)
+
+
+@st.composite
+def residence_dumps(draw):
+    """Sorted users, a residence matrix over them and a registry whose codes
+    need quoting."""
+    users = sorted(draw(st.sets(csv_texts, max_size=8)))
+    codes = draw(st.lists(csv_texts.map(lambda c: c.strip().upper()).filter(bool), min_size=1,
+                          max_size=4, unique=True))
+    months = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(-1, len(codes) - 1), min_size=len(users) * months,
+                          max_size=len(users) * months))
+    return users, np.array(cells, dtype=np.int16).reshape(len(users), months), CountryRegistry(codes)
+
+
+class TestWriteResidenceMatrixMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(residence_dumps(), st.sampled_from([1, 2, 7]))
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, dump, block):
+        users, filled, registry = dump
+        out = tmp_path_factory.mktemp("dumps")
+        reference_write_residence_matrix(users, filled, registry, out / "expected.csv")
+        with mock.patch("migtensor.residence._WRITE_BLOCK_USERS", block):
+            write_residence_matrix(users, filled, registry, out / "written.csv")
+        assert (out / "written.csv").read_bytes() == (out / "expected.csv").read_bytes()
 
 
 class TestDumps:
