@@ -8,6 +8,10 @@ point the country of its nearest centroid as it goes, and
 :func:`write_events` writes one back as CSV. Every row of a table has a
 country. Malformed records are never dropped silently: every rejection is
 tallied per reason.
+
+Every intermediate dump is read here too: one row per line under a checked
+header, and any defect is an :class:`InputError` naming ``path:line``
+(:func:`line_error`), which a fuzz test of the stage commands holds to.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Optional, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -61,6 +65,38 @@ def open_text(path):
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def line_error(path, line: int, message: str) -> InputError:
+    """The error for a defect at line ``line`` of the dump at ``path``."""
+    return InputError(f"{path}:{line}: {message}")
+
+
+def read_header(fh: TextIO, path, tag: str, n: int, kind: str) -> tuple[int, ...]:
+    """The ``n`` integers of a dump's ``# <tag> <n ints>`` first line; any
+    other first line is a malformed ``kind`` header."""
+    fields = fh.readline().split()
+    if fields[:2] != ["#", tag] or len(fields) != n + 2 or not all(map(str.isdecimal, fields[2:])):
+        raise line_error(path, 1, f"malformed {kind} header")
+    return tuple(map(int, fields[2:]))
+
+
+def dump_rows(fh: TextIO, path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, fields)`` of each data row of a CSV dump under a ``header``
+    row. A row must fit its line: one that runs past it or that ``csv``
+    cannot read is an error naming the line where it starts."""
+    first = fh.readline().rstrip("\n")
+    if first != ",".join(header):
+        raise line_error(path, 1, f"unexpected header {first!r}")
+    reader = csv.reader(fh)
+    line = 1
+    try:
+        for line, fields in enumerate(reader, start=2):
+            if reader.line_num != line - 1:
+                raise line_error(path, line, "quoted field runs past the end of the line")
+            yield line, fields
+    except csv.Error as exc:  # a field past csv's size limit, or a NUL before Python 3.11
+        raise line_error(path, line + 1, f"unreadable row ({exc})") from None
+
+
 @dataclass
 class RejectStats:
     """Per-reason tally of records rejected during parsing."""
@@ -85,11 +121,6 @@ _SECOND = timedelta(seconds=1)
 
 # the country column is int16
 _MAX_CODES = np.iinfo(np.int16).max + 1
-
-
-def _check_code_count(codes) -> None:
-    if len(codes) > _MAX_CODES:
-        raise InputError(f"more than {_MAX_CODES} distinct country codes")
 
 
 def _epoch_seconds(ts: datetime) -> int:
@@ -231,7 +262,9 @@ def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
             continue
         try:
             obj = json.loads(line)
-        except ValueError:  # a JSONDecodeError, or an integer past Python's digit limit
+        # a JSONDecodeError, an integer past Python's digit limit, or nesting
+        # past the recursion limit
+        except (ValueError, RecursionError):
             stats.add(BAD_JSON)
             continue
         if not isinstance(obj, dict):
@@ -265,7 +298,8 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
     """Columns of a block's accepted rows, in input order, every row coded.
 
     Each rule tallies and drops the rows still accepted that break it, in
-    this order: an empty user or no timestamp (a missing field); a
+    this order: an empty user, a user holding a line break (which no dump
+    row can carry) or no timestamp (a missing field); a
     timestamp that is not a string or does not parse; a second outside
     ``bounds``, the study interval in epoch seconds ``[start, end)``; an
     empty country code (a missing field); a code not in the registry; a
@@ -286,6 +320,9 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
 
     seconds, canonical = _canonical_seconds(stamp)
     missing = ~np.fromiter(map(bool, user), bool, n)
+    joined = "".join(user)
+    if "\n" in joined or "\r" in joined:
+        missing |= np.fromiter((("\n" in u or "\r" in u) for u in user), bool, n)
     unparsed = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~canonical).tolist():
         if stamp[i] is None:
@@ -327,7 +364,8 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
             raise ConfigError("geo_point events present but no centroid table configured")
         row_code = np.array([codes.setdefault(c, len(codes)) for c in centroids.codes], dtype=np.int32)
         code[points[on_globe]] = row_code[centroids.nearest(point_lat[on_globe], point_lon[on_globe])]
-    _check_code_count(codes)
+    if len(codes) > _MAX_CODES:
+        raise InputError(f"more than {_MAX_CODES} distinct country codes")
     keep = np.flatnonzero(accepted)
     kept_users = list(map(user.__getitem__, keep.tolist()))
     for u in dict.fromkeys(kept_users):

@@ -11,6 +11,7 @@ at m.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventTable, InputError, csv_cells, join_rows, open_text, run_starts
+from .events import EventTable, csv_cells, dump_rows, join_rows, line_error, open_text, run_starts
 from .ingestion import ConfigError, CountryRegistry
 
 
@@ -207,33 +208,18 @@ def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: C
             fh.write(join_rows(heads[rows + start], months[month], tails[block[rows, month]]))
 
 
-def _dump_reader(fh, path, header: list[str]):
-    """CSV reader over a dump's data rows, after checking its header."""
-    reader = csv.reader(fh)
-    found = next(reader, None)
-    if found != header:
-        raise InputError(f"{path}: unexpected header {found!r}")
-    return reader
-
-
-def _row_error(path, line: int, parts: list[str], header: list[str], months: int,
-               registry: CountryRegistry) -> InputError:
-    """The first defect of a malformed dump row, naming its ``path:line``."""
-    where = f"{path}:{line}"
+def _row_defect(parts: list[str], header: list[str], months: int, registry: CountryRegistry) -> str:
+    """The first defect of a dump row that did not load."""
     if len(parts) != len(header):
-        return InputError(f"{where}: expected {len(header)} fields, got {len(parts)}")
-    try:
-        month = int(parts[1])
-    except ValueError:
-        month = None
-    if month is None or str(month) != parts[1]:
-        return InputError(f"{where}: month index {parts[1]!r} is not a plain decimal integer")
-    if not 0 <= month < months:
-        return InputError(f"{where}: month index {month} outside [0, {months})")
+        return f"expected {len(header)} fields, got {len(parts)}"
+    if not re.fullmatch("0|-?[1-9][0-9]*", parts[1]):
+        return f"month index {parts[1]!r} is not a plain decimal integer"
+    if not 0 <= int(parts[1]) < months:
+        return f"month index {parts[1]} outside [0, {months})"
     for code in parts[2:]:
         if code not in registry:
-            return InputError(f"{where}: unknown country {code!r}")
-    return InputError(f"{where}: origin and destination are both {parts[2]!r}")
+            return f"unknown country {code!r}"
+    return f"origin and destination are both {parts[2]!r}"
 
 
 def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[str], np.ndarray]:
@@ -243,6 +229,8 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
     A malformed row raises :class:`InputError` naming its ``path:line``.
     """
     index = registry.index
+    # the writer's spelling of each month index
+    month_of = {str(m): m for m in range(months)}
     users: dict[str, int] = {}
     # the matrix in first-seen user order, one row of `months` int16 cells
     # per user, written through `view`
@@ -250,15 +238,12 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
     view = memoryview(cells).cast("h")
     unknown = b"\xff\xff" * months  # -1 in every cell
     with open_text(path) as fh:
-        reader = _dump_reader(fh, path, RESIDENCE_HEADER)
-        for parts in reader:
+        for line, parts in dump_rows(fh, path, RESIDENCE_HEADER):
             try:
                 user_id, m, code = parts
-                month, country = int(m), index[code]
+                month, country = month_of[m], index[code]
             except (ValueError, KeyError):
-                month = -1
-            if not 0 <= month < months or str(month) != m:
-                raise _row_error(path, reader.line_num, parts, RESIDENCE_HEADER, months, registry)
+                raise line_error(path, line, _row_defect(parts, RESIDENCE_HEADER, months, registry)) from None
             row = users.get(user_id)
             if row is None:
                 row = users[user_id] = len(users)
@@ -267,7 +252,7 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
                 view = memoryview(cells).cast("h")
             cell = row * months + month
             if view[cell] >= 0:
-                raise InputError(f"{path}:{reader.line_num}: repeated month {month} for user {user_id!r}")
+                raise line_error(path, line, f"repeated month {month} for user {user_id!r}")
             view[cell] = country
     view.release()
     names = sorted(users)
@@ -287,16 +272,13 @@ def read_migrations(path, registry: CountryRegistry, months: int) -> list[Migrat
     """Load a migration dump; a malformed row raises :class:`InputError`
     naming its ``path:line``."""
     index = registry.index
+    month_of = {str(m): m for m in range(months)}
     events = []
     with open_text(path) as fh:
-        reader = _dump_reader(fh, path, MIGRATION_HEADER)
-        for parts in reader:
+        for line, parts in dump_rows(fh, path, MIGRATION_HEADER):
             try:
                 user_id, m, o, d = parts
-                month, origin, destination = int(m), index[o], index[d]
-            except (ValueError, KeyError):
-                month = -1
-            if not 0 <= month < months or str(month) != m or origin == destination:
-                raise _row_error(path, reader.line_num, parts, MIGRATION_HEADER, months, registry)
-            events.append(MigrationEvent(user_id, month, origin, destination))
+                events.append(MigrationEvent(user_id, month_of[m], index[o], index[d]))
+            except (ValueError, KeyError):  # ValueError: a wrong field count, or o == d
+                raise line_error(path, line, _row_defect(parts, MIGRATION_HEADER, months, registry)) from None
     return events

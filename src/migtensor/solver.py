@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import InputError, open_text
+from .events import line_error, open_text, read_header
 from .ingestion import require_int
 from .tensor import MigrationTensor
 
@@ -399,42 +399,28 @@ def load_model(path) -> FactorModel:
     A malformed header or row raises :class:`InputError` naming its
     ``path:line``.
     """
+    rows = []
     with open_text(path) as fh:
-        header = fh.readline().split()
-        try:
-            if header[:2] != ["#", "cp"] or len(header) != 6:
-                raise ValueError
-            N1, N2, M, K = (int(x) for x in header[2:])
-        except ValueError:
-            raise InputError(f"{path}:1: malformed model header") from None
-        rows = list(csv.reader(fh))
+        N1, N2, M, K = read_header(fh, path, "cp", 4, "model")
+        # save_model's %.17g floats are never quoted, so a row splits on commas
+        for line, text in enumerate(map(str.rstrip, fh), start=2):
+            parts = text.split(",")
+            if len(parts) != K:
+                raise line_error(path, line, f"expected {K} fields, got {len(parts)}")
+            try:
+                row = [float(x) for x in parts]
+            except ValueError:
+                raise line_error(path, line, f"row {text!r} is not {K} numbers") from None
+            if not all(math.isfinite(x) and x >= 0 for x in row):
+                raise line_error(path, line, "factor entries must be finite and non-negative")
+            rows.append(row)
     expected = 1 + N1 + N2 + M
     if len(rows) != expected:
-        raise InputError(f"{path}: expected {expected} data rows, found {len(rows)}")
+        # the first row past the expected ones, or the first missing one
+        raise line_error(path, min(len(rows), expected) + 2,
+                         f"expected {expected} data rows, found {len(rows)}")
+    data = np.array(rows)
     try:
-        data = [np.array([float(x) for x in row]) for row in rows]
-        weights = data[0]
-        O = np.vstack(data[1:1 + N1])
-        D = np.vstack(data[1 + N1:1 + N1 + N2])
-        T = np.vstack(data[1 + N1 + N2:])
-        model = FactorModel(O, D, T, weights)
-        if model.K != K:
-            raise ValueError(f"header rank {K} != row width {model.K}")
-    except ValueError as exc:
-        raise _model_error(path, rows, K, exc) from exc
-    return model
-
-
-def _model_error(path, rows: list[list[str]], K: int, exc: ValueError) -> InputError:
-    """The first defect of a model file whose rows did not load."""
-    for line, row in enumerate(rows, start=2):
-        where = f"{path}:{line}"
-        if len(row) != K:
-            return InputError(f"{where}: expected {K} fields, got {len(row)}")
-        try:
-            values = [float(x) for x in row]
-        except ValueError:
-            return InputError(f"{where}: row {','.join(row)!r} is not {K} numbers")
-        if not all(math.isfinite(x) and x >= 0 for x in values):
-            return InputError(f"{where}: factor entries must be finite and non-negative")
-    return InputError(f"{path}:1: {exc}")  # every row is sound, so the header is not
+        return FactorModel(data[1:1 + N1], data[1 + N1:1 + N1 + N2], data[1 + N1 + N2:], data[0])
+    except ValueError as exc:  # every row is sound, so the header is not
+        raise line_error(path, 1, str(exc)) from exc

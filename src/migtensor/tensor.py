@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .events import InputError, open_text
+from .events import InputError, line_error, open_text, read_header
 from .ingestion import CountryRegistry
 from .residence import MigrationEvent
 
@@ -100,14 +100,8 @@ def load_tensor(path) -> MigrationTensor:
     ``path:line``.
     """
     with open_text(path) as fh:
-        header = fh.readline().split()
+        dims = read_header(fh, path, "dims", 3, "tensor")
         body = fh.read()
-    try:
-        if header[:2] != ["#", "dims"] or len(header) != 5:
-            raise ValueError
-        dims = tuple(int(x) for x in header[2:])
-    except ValueError:
-        raise InputError(f"{path}:1: malformed tensor header") from None
     try:
         # np.loadtxt parses in C, without a Python object per entry
         data = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
@@ -130,19 +124,18 @@ def _entry_error(path, dims: tuple[int, int, int], body: str, exc: ValueError) -
         parts = text.split()
         if not parts:
             continue
-        where = f"{path}:{line}"
         if len(parts) != 4:
-            return InputError(f"{where}: expected 4 fields, got {len(parts)}")
+            return line_error(path, line, f"expected 4 fields, got {len(parts)}")
         if not all(_INTEGER.fullmatch(x) for x in parts):
-            return InputError(f"{where}: entry {text.strip()!r} is not four integers")
+            return line_error(path, line, f"entry {text.strip()!r} is not four integers")
         i, j, t, c = (int(x) for x in parts)
         if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= t < dims[2]):
-            return InputError(f"{where}: entry ({i}, {j}, {t}) out of range for dims {dims}")
+            return line_error(path, line, f"entry ({i}, {j}, {t}) out of range for dims {dims}")
         if i == j:
-            return InputError(f"{where}: diagonal entry (origin == destination == {i})")
+            return line_error(path, line, f"diagonal entry (origin == destination == {i})")
         if not 0 < c < 2**63:
-            return InputError(f"{where}: count {c} is not a positive 64-bit integer")
+            return line_error(path, line, f"count {c} is not a positive 64-bit integer")
         if (i, j, t) in seen:
-            return InputError(f"{where}: duplicate entry ({i}, {j}, {t})")
+            return line_error(path, line, f"duplicate entry ({i}, {j}, {t})")
         seen.add((i, j, t))
-    return InputError(f"{path}:1: {exc}")  # every entry is sound, so the dims are not
+    return line_error(path, 1, str(exc))  # every entry is sound, so the dims are not

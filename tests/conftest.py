@@ -361,7 +361,7 @@ def reference_detect_migrations(user_id, filled, k, mode="strict") -> list:
 
 def _reference_finish_event(user_id, raw_ts, country, lat, lon, interval, registry, stats):
     """The per-record validation tail both input formats share; None on rejection."""
-    if not user_id or raw_ts is None:
+    if not user_id or "\n" in user_id or "\r" in user_id or raw_ts is None:
         stats.add(MISSING_FIELD)
         return None
     if not isinstance(raw_ts, str):
@@ -435,7 +435,9 @@ def reference_parse_events(lines, format, interval=None, registry=None):
             continue
         try:
             obj = json.loads(line)
-        except ValueError:  # a JSONDecodeError, or an integer past Python's digit limit
+        # a JSONDecodeError, an integer past Python's digit limit, or nesting
+        # past the recursion limit
+        except (ValueError, RecursionError):
             stats.add(BAD_JSON)
             continue
         if not isinstance(obj, dict):

@@ -181,6 +181,17 @@ class TestParseJsonl:
         expected, expected_stats = reference_parse_events(lines, "jsonl")
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
+    def test_nesting_past_the_recursion_limit_is_bad_json(self):
+        # json.loads raises RecursionError, not a ValueError, for arrays
+        # nested deeper than Python's recursion limit
+        lines = ["[" * 100000 + "\n",
+                 '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}\n']
+        table, stats = read_events(lines, "jsonl")
+        assert stats.as_dict() == {BAD_JSON: 1}
+        assert [ev.user_id for ev in events_of(table)] == ["u"]
+        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
+
     def test_location_must_be_exactly_one(self):
         both = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB", "lat": 1, "lon": 2}'
         neither = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z"}'
@@ -230,6 +241,24 @@ class TestParseJsonl:
     def test_unknown_format_fatal(self):
         with pytest.raises(InputError):
             read_events([], "xml")
+
+
+class TestUserIdsHoldingLineBreaks:
+    # every dump holds one row per line, so a user id with a line break
+    # inside it is a missing field; one at either end is stripped like
+    # other whitespace
+    @pytest.mark.parametrize("format, lines", [
+        ("jsonl", ['{"user_id": "%s", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}\n' % user
+                   for user in ("a\\nb", "a\\rb", "\\nc\\r\\n")]),
+        ("csv", ['"a\rb",2014-12-03T10:00:00Z,GB\n', '"a\r\nb",2014-12-03T10:00:00Z,GB\n',
+                 'c,2014-12-03T10:00:00Z,GB\n']),
+    ])
+    def test_line_break_inside_a_user_id_is_a_missing_field(self, format, lines):
+        table, stats = read_events(lines, format)
+        assert stats.as_dict() == {MISSING_FIELD: 2}
+        assert table.users == ["c"]
+        expected, expected_stats = reference_parse_events(lines, format)
+        assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
 
 class TestOffsetsPastDatetimeRange:

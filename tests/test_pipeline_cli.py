@@ -505,6 +505,10 @@ CORRUPT_ROWS = {
     "model-field-count": ("model.txt", "analyze", "0.5"),
     "model-negative": ("model.txt", "analyze", "-0.5,0.5"),
     "model-non-finite": ("model.txt", "analyze", "nan,0.5"),
+    # a quote that opens a row of a dump and is never closed
+    "residences-stray-quote": ("residences.csv", "detect", '"alice,1,GB'),
+    "migrations-stray-quote": ("migrations.csv", "tensorize", '"bob,2,FR,US'),
+    "model-stray-quote": ("model.txt", "analyze", '"0.5,0.5'),
 }
 
 
@@ -668,6 +672,37 @@ class TestJsonlFormat:
         stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
         assert stats["rejects"] == {"bad_json": 1}
         assert stats["events_kept"] == 6
+
+    def test_nesting_past_the_recursion_limit_is_tallied(self, tmp_path, capsys):
+        good = [json.dumps({"user_id": "u1", "timestamp": f"2014-0{m}-10T00:00:00Z",
+                            "country": "GB"}) for m in range(1, 7)]
+        path = write_workspace(tmp_path, input_text="\n".join(["[" * 100000] + good) + "\n",
+                               format="jsonl")
+        assert cli.main(["ingest", "--config", str(path)]) == 0
+        stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
+        assert stats["rejects"] == {"bad_json": 1}
+        assert stats["events_kept"] == 6
+
+    def test_user_id_holding_a_line_break_is_tallied_and_staged_equals_one_shot(self, tmp_path, capsys):
+        # the fixture's rows, plus two users with a line break inside their
+        # ids and an event every month, who would pass every filter
+        rows = [dict(zip(("user_id", "timestamp", "country"), row.split(",")))
+                for row in sorted(FIXTURE_ROWS)]
+        rows += [{"user_id": user, "timestamp": f"2014-0{m}-10T00:00:00Z", "country": "GB"}
+                 for user in ("eve\nx", "fay\rx") for m in range(1, 7)]
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        (tmp_path / "one").mkdir(), (tmp_path / "staged").mkdir()
+        one_shot = write_workspace(tmp_path / "one", text, format="jsonl")
+        staged = write_workspace(tmp_path / "staged", text, format="jsonl")
+        assert cli.main(["run", "--config", str(one_shot)]) == 0
+        for name in STAGE_NAMES:
+            assert cli.main([name, "--config", str(staged)]) == 0
+        a = artifact_bytes(tmp_path / "one" / "out")
+        a.pop("run_summary.json")  # written by the one-shot runner only
+        assert a == artifact_bytes(tmp_path / "staged" / "out")
+        stats = json.loads(a["ingest_stats.json"])
+        assert stats["rejects"] == {"missing_field": 12}
+        assert stats["filter"]["users_seen"] == 3
 
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
