@@ -74,7 +74,9 @@ def read_header(fh: TextIO, path, tag: str, n: int, kind: str) -> tuple[int, ...
     """The ``n`` integers of a dump's ``# <tag> <n ints>`` first line; any
     other first line is a malformed ``kind`` header."""
     fields = fh.readline().split()
-    if fields[:2] != ["#", tag] or len(fields) != n + 2 or not all(map(str.isdecimal, fields[2:])):
+    # 19 digits or more are past int64, and may be past int()'s digit limit
+    if fields[:2] != ["#", tag] or len(fields) != n + 2 or not all(
+            x.isdecimal() and len(x) < 19 for x in fields[2:]):
         raise line_error(path, 1, f"malformed {kind} header")
     return tuple(map(int, fields[2:]))
 
@@ -319,10 +321,7 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
         accepted[bad] = False
 
     seconds, canonical = _canonical_seconds(stamp)
-    missing = ~np.fromiter(map(bool, user), bool, n)
-    joined = "".join(user)
-    if "\n" in joined or "\r" in joined:
-        missing |= np.fromiter((("\n" in u or "\r" in u) for u in user), bool, n)
+    missing = ~np.fromiter((bool(u) and "\n" not in u and "\r" not in u for u in user), bool, n)
     unparsed = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~canonical).tolist():
         if stamp[i] is None:

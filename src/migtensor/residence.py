@@ -208,14 +208,14 @@ def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: C
             fh.write(join_rows(heads[rows + start], months[month], tails[block[rows, month]]))
 
 
-def _row_defect(parts: list[str], header: list[str], months: int, registry: CountryRegistry) -> str:
-    """The first defect of a dump row that did not load."""
+def _row_defect(parts: list[str], header: list[str], month_of: dict, registry: CountryRegistry) -> str:
+    """The first defect of a dump row that did not load; ``month_of`` as in the readers."""
     if len(parts) != len(header):
         return f"expected {len(header)} fields, got {len(parts)}"
     if not re.fullmatch("0|-?[1-9][0-9]*", parts[1]):
         return f"month index {parts[1]!r} is not a plain decimal integer"
-    if not 0 <= int(parts[1]) < months:
-        return f"month index {parts[1]} outside [0, {months})"
+    if parts[1] not in month_of:
+        return f"month index {parts[1]} outside [0, {len(month_of)})"
     for code in parts[2:]:
         if code not in registry:
             return f"unknown country {code!r}"
@@ -243,7 +243,7 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
                 user_id, m, code = parts
                 month, country = month_of[m], index[code]
             except (ValueError, KeyError):
-                raise line_error(path, line, _row_defect(parts, RESIDENCE_HEADER, months, registry)) from None
+                raise line_error(path, line, _row_defect(parts, RESIDENCE_HEADER, month_of, registry)) from None
             row = users.get(user_id)
             if row is None:
                 row = users[user_id] = len(users)
@@ -280,5 +280,5 @@ def read_migrations(path, registry: CountryRegistry, months: int) -> list[Migrat
                 user_id, m, o, d = parts
                 events.append(MigrationEvent(user_id, month_of[m], index[o], index[d]))
             except (ValueError, KeyError):  # ValueError: a wrong field count, or o == d
-                raise line_error(path, line, _row_defect(parts, MIGRATION_HEADER, months, registry)) from None
+                raise line_error(path, line, _row_defect(parts, MIGRATION_HEADER, month_of, registry)) from None
     return events

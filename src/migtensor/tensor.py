@@ -113,8 +113,9 @@ def load_tensor(path) -> MigrationTensor:
         raise _entry_error(path, dims, body, exc) from exc
 
 
-# an entry field np.loadtxt reads as an int64, given that it fits
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# an entry field np.loadtxt may read as an int64: at most 19 digits, which
+# also keeps int() short of its digit limit
+_INTEGER = re.compile(r"[+-]?[0-9]{1,19}")
 
 
 def _entry_error(path, dims: tuple[int, int, int], body: str, exc: ValueError) -> InputError:

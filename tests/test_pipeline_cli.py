@@ -509,6 +509,17 @@ CORRUPT_ROWS = {
     "residences-stray-quote": ("residences.csv", "detect", '"alice,1,GB'),
     "migrations-stray-quote": ("migrations.csv", "tensorize", '"bob,2,FR,US'),
     "model-stray-quote": ("model.txt", "analyze", '"0.5,0.5'),
+    # more digits than int() converts
+    "residences-month-digit-limit": ("residences.csv", "detect", f"alice,{'9' * 5000},GB"),
+    "migrations-month-digit-limit": ("migrations.csv", "tensorize", f"bob,{'9' * 5000},FR,US"),
+    "tensor-count-digit-limit": ("tensor.txt", "fit", f"1 3 2 {'9' * 5000}"),
+}
+
+# a first line of the tensor or model file that does not parse, with the
+# stage command that reads the file
+CORRUPT_HEADERS = {
+    "tensor-dim-digit-limit": ("tensor.txt", "fit", f"# dims {'9' * 5000} 6 6"),
+    "model-dim-digit-limit": ("model.txt", "analyze", f"# cp 6 6 {'9' * 5000} 2"),
 }
 
 
@@ -536,6 +547,18 @@ class TestCorruptArtifacts:
         assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"[{stage}]" in err and f"{target}:3:" in err
+
+    @pytest.mark.parametrize("defect", sorted(CORRUPT_HEADERS))
+    def test_corrupt_header_exits_3_naming_line_1(self, tmp_path, capsys, defect):
+        artifact, stage, header = CORRUPT_HEADERS[defect]
+        path = write_workspace(tmp_path)
+        run_stages_before(stage, path)
+        target = tmp_path / "out" / artifact
+        replace_line(target, 0, header)
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"[{stage}]" in err and f"{target}:1: malformed" in err
 
     def test_corrupt_tensor_without_model_exits_3_in_analyze(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
