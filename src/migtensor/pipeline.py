@@ -162,8 +162,21 @@ def _tensorize(config: PipelineConfig, migrations: list) -> tuple[dict, tensor.M
     return {"nnz": t.nnz, "total": t.total}, t
 
 
+def _check_dims(config: PipelineConfig, path, kind: str, dims: tuple, stage: str) -> None:
+    """Refuse an artifact whose (N, N, M) dims are not the config's."""
+    N, M = len(ingestion.load_registry(config.registry)), config.months
+    if dims != (N, N, M):
+        raise InputError(f"{path}: {kind} of {dims[0]} x {dims[1]} countries x {dims[2]} months "
+                         f"does not match the config's {N} countries and {M} months; "
+                         f"run {stage} again")
+
+
 def _load_tensor(config: PipelineConfig) -> tensor.MigrationTensor:
-    return tensor.load_tensor(config.out_dir / "tensor.txt")
+    path = config.out_dir / "tensor.txt"
+    t = tensor.load_tensor(path)
+    # before fit sizes its factors by the header's dims
+    _check_dims(config, path, "tensor", t.dims, "tensorize")
+    return t
 
 
 def _fit(config: PipelineConfig, t: tensor.MigrationTensor) -> tuple[dict, Optional[solver.FactorModel]]:
@@ -193,17 +206,12 @@ def _fit(config: PipelineConfig, t: tensor.MigrationTensor) -> tuple[dict, Optio
 
 def _load_model(config: PipelineConfig) -> Optional[solver.FactorModel]:
     """The fitted model, or None where fit wrote none for an empty tensor."""
-    registry = ingestion.load_registry(config.registry)
     model_path = config.out_dir / "model.txt"
     # for a tensor that is not empty, loading the missing model fails below
     if not model_path.exists() and tensor.load_tensor(config.out_dir / "tensor.txt").nnz == 0:
         return None
     model = solver.load_model(model_path)
-    N, M = len(registry), config.months
-    if (len(model.O), len(model.D), len(model.T)) != (N, N, M):
-        raise InputError(f"{model_path}: model of {len(model.O)} x {len(model.D)} countries x "
-                         f"{len(model.T)} months does not match the config's {N} countries and {M} "
-                         "months; run fit again")
+    _check_dims(config, model_path, "model", model.dims, "fit")
     return model
 
 

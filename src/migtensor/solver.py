@@ -27,17 +27,17 @@ rows, dotted with the new weights. ``FactorModel`` is built and
 validated once, for the winning restart, not on every update.
 
 Every result has the bits of the plain per-restart formulation
-(fancy-index row gathers, ``np.add.at`` scatter). Gathers are ``np.take``
-copies; a restart's row sums see the same (nnz, K) rows in the same C
-order, and a stacked ``matmul`` gives each restart the bits of its own
-``prod @ weights``. The update's numerator is scattered with one
-``np.bincount`` per factor column over the bins r * n + row: like
-``np.add.at`` it adds each nonzero's term into its cell one at a time in
-nnz order, starting from 0.0. The likelihood's ``counts @ log(rates)``
-stays one dot per restart. Scratch is reused rather than allocated per
-call because fresh nnz x K temporaries are returned to the operating
-system between calls and page-fault again on first touch, which costs
-more than the arithmetic on them.
+(fancy-index row gathers, ``.sum`` row sums, ``np.add.at`` scatter).
+Gathers are ``np.take`` copies, and a stacked ``matmul`` gives each
+restart the bits of its own ``prod @ weights``. The update's row sums are
+whole-column adds in the order numpy sums a contiguous axis (given at
+``_pairwise_sum``), so each rate is the same adds as its own ``.sum``.
+Its numerator is scattered with one ``np.bincount`` per factor column,
+each over a contiguous slab, into the bins r * n + row: like
+``np.add.at`` it adds each nonzero's term into its cell in nnz order,
+starting from 0.0. The likelihood's ``counts @ log(rates)`` stays one dot
+per restart. Scratch is reused rather than allocated per call because
+fresh nnz x K temporaries page-fault again on first touch.
 """
 
 from __future__ import annotations
@@ -231,6 +231,39 @@ def _log_likelihoods(counts: np.ndarray, rates: np.ndarray, mass: np.ndarray) ->
     return out
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` of non-negative slabs with the bits numpy gives a
+    contiguous axis, added in place into ``x[0]``, which it returns.
+
+    That is numpy's pairwise order: fewer than 8 slabs left to right; 8 to
+    128 in 8 accumulators seeded from slabs 0-7, each later full block of 8
+    added to them, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the last ``n % 8`` slabs in order; more than 128 split at
+    half rounded down to a multiple of 8, each half summed so and the two
+    added. numpy starts from 0.0, which changes only a sum of -0.0s, so
+    the slabs must hold no negative zero.
+    """
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(x[:half])
+        out += _pairwise_sum(x[half:])
+        return out
+    if n < 8:
+        for k in range(1, n):
+            x[0] += x[k]
+        return x[0]
+    end = n - n % 8
+    for k in range(8, end):
+        x[k % 8] += x[k]
+    for step in (1, 2, 4):
+        for k in range(0, 8, 2 * step):
+            x[k] += x[k + step]
+    for k in range(end, n):
+        x[0] += x[k]
+    return x[0]
+
+
 def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
             a: float, b: float, scratch, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One multiplicative update of factor matrix ``mode`` in every restart.
@@ -255,15 +288,17 @@ def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
         rows, (P, p), (Q, q) = tt, (O, ii), (D, jj)
         denom = b + (O.sum(1) * D.sum(1) - (O * D).sum(1))[:, None]
     np.multiply(_gather(P, p, contrib), _gather(Q, q, work), out=contrib)
-    rates = np.multiply(_gather(W, rows, work), contrib, out=work).sum(axis=2)
+    prod = np.multiply(_gather(W, rows, work), contrib, out=work)
+    rates = _pairwise_sum(prod.transpose(2, 0, 1))
 
     num = np.zeros_like(W)
     if len(counts):
         R, n, K = W.shape
         ratio = counts / np.maximum(rates, RATE_EPS)
-        terms = np.multiply(contrib, ratio[..., None], out=work)
+        # component-major, so that each bincount reads one contiguous slab
+        terms = np.multiply(contrib.transpose(2, 0, 1), ratio, out=work.reshape(K, R, -1))
         for k in range(K):
-            num[..., k] = np.bincount(bins, weights=terms[..., k].reshape(-1),
+            num[..., k] = np.bincount(bins, weights=terms[k].reshape(-1),
                                       minlength=R * n).reshape(R, n)
 
     W_new = ((a - 1.0) + W * num) / np.maximum(denom, RATE_EPS)
@@ -397,13 +432,15 @@ def load_model(path) -> FactorModel:
     """Read a model written by :func:`save_model`.
 
     A malformed header or row raises :class:`InputError` naming its
-    ``path:line``.
+    ``path:line``; so does a number in any form but the ``%.17g`` one
+    ``save_model`` writes, such as ``1_0``, ``+5`` or ``5.0``.
     """
     rows = []
     with open_text(path) as fh:
         N1, N2, M, K = read_header(fh, path, "cp", 4, "model")
         # save_model's %.17g floats are never quoted, so a row splits on commas
-        for line, text in enumerate(map(str.rstrip, fh), start=2):
+        for line, text in enumerate(fh, start=2):
+            text = text.rstrip("\n")
             parts = text.split(",")
             if len(parts) != K:
                 raise line_error(path, line, f"expected {K} fields, got {len(parts)}")
@@ -411,6 +448,8 @@ def load_model(path) -> FactorModel:
                 row = [float(x) for x in parts]
             except ValueError:
                 raise line_error(path, line, f"row {text!r} is not {K} numbers") from None
+            if [f"{x:.17g}" for x in row] != parts:
+                raise line_error(path, line, f"row {text!r} is not in save_model's %.17g form")
             if not all(math.isfinite(x) and x >= 0 for x in row):
                 raise line_error(path, line, "factor entries must be finite and non-negative")
             rows.append(row)

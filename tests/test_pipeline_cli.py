@@ -509,6 +509,10 @@ CORRUPT_ROWS = {
     "residences-stray-quote": ("residences.csv", "detect", '"alice,1,GB'),
     "migrations-stray-quote": ("migrations.csv", "tensorize", '"bob,2,FR,US'),
     "model-stray-quote": ("model.txt", "analyze", '"0.5,0.5'),
+    # numbers float() reads that save_model's %.17g never writes
+    "model-digit-separator": ("model.txt", "analyze", "1_0,0.5"),
+    "model-plus-sign": ("model.txt", "analyze", "+5,0.5"),
+    "model-leading-space": ("model.txt", "analyze", " 5,0.5"),
     # more digits than int() converts
     "residences-month-digit-limit": ("residences.csv", "detect", f"alice,{'9' * 5000},GB"),
     "migrations-month-digit-limit": ("migrations.csv", "tensorize", f"bob,{'9' * 5000},FR,US"),
@@ -661,6 +665,36 @@ class TestModelShapeChecked:
         assert cli.main(["analyze", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "[analyze]" in err and "model of 6 x 6 countries x 6 months" in err and expected in err
+
+
+class TestTensorShapeChecked:
+    @pytest.mark.parametrize("change, expected", [
+        ({"header": "# dims 6 6 100000000000"},
+         "tensor of 6 x 6 countries x 100000000000 months does not match the config's "
+         "6 countries and 6 months"),
+        ({"registry": "GB\nFR\nUS\nDE\nES\nIT\nPT\n"},
+         "tensor of 6 x 6 countries x 6 months does not match the config's 7 countries"),
+        ({"months": 12}, "tensor of 6 x 6 countries x 6 months does not match the config's "
+                         "6 countries and 12 months"),
+    ])
+    def test_tensor_not_matching_registry_or_months_exits_3(self, tmp_path, capsys, change,
+                                                            expected):
+        path = write_workspace(tmp_path)
+        run_stages_before("fit", path)
+        target = tmp_path / "out" / "tensor.txt"
+        if "header" in change:
+            replace_line(target, 0, change["header"])
+        elif "registry" in change:
+            (tmp_path / "registry.txt").write_text(change["registry"])
+        else:
+            config = json.loads(path.read_text())
+            config.update(change)
+            path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[fit]" in err and f"{target}: {expected}" in err and "run tensorize again" in err
+        assert not (tmp_path / "out" / "model.txt").exists()
 
 
 class TestJsonlFormat:

@@ -207,10 +207,12 @@ class TestModeUpdate:
 @st.composite
 def kernel_problems(draw):
     """A small tensor (possibly empty, usually with countries and months
-    that have no entries), a non-negative model and a (shape, rate) prior."""
+    that have no entries), a non-negative model and a (shape, rate) prior.
+    Ranks reach past 16, so the row sums run left to right, in 8
+    accumulators, and in blocks of 8 with a remainder."""
     N = draw(st.integers(2, 6))
     M = draw(st.integers(1, 5))
-    K = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 20))
     cell = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), st.integers(0, M - 1))
     cells = draw(st.dictionaries(cell.filter(lambda c: c[0] != c[1]),
                                  st.integers(1, 50), max_size=30))
@@ -241,6 +243,39 @@ def assert_same_bits(got: FactorModel, expected: FactorModel):
         assert x.shape == y.shape
         assert np.array_equal(x, y)
         assert x.tobytes() == y.tobytes()
+
+
+@st.composite
+def slab_stacks(draw):
+    """A C-order (R, nnz, K) array of non-negative floats, some zero, the
+    others spread over up to 600 decades, for K from 1 to 300."""
+    K = draw(st.integers(1, 300))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), K)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-300, 300))
+    high = draw(st.integers(low, 307))
+    values = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(low, high + 1, shape)
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = 0.0
+    return values
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` over slabs has the bits of numpy's own row sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slab_stacks())
+    @example(np.full((1, 1, 129), 1e-300))
+    @example(np.ones((2, 3, 300)))
+    def test_matches_sum_over_the_last_axis(self, values):
+        expected = values.sum(axis=2)
+        got = solver._pairwise_sum(values.copy().transpose(2, 0, 1))
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+    def test_sums_in_place_into_the_first_slab(self):
+        values = np.arange(1.0, 25.0).reshape(2, 12)
+        got = solver._pairwise_sum(values.T)
+        assert np.shares_memory(got, values)
+        assert got.tolist() == [78.0, 222.0]
 
 
 class TestKernelsMatchReference:
@@ -512,6 +547,19 @@ class TestModelFile:
         assert (loaded.T == model.T).all()
         assert (loaded.weights == model.weights).all()
 
+    def test_round_trip_of_every_float_form(self, tmp_path):
+        # fixed and exponent notation on both sides of %.17g's switch,
+        # subnormals, the largest float and a negative zero
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1, 1.0, 255.0,
+                  1e16, 1e17, 12345678901234567.0, 1.7976931348623157e308]
+        col = np.array(values)[:, None]
+        model = FactorModel(col[:2], col[2:4], col[4:], np.array([3.0]))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        for got, expected in zip((loaded.O, loaded.D, loaded.T), (model.O, model.D, model.T)):
+            assert got.tobytes() == expected.tobytes()
+
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(42)
         model = random_model(rng, (4, 4, 3), 2)
@@ -547,6 +595,13 @@ class TestModelFile:
         (9, "0.5,nan", 9, "factor entries must be finite and non-negative"),
         (5, "inf,0.5", 5, "factor entries must be finite and non-negative"),
         (1, "# cp 2 2 3 3", 2, "expected 3 fields, got 2"),
+        # numbers float() reads in forms save_model never writes
+        (3, "1_0,0.5", 3, "row '1_0,0.5' is not in save_model's %.17g form"),
+        (3, "+1,0.5", 3, "row '+1,0.5' is not in save_model's %.17g form"),
+        (3, " 1,0.5", 3, "row ' 1,0.5' is not in save_model's %.17g form"),
+        (3, "1,0.5 ", 3, "row '1,0.5 ' is not in save_model's %.17g form"),
+        (3, "1.0,0.5", 3, "row '1.0,0.5' is not in save_model's %.17g form"),
+        (4, "1e0,0.5", 4, "row '1e0,0.5' is not in save_model's %.17g form"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, line, text, bad_line, message):
         from migtensor.events import InputError
