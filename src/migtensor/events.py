@@ -203,6 +203,17 @@ def _coordinate(value) -> float:
         return math.nan
 
 
+def _coordinates(column, rows: list[int]) -> np.ndarray:
+    """:func:`_coordinate` of ``column``'s value at each of ``rows``.
+
+    numpy reads each value as ``float()`` does, so one pass takes the block
+    unless a value fails; then each value is read alone."""
+    try:
+        return np.fromiter(map(column.__getitem__, rows), float, len(rows))
+    except (TypeError, ValueError, OverflowError):
+        return np.array([_coordinate(column[i]) for i in rows], dtype=float)
+
+
 def _csv_fields(lines: list[str], stats: RejectStats) -> tuple:
     """``(user, timestamp, country, lat, lon)`` columns of a block's CSV data lines."""
     text = "".join(lines)
@@ -242,48 +253,52 @@ def _columns(rows: list[tuple]) -> tuple:
     return tuple(zip(*rows)) or ((),) * 5
 
 
-def _json_number(value):
-    """A JSON number as is; a string, boolean or other JSON value as None,
-    which is rejected as bad coordinates."""
-    return value if type(value) in (int, float) else None
-
-
-def _json_user(value) -> str:
-    """A JSON string, or the text of a JSON integer (not a boolean); any
-    other value as "", which is rejected as a missing field."""
-    if type(value) is str:
-        return value.strip()
-    return str(value) if type(value) is int else ""
+# json.loads without its wrapper layers: the decoder's own scanner, and the
+# JSON whitespace (json.decoder.WHITESPACE's set) that JSONDecoder.decode
+# skips before the value and allows after it; a BOM is not JSON whitespace,
+# so a BOM-led line fails here as in loads
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+# the types of JSON numbers (a boolean is neither)
+_NUMBERS = (int, float)
 
 
 def _jsonl_fields(lines: list[str], stats: RejectStats) -> tuple:
-    """``(user, timestamp, country, lat, lon)`` columns of a block's JSONL objects."""
+    """``(user, timestamp, country, lat, lon)`` columns of a block's JSONL
+    objects. A ``user_id`` is a JSON string (stripped), or the text of a JSON
+    integer (not a boolean); any other value is "", rejected as a missing
+    field. A coordinate that is not a JSON number is NaN, rejected as bad
+    coordinates."""
     rows = []
     for line in lines:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        # a JSONDecodeError, an integer past Python's digit limit, or nesting
-        # past the recursion limit
-        except (ValueError, RecursionError):
+            obj, end = _scan_json(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        # StopIteration: no JSON value; ValueError: a JSONDecodeError or an
+        # integer past Python's digit limit; RecursionError: nesting past the
+        # recursion limit
+        except (StopIteration, ValueError, RecursionError):
             stats.add(BAD_JSON)
             continue
-        if not isinstance(obj, dict):
+        # no JSON value ends in whitespace, so the strip stops at its end
+        if type(obj) is not dict or len(line.rstrip(_JSON_SPACE)) != end:
             stats.add(BAD_JSON)
             continue
-        country, lat, lon = obj.get("country"), obj.get("lat"), obj.get("lon")
-        has_code = country is not None
-        has_point = lat is not None or lon is not None
+        get = obj.get
+        user, country, lat, lon = get("user_id"), get("country"), get("lat"), get("lon")
         # exactly one location, and a code is a JSON string
-        if has_code == has_point or (has_code and type(country) is not str):
+        if country is None:
+            if lat is None or lon is None:
+                stats.add(BAD_LOCATION if lat is lon else BAD_COORDINATES)
+                continue
+            lat = lat if type(lat) in _NUMBERS else math.nan
+            lon = lon if type(lon) in _NUMBERS else math.nan
+        elif type(country) is not str or lat is not None or lon is not None:
             stats.add(BAD_LOCATION)
             continue
-        if has_point and (lat is None or lon is None):
-            stats.add(BAD_COORDINATES)
-            continue
-        rows.append((_json_user(obj.get("user_id")), obj.get("timestamp"),
-                     country, _json_number(lat), _json_number(lon)))
+        user = user.strip() if type(user) is str else str(user) if type(user) is int else ""
+        rows.append((user, get("timestamp"), country, lat, lon))
     return _columns(rows)
 
 
@@ -351,8 +366,7 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
     reject(MISSING_FIELD, empty)
     reject(UNKNOWN_COUNTRY, unknown)
     points = np.flatnonzero(accepted & (code == -1))
-    point_lat = np.array([_coordinate(lat[i]) for i in points.tolist()], dtype=float)
-    point_lon = np.array([_coordinate(lon[i]) for i in points.tolist()], dtype=float)
+    point_lat, point_lon = (_coordinates(column, points.tolist()) for column in (lat, lon))
     # NaN and infinities fail the range test too
     on_globe = (point_lat >= -90.0) & (point_lat <= 90.0) & (point_lon >= -180.0) & (point_lon <= 180.0)
     off_globe = np.zeros(n, dtype=bool)
@@ -411,8 +425,10 @@ def read_events(
     # typed empty columns first, so that an empty stream concatenates too
     blocks = [_finish_block(_columns([]), None, None, None, codes, users, stats)]
     while block := list(islice(lines, _PARSE_BLOCK)):
+        # the columns go straight in, bound to no name, so they are freed with the call
         blocks.append(_finish_block(fields(block, stats), bounds, registry, centroids, codes, users,
                                     stats))
+        del block  # before the next block is read
     user, seconds, country = (np.concatenate(column) for column in zip(*blocks))
     # renumber users from first-seen to sorted order
     names = list(users)

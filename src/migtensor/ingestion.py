@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .events import ConfigError, EventTable, open_text, run_starts
+from .events import _MAX_CODES, ConfigError, EventTable, open_text, run_starts
 
 
 def require_int(name: str, value) -> None:
@@ -94,9 +94,11 @@ def save_registry(registry: CountryRegistry, path) -> None:
 
 
 # points per block of the nearest-centroid search: a block's (points x
-# centroids) float64 temporaries stay a few hundred kB, so peak memory does
-# not grow with the stream
+# centroids) float64 temporaries, its dots and its close calls' haversine
+# terms, stay a few hundred kB, so peak memory does not grow with the stream
 _RESOLVE_BLOCK = 256
+# the dot gap below which the haversine judges a point (see CentroidTable.nearest)
+_SCREEN_MARGIN = 1e-6
 
 
 class CentroidTable:
@@ -121,6 +123,8 @@ class CentroidTable:
         self.codes = [r[0] for r in rows]
         self._lat_rad = np.radians(np.array([r[1] for r in rows], dtype=float))
         self._lon_rad = np.radians(np.array([r[2] for r in rows], dtype=float))
+        # (3, rows) unit vectors of the centroids
+        self._unit = _unit_vectors(self._lat_rad, self._lon_rad).T.copy()
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -128,26 +132,61 @@ class CentroidTable:
     def nearest(self, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
         """Row index of the nearest centroid for each point, by great-circle distance.
 
-        Ties break to the centroid with the smaller registry index (rows
-        are stored in that order and argmin keeps the first minimum). The
-        sphere radius cancels in the argmin, so only central angles are
-        compared.
+        The haversine central angle is the judge: each point takes the
+        row of the smallest angle, and ties break to the centroid with the
+        smaller registry index (rows are stored in that order and argmin
+        keeps the first minimum). It is asked only about close calls. A
+        screen first takes the dot product of the point's unit vector with
+        every row's, the cosine of the angle, and the largest dot names the
+        nearest row. A point whose runner-up dot lies within
+        ``_SCREEN_MARGIN`` (1e-6) of its best is judged by the haversine
+        against every row instead.
+
+        The screen cannot pick a row the haversine would not. The computed
+        dots are off by about 1e-15, and ``|d cos t / dt| <= 1``, so a dot
+        gap above 1e-6 means the true angles differ by more than ~1e-6. The
+        haversine angle is off by at most ~6e-8, and that only near an
+        antipode (``2 * sqrt(dh)`` for an error ``dh`` ~ 1e-15 in its
+        argument), so it orders those two angles the same way, and the row
+        the screen names is the haversine's unique minimum. Every tie and
+        near-tie goes to the haversine. The dots' last bits may vary with
+        the BLAS build; the indices cannot.
         """
         if not self.codes:
             raise ConfigError("centroid table is empty")
         nearest = np.empty(len(lat_deg), dtype=np.intp)
-        cos_table_lat = np.cos(self._lat_rad)
-        for start in range(0, len(lat_deg), _RESOLVE_BLOCK):
-            stop = start + _RESOLVE_BLOCK
-            lat = np.radians(lat_deg[start:stop])[:, None]
-            lon = np.radians(lon_deg[start:stop])[:, None]
-            # haversine central angle of every point in the block against every row
-            dlat = self._lat_rad - lat
-            dlon = self._lon_rad - lon
-            h = np.sin(dlat / 2.0) ** 2 + np.cos(lat) * cos_table_lat * np.sin(dlon / 2.0) ** 2
-            angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-            nearest[start:stop] = angle.argmin(axis=1)
+        points = _unit_vectors(np.radians(lat_deg), np.radians(lon_deg))
+        for start in range(0, len(points), _RESOLVE_BLOCK):
+            dots = points[start:start + _RESOLVE_BLOCK] @ self._unit
+            rows = np.arange(len(dots))
+            best = dots.argmax(axis=1)
+            top = dots[rows, best]
+            dots[rows, best] = -np.inf
+            # (argmax, not max: it is several times faster along short rows)
+            runner_up = dots[rows, dots.argmax(axis=1)]
+            # a NaN gap goes to the judge too
+            close = start + np.flatnonzero(~(top - runner_up > _SCREEN_MARGIN))
+            nearest[start:start + len(dots)] = best
+            if close.size:
+                nearest[close] = self._haversine_nearest(lat_deg[close], lon_deg[close])
         return nearest
+
+    def _haversine_nearest(self, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
+        """Row index of the smallest haversine central angle for each
+        point, the first such row on a tie."""
+        lat = np.radians(lat_deg)[:, None]
+        lon = np.radians(lon_deg)[:, None]
+        dlat = self._lat_rad - lat
+        dlon = self._lon_rad - lon
+        h = np.sin(dlat / 2.0) ** 2 + np.cos(lat) * np.cos(self._lat_rad) * np.sin(dlon / 2.0) ** 2
+        angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        return angle.argmin(axis=1)
+
+
+def _unit_vectors(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` unit vectors of points at latitudes and longitudes in radians."""
+    cos_lat = np.cos(lat)
+    return np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
 
 
 def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
@@ -224,19 +263,28 @@ def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, D
     order; all of a user's rows are kept or none are. Days and months are
     UTC calendar days and months.
     """
+    # each temporary as long as the table is freed or made in place as soon
+    # as it can be: this is the peak of a run's memory
     order = np.lexsort((table.seconds, table.user))
     user, seconds, country = table.user[order], table.seconds[order], table.country[order]
+    del order
     n_users = len(table.users)
     # (user, day) runs: sorted by time, each user's days come in order
     day_starts = run_starts(user, seconds // 86400)
-    day_of_row = np.cumsum(day_starts) - 1
+    day_of_row = np.cumsum(day_starts)
+    day_of_row -= 1
     day_user = user[day_starts]
     per_day = np.bincount(day_of_row, minlength=day_user.size)
-    by_country = np.lexsort((country, day_of_row))
-    distinct = run_starts(day_of_row[by_country], country[by_country])
-    countries_per_day = np.bincount(day_of_row[by_country][distinct], minlength=day_user.size)
-    months = seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    # distinct (day, country) pairs, as one sorted key
+    pairs = day_of_row * _MAX_CODES
+    del day_of_row
+    pairs += country
+    pairs.sort()
+    countries_per_day = np.bincount(pairs[run_starts(pairs)] // _MAX_CODES, minlength=day_user.size)
+    del pairs
+    months = seconds.view("datetime64[s]").astype("datetime64[M]").view(np.int64)
     active_months = np.bincount(user[run_starts(user, months)], minlength=n_users)
+    del months
     total = np.bincount(user, minlength=n_users)
     failed = {
         RULE_MAX_EVENTS_PER_DAY: np.bincount(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from migtensor.events import (
     MISSING_FIELD,
     OUT_OF_INTERVAL,
     UNKNOWN_COUNTRY,
+    _JSON_SPACE,
     EventTable,
     InputError,
     read_events,
@@ -242,6 +244,10 @@ class TestParseJsonl:
         with pytest.raises(InputError):
             read_events([], "xml")
 
+    def test_skips_the_whitespace_the_decoder_skips(self):
+        in_decoder = {c for c in map(chr, range(0x3001)) if json.decoder.WHITESPACE.fullmatch(c)}
+        assert in_decoder == set(_JSON_SPACE)
+
 
 class TestUserIdsHoldingLineBreaks:
     # every dump holds one row per line, so a user id with a line break
@@ -405,13 +411,33 @@ def centroid_tables(draw):
     return [(code, lat, lon) for code, (lat, lon) in zip(codes, rows)]
 
 
+def close_calls(rows) -> list:
+    """Points where two centroids of ``rows`` are (nearly) equally near, or
+    where the dot-product screen's margin is thinnest: each centroid and
+    its antipode, the great-circle midpoint of each pair, the poles and
+    the antimeridian."""
+    found = [(90.0, 0.0), (-90.0, 45.0), (0.0, 180.0), (0.0, -180.0), (45.0, 180.0), (-45.0, -180.0)]
+    for _, lat, lon in rows:
+        found += [(lat, lon), (-lat, lon - 180.0 if lon > 0 else lon + 180.0)]
+    unit = ingestion._unit_vectors(np.radians([r[1] for r in rows]), np.radians([r[2] for r in rows]))
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        mid = unit[i] + unit[j]
+        norm = np.linalg.norm(mid)
+        if norm > 0:  # not an antipodal pair
+            x, y, z = mid / norm
+            found.append((float(np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))),
+                          float(np.degrees(np.arctan2(y, x)))))
+    return found
+
+
 @st.composite
 def resolve_problems(draw):
-    """A centroid table and points drawn around it, including its exact
-    centroids, with point counts either side of a resolver block."""
+    """A centroid table (two of its codes sometimes share one location) and
+    points drawn around it, including its close calls, with point counts
+    either side of a resolver block."""
     rows = draw(centroid_tables())
     n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
-    pool = st.one_of(points, st.sampled_from([(lat, lon) for _, lat, lon in rows]))
+    pool = st.one_of(points, st.sampled_from(close_calls(rows)))
     drawn = draw(st.lists(pool, min_size=min(n, 8), max_size=min(n, 8)))
     # fill the rest from a seeded generator: hypothesis drawing hundreds of
     # points per example would be slow
@@ -628,6 +654,7 @@ def csv_streams(draw):
 CSV_HEADER_COUNTRY_LINE = CSV_HEADER_COUNTRY + "\n"
 CSV_HEADER_GEO_LINE = CSV_HEADER_GEO + "\n"
 
+GOOD_JSONL = '{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "country": "GB"}\n'
 json_values = st.one_of(st.floats(-200, 200), st.integers(-200, 200), st.just(10 ** 400),
                         st.booleans(), st.none(), st.just("46"))
 # where a timestamp or a country code belongs
@@ -684,6 +711,16 @@ class TestColumnarParseMatchesReference:
              True, True, 8192)  # out of interval, unknown code
     @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "lat": 95.0, "lon": 0}\n'],
              True, True, 8192)  # out of interval, off the globe
+    # lines the decoder's scanner must judge as json.loads does
+    @example(["\ufeff" + GOOD_JSONL], True, True, 8192)  # a BOM is not JSON whitespace
+    @example(["\x0b" + GOOD_JSONL, GOOD_JSONL[:-1] + "\xa0\n"], True, True, 8192)  # nor are these
+    @example([" \t" + GOOD_JSONL[:-1] + " \r\n", GOOD_JSONL[:-1] + "x\n"], True, True, 8192)
+    @example(['{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": NaN, "lon": Infinity}\n',
+              '{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": -Infinity, "lon": 0}\n'],
+             True, True, 8192)
+    @example(["[{}]\n", "[" * 100000 + "\n"], True, True, 8192)  # not an object; nested too deep
+    @example(['{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": %s, "lon": 0}\n'
+              % ("1" * 5000)], True, True, 8192)  # past int()'s digit limit
     def test_jsonl_events_and_tallies(self, lines, use_interval, use_registry, block):
         interval = INTERVAL if use_interval else None
         registry = CountryRegistry(CODES) if use_registry else None

@@ -587,7 +587,23 @@ class TestCorruptArtifacts:
         capsys.readouterr()
         assert cli.main(["residences", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "[residences]" in err and f"{target}: events artifact" in err
+        assert "[residences]" in err and f"{target}:3: events artifact" in err
+
+    # a rejected events.csv row names its line and its reject reason, also
+    # past the first parse block
+    @pytest.mark.parametrize("row, reason", [("alice,2014-02-30T12:00:00Z,GB", "bad_timestamp"),
+                                             ("alice,2014-01-20T12:00:00Z,XX", "unknown_country")])
+    def test_rejected_events_row_names_its_line(self, tmp_path, capsys, row, reason):
+        path = write_workspace(tmp_path)
+        run_stages_before("residences", path)
+        target = tmp_path / "out" / "events.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(lines + lines[1:2] * 3000 + [row + "\n"]))
+        capsys.readouterr()
+        assert cli.main(["residences", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[residences]" in err and f"{target}:{len(lines) + 3001}: events artifact" in err
+        assert reason in err
 
 
 # every file a stage reads, by path under the workspace, with the stage
