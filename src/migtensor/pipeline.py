@@ -125,26 +125,8 @@ def _load_events(config: PipelineConfig) -> events.EventTable:
     except ConfigError:  # a point row, which ingest resolves before writing
         table = None
     if table is None or rejects.total:
-        raise _bad_events_line(path, interval, registry)
+        raise events.rejected_line_error(path, interval, registry)
     return table
-
-
-def _bad_events_line(path, interval, registry) -> InputError:
-    """The error naming the first line of the events artifact at ``path``
-    that ``read_events`` rejects, or finds a point on, read alone. A whole
-    read judges each line on its own too, so this is a line it tallied. A
-    line past the first is read under the header, as a data row."""
-    with open_text(path) as fh:
-        for line, text in enumerate(fh, start=1):
-            rows = [text] if line == 1 else [events.CSV_HEADER_COUNTRY + "\n", text]
-            try:
-                rejects = events.read_events(rows, "csv", interval, registry)[1]
-            except ConfigError:
-                return events.line_error(path, line, "events artifact holds an unresolved point")
-            if rejects.total:
-                return events.line_error(path, line,
-                                         f"events artifact row rejected as {', '.join(rejects.counts)}")
-    return InputError(f"{path}: events artifact is corrupt")
 
 
 def _residences(config: PipelineConfig, table: events.EventTable) -> tuple[dict, tuple]:
