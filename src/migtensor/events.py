@@ -438,33 +438,6 @@ def read_events(
     return EventTable([names[i] for i in order], list(codes), rank[user], seconds, country), stats
 
 
-def rejected_line_error(path, interval=None, registry=None) -> InputError:
-    """The error naming the first line of the CSV events dump at ``path``
-    that :func:`read_events` rejects, or finds a point on, with the reason.
-
-    Each line is judged on its own in a whole read too, so the first block
-    of lines that a read of it alone faults holds that line, and a read of
-    each of its lines alone finds it. A line past the first is read under
-    the header, as a data row."""
-    def fault(lines: list[str], line: int) -> Optional[str]:
-        rows = lines if line == 1 else [CSV_HEADER_COUNTRY + "\n", *lines]
-        try:
-            rejects = read_events(rows, "csv", interval, registry)[1]
-        except ConfigError:
-            return "holds an unresolved point"
-        return f"row rejected as {', '.join(rejects.counts)}" if rejects.total else None
-
-    with open_text(path) as fh:
-        start = 1
-        while block := list(islice(fh, _PARSE_BLOCK)):
-            if fault(block, start):
-                for line, text in enumerate(block, start):
-                    if reason := fault([text], line):
-                        return line_error(path, line, f"events artifact {reason}")
-            start += len(block)
-    return InputError(f"{path}: events artifact is corrupt")
-
-
 def _format_seconds(seconds: np.ndarray) -> list[str]:
     """``YYYY-MM-DDTHH:MM:SSZ`` strings of epoch seconds."""
     return np.datetime_as_string(seconds.astype("datetime64[s]"), timezone="UTC").tolist()

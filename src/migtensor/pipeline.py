@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -125,8 +126,35 @@ def _load_events(config: PipelineConfig) -> events.EventTable:
     except ConfigError:  # a point row, which ingest resolves before writing
         table = None
     if table is None or rejects.total:
-        raise events.rejected_line_error(path, interval, registry)
+        raise _bad_events_line(path, interval, registry)
     return table
+
+
+def _bad_events_line(path, interval, registry) -> InputError:
+    """The error naming the first line of the CSV events dump at ``path``
+    that :func:`events.read_events` rejects, or finds a point on, with the reason.
+
+    Each line is judged on its own in a whole read too, so the first block
+    of lines that a read of it alone faults holds that line, and a read of
+    each of its lines alone finds it. A line past the first is read under
+    the header, as a data row."""
+    def fault(lines: list[str], line: int) -> Optional[str]:
+        rows = lines if line == 1 else [events.CSV_HEADER_COUNTRY + "\n", *lines]
+        try:
+            rejects = events.read_events(rows, "csv", interval, registry)[1]
+        except ConfigError:
+            return "holds an unresolved point"
+        return f"row rejected as {', '.join(rejects.counts)}" if rejects.total else None
+
+    with open_text(path) as fh:
+        start = 1
+        while block := list(islice(fh, events._PARSE_BLOCK)):
+            if fault(block, start):
+                for line, text in enumerate(block, start):
+                    if reason := fault([text], line):
+                        return events.line_error(path, line, f"events artifact {reason}")
+            start += len(block)
+    return InputError(f"{path}: events artifact is corrupt")
 
 
 def _residences(config: PipelineConfig, table: events.EventTable) -> tuple[dict, tuple]:
