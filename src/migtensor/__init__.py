@@ -25,7 +25,6 @@ from .ingestion import (
     save_registry,
 )
 from .residence import (
-    MigrationEvent,
     MonthCalendar,
     detect_all,
     read_residences,
@@ -54,7 +53,6 @@ __all__ = [
     "FitConfig",
     "FitTrace",
     "InputError",
-    "MigrationEvent",
     "MigrationTensor",
     "MonthCalendar",
     "PlantedComponent",

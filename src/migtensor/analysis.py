@@ -120,8 +120,8 @@ def rank_components(
 def emit_reports(reports: list[ComponentReport], calendar: MonthCalendar, out_dir) -> list[Path]:
     """Write summary.json plus per-component time/country plot CSVs.
 
-    Output is byte-deterministic for fixed inputs. Returns the written
-    paths; an empty report list yields only the summary file.
+    Output is byte-deterministic for fixed inputs; component CSVs it does not
+    write are removed. Returns the written paths (the summary alone if none).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,4 +146,6 @@ def emit_reports(reports: list[ComponentReport], calendar: MonthCalendar, out_di
             for code, share in report.top_destinations:
                 fh.write(f"destination,{code},{share!r}\n")
         written.append(country_path)
+    for stale in set(out_dir.glob("component_*.csv")).difference(written):
+        stale.unlink()
     return written

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +34,8 @@ class CountryRegistry:
         self.codes = [c.strip().upper() for c in codes]
         if any(not c for c in self.codes):
             raise ConfigError("registry contains an empty country code")
+        if len(self.codes) > _MAX_CODES:
+            raise ConfigError(f"registry holds {len(self.codes)} country codes, more than {_MAX_CODES}")
         self.index = {c: i for i, c in enumerate(self.codes)}
         if len(self.index) != len(self.codes):
             dupes = [c for c, n in Counter(self.codes).items() if n > 1]
@@ -221,6 +223,8 @@ class FilterPolicy:
     min_active_months: int = 2
 
     def __post_init__(self):
+        for setting in fields(self):
+            require_int(setting.name, getattr(self, setting.name))
         if self.max_events_per_day < 1 or self.max_countries_per_day < 1:
             raise ConfigError("max_* thresholds must be positive")
         if self.min_events_total < 0 or self.min_active_months < 0:
@@ -259,15 +263,13 @@ RULE_MIN_ACTIVE_MONTHS = "min_active_months"
 def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, DroppedUserStats]:
     """Drop whole users that trip any policy rule.
 
-    The kept rows come sorted by (user, time), rows of equal time in table
-    order; all of a user's rows are kept or none are. Days and months are
-    UTC calendar days and months.
+    The kept rows are a subsequence of the table's, so they stay sorted
+    by (user, time); all of a user's rows are kept or none are. Days and
+    months are UTC calendar days and months.
     """
     # each temporary as long as the table is freed or made in place as soon
-    # as it can be: this is the peak of a run's memory
-    order = np.lexsort((table.seconds, table.user))
-    user, seconds, country = table.user[order], table.seconds[order], table.country[order]
-    del order
+    # as it can be, so few row-length arrays are alive beside the table's
+    user, seconds, country = table.user, table.seconds, table.country
     n_users = len(table.users)
     # (user, day) runs: sorted by time, each user's days come in order
     day_starts = run_starts(user, seconds // 86400)

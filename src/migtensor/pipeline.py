@@ -8,11 +8,11 @@ which writes the stage's artifacts and returns its summary and a hand-off
 for the next core. A stage command runs its loader, then its core; a
 one-shot ``run`` chains the cores and reads no artifact back. It hands
 over the kept :class:`~migtensor.events.EventTable`, the user ids with
-their residence matrix, the migrations, the tensor and the fitted model
-(None for an empty tensor). Only a file on disk can be corrupt or stale,
-so the loaders hold those checks: an events row that ingest would have
-rejected or left unresolved, and a model that does not fit the config's
-registry and months.
+their residence matrix, then with their ``(n, 4)`` migration rows, the
+tensor and the fitted model (None for an empty tensor). Only a file on disk
+can be corrupt or stale, so the loaders hold those checks: an events row that
+ingest would have rejected or left unresolved, and a model that does not fit
+the config's registry and months.
 
 Each stage has one boundary, around its loader and its core alike, that
 turns what they raise into a :class:`StageError` tagged with the stage's
@@ -170,22 +170,23 @@ def _load_residences(config: PipelineConfig) -> tuple:
     return residence.read_residences(config.out_dir / "residences.csv", registry, config.months)
 
 
-def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, list]:
+def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, tuple]:
     """Window-k migration detection over the users' residences."""
     registry = ingestion.load_registry(config.registry)
-    migrations = residence.detect_all(*residences, config.window_k, config.detection_mode)
-    residence.write_migrations(migrations, registry, config.out_dir / "migrations.csv")
-    return {"migrations": len(migrations)}, migrations
+    users, filled = residences
+    moves = residence.detect_all(filled, config.window_k, config.detection_mode)
+    residence.write_migrations(users, moves, registry, config.out_dir / "migrations.csv")
+    return {"migrations": len(moves)}, (users, moves)
 
 
-def _load_migrations(config: PipelineConfig) -> list:
+def _load_migrations(config: PipelineConfig) -> tuple:
     registry = ingestion.load_registry(config.registry)
     return residence.read_migrations(config.out_dir / "migrations.csv", registry, config.months)
 
 
-def _tensorize(config: PipelineConfig, migrations: list) -> tuple[dict, tensor.MigrationTensor]:
+def _tensorize(config: PipelineConfig, migrations: tuple) -> tuple[dict, tensor.MigrationTensor]:
     registry = ingestion.load_registry(config.registry)
-    t = tensor.build_tensor(migrations, registry, config.months)
+    t = tensor.build_tensor(migrations[1], registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
     return {"nnz": t.nnz, "total": t.total}, t

@@ -5,7 +5,8 @@ month; silent months inherit the most recently known residence (forward
 fill). Residences are held as one ``(users, months)`` int16 matrix of
 country indices, -1 where unknown. A migration at month m is a change of
 window residence between the k months before m and the k months starting
-at m.
+at m; migrations are held as one ``(n, 4)`` int64 array of (user row,
+month, origin, destination) rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,18 +57,6 @@ class MonthCalendar:
         return start, datetime(ey, em, 1, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
-    user_id: str
-    month: int
-    origin: int
-    destination: int
-
-    def __post_init__(self):
-        if self.origin == self.destination:
-            raise ValueError("migration origin and destination must differ")
-
-
 def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     """Filled monthly residence of every user of an event table.
 
@@ -87,17 +76,16 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     filled = np.full((U, M), -1, dtype=np.int16)
     if not len(table):
         return filled
-    # rows in time order per user (equal seconds in table order), then
-    # grouped by (user, month, country) with the stable sort keeping that order
-    order = np.lexsort((table.seconds, table.user))
-    key = (table.user[order].astype(np.int64) * M + month[order]) * N + table.country[order]
+    # rows grouped by (user, month, country), the stable sort keeping each
+    # group's rows in time order
+    key = (table.user.astype(np.int64) * M + month) * N + table.country
     by_key = np.argsort(key, kind="stable")
     starts = np.flatnonzero(run_starts(key[by_key]))
     ends = np.append(starts[1:], key.size) - 1
     group_key = key[by_key][starts]
     count = ends - starts + 1
-    latest = table.seconds[order][by_key[ends]]
-    first = by_key[starts]  # time-order position of the country's first event that month
+    latest = table.seconds[by_key[ends]]
+    first = by_key[starts]  # row of the country's first event that month
     group_cell = group_key // N
     cell_of_group = np.cumsum(run_starts(group_cell)) - 1
     # one winner per (user, month) cell: most events, latest event, seen first
@@ -149,19 +137,18 @@ def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
     return np.where(unique, np.take_along_axis(windows, mode_cell, axis=-1)[..., 0], -1)
 
 
-def detect_all(users: Sequence[str], filled: np.ndarray, k: int,
-               mode: str = "strict") -> list[MigrationEvent]:
+def detect_all(filled: np.ndarray, k: int, mode: str = "strict") -> np.ndarray:
     """Detect residence changes between the k-month windows around each month.
 
-    ``filled`` is a ``(len(users), M)`` residence matrix, -1 where unknown,
+    ``filled`` is a ``(users, M)`` residence matrix, -1 where unknown,
     as :func:`residence_matrix` and :func:`read_residences` return it. For
     each month m with full windows on both sides, compares the window
     residence over [m-k, m-1] against [m, m+k-1] and emits an event when
     both are defined and differ. ``strict`` windows are defined only when
     all k months agree; ``modal`` windows take the most frequent country
     (ties undefined) and collapse runs of the same (origin, destination)
-    within k months to the earliest detection. Events come in row order,
-    then month order.
+    within k months to the earliest detection. Returns ``(n, 4)`` int64
+    rows of (row of ``filled``, month, origin, destination) by row, then month.
     """
     if mode not in ("strict", "modal"):
         raise ConfigError(f"unknown detection mode {mode!r}")
@@ -184,8 +171,7 @@ def detect_all(users: Sequence[str], filled: np.ndarray, k: int,
         keep[order[1:][repeat]] = False
         rows, months = rows[keep], months[keep]
         origins, destinations = origins[keep], destinations[keep]
-    return [MigrationEvent(users[u], m, o, d) for u, m, o, d in zip(
-        rows.tolist(), months.tolist(), origins.tolist(), destinations.tolist())]
+    return np.column_stack((rows, months, origins, destinations)).astype(np.int64, copy=False)
 
 
 RESIDENCE_HEADER = ["user_id", "month_index", "country"]
@@ -260,25 +246,30 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
     return names, np.frombuffer(cells, dtype=np.int16).reshape(len(users), months)[order]
 
 
-def write_migrations(events: Iterable[MigrationEvent], registry: CountryRegistry, path) -> None:
+def write_migrations(users: Sequence[str], moves: np.ndarray, registry: CountryRegistry,
+                     path) -> None:
+    """Dump migrations, their user rows indexing ``users``, as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MIGRATION_HEADER)
-        for ev in events:
-            writer.writerow([ev.user_id, ev.month, registry.code(ev.origin), registry.code(ev.destination)])
+        writer.writerows([users[u], m, registry.code(o), registry.code(d)] for u, m, o, d in moves.tolist())
 
 
-def read_migrations(path, registry: CountryRegistry, months: int) -> list[MigrationEvent]:
-    """Load a migration dump; a malformed row raises :class:`InputError`
-    naming its ``path:line``."""
+def read_migrations(path, registry: CountryRegistry, months: int) -> tuple[list[str], np.ndarray]:
+    """Load a migration dump as its user ids, in first-seen order, and the
+    ``(n, 4)`` int64 migrations over them; a malformed row (origin equal to
+    destination too) raises :class:`InputError` naming its ``path:line``."""
     index = registry.index
     month_of = {str(m): m for m in range(months)}
-    events = []
+    users: dict[str, int] = {}
+    moves = []
     with open_text(path) as fh:
         for line, parts in dump_rows(fh, path, MIGRATION_HEADER):
             try:
                 user_id, m, o, d = parts
-                events.append(MigrationEvent(user_id, month_of[m], index[o], index[d]))
+                if o == d:
+                    raise ValueError
+                moves.append((users.setdefault(user_id, len(users)), month_of[m], index[o], index[d]))
             except (ValueError, KeyError):  # ValueError: a wrong field count, or o == d
                 raise line_error(path, line, _row_defect(parts, MIGRATION_HEADER, month_of, registry)) from None
-    return events
+    return list(users), np.array(moves, dtype=np.int64).reshape(-1, 4)

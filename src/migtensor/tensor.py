@@ -3,20 +3,19 @@
 Counts are stored as a coordinate list sorted by (origin, destination,
 month). The diagonal (origin == destination) is structurally excluded: a
 migration has distinct endpoints, so those cells exist neither in storage
-nor in the model's likelihood.
+nor in the model's likelihood. :func:`build_tensor` counts the ``(n, 4)``
+migration rows that detection returns.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from typing import Iterable
 
 import numpy as np
 
 from .events import InputError, line_error, open_text, read_header
 from .ingestion import CountryRegistry
-from .residence import MigrationEvent
 
 
 class MigrationTensor:
@@ -65,22 +64,17 @@ class MigrationTensor:
         )
 
 
-def build_tensor(events: Iterable[MigrationEvent], registry: CountryRegistry, months: int) -> MigrationTensor:
-    """Aggregate migration events into the sparse count tensor.
+def build_tensor(moves: np.ndarray, registry: CountryRegistry, months: int) -> MigrationTensor:
+    """Aggregate migrations, ``(n, 4)`` rows of (user row, month, origin,
+    destination), into the sparse count tensor.
 
-    Each event contributes one count to its (origin, destination, month)
-    cell; the result is independent of event order.
+    Each row contributes one count to its (origin, destination, month)
+    cell; the result is independent of row order.
     """
     N = len(registry)
-    triples = np.array([(ev.origin, ev.destination, ev.month) for ev in events],
-                       dtype=np.int64).reshape(-1, 3)
-    if triples.size:
-        if triples.min() < 0 or triples[:, :2].max() >= N or triples[:, 2].max() >= months:
-            raise ValueError("migration event index out of range for tensor dims")
-        coords, counts = np.unique(triples, axis=0, return_counts=True)
-    else:
-        coords = np.zeros((0, 3), dtype=np.int64)
-        counts = np.zeros(0, dtype=np.int64)
+    if not moves.size:
+        return MigrationTensor((N, N, months), np.zeros((0, 3)), np.zeros(0))
+    coords, counts = np.unique(moves[:, [2, 3, 1]], axis=0, return_counts=True)
     return MigrationTensor((N, N, months), coords, counts)
 
 

@@ -31,7 +31,7 @@ from migtensor.events import (
     parse_timestamp,
 )
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import RESIDENCE_HEADER, MigrationEvent
+from migtensor.residence import RESIDENCE_HEADER
 from migtensor.solver import RATE_EPS, FactorModel, FitTrace
 from migtensor.tensor import MigrationTensor
 
@@ -56,18 +56,24 @@ class Event(NamedTuple):
 
 
 def table_of(events, registry=None) -> EventTable:
-    """The country-coded events as an :class:`EventTable`, rows in the
-    given order. ``codes`` starts with the registry's, if given, then any
-    other code."""
+    """The country-coded events as an :class:`EventTable`, rows sorted
+    stably by (user, time), so rows of equal time keep the given order.
+    ``codes`` starts with the registry's, if given, then any other code,
+    in the given order."""
     users = sorted({ev.user_id for ev in events})
     rank = {u: i for i, u in enumerate(users)}
     index = {} if registry is None else dict(registry.index)
     country = [index.setdefault(ev.country, len(index)) for ev in events]
-    return EventTable(
-        users, list(index),
-        np.array([rank[ev.user_id] for ev in events], dtype=np.int32),
-        np.array([(ev.timestamp - EPOCH) // timedelta(seconds=1) for ev in events], dtype=np.int64),
-        np.array(country, dtype=np.int16))
+    user = np.array([rank[ev.user_id] for ev in events], dtype=np.int32)
+    seconds = np.array([(ev.timestamp - EPOCH) // timedelta(seconds=1) for ev in events], dtype=np.int64)
+    rows = np.lexsort((seconds, user))
+    return EventTable(users, list(index), user[rows], seconds[rows],
+                      np.array(country, dtype=np.int16)[rows])
+
+
+def by_user_time(events) -> list:
+    """The events sorted stably by (user, time), as an event table holds them."""
+    return sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
 
 
 def events_of(table: EventTable) -> list:
@@ -333,7 +339,8 @@ def _window_residence_modal(filled, lo, hi):
 def reference_detect_migrations(user_id, filled, k, mode="strict") -> list:
     """Window-k detection for one user's filled residence list (None
     unknown) as a per-month loop with a run collapse: the formulation the
-    batched detector must match."""
+    batched detector must match. Returns ``(user_id, month, origin,
+    destination)`` tuples in month order."""
     M = len(filled)
     if k < 1 or 2 * k > M:
         raise ConfigError(f"window k={k} out of range for {M} months")
@@ -345,14 +352,14 @@ def reference_detect_migrations(user_id, filled, k, mode="strict") -> list:
         before = window(filled, m - k, m)
         after = window(filled, m, m + k)
         if before is not None and after is not None and before != after:
-            events.append(MigrationEvent(user_id, m, before, after))
+            events.append((user_id, m, before, after))
     if mode == "modal":
         collapsed = []
         last_seen = {}
         for ev in events:
-            key = (ev.origin, ev.destination)
-            in_run = key in last_seen and ev.month - last_seen[key] <= k
-            last_seen[key] = ev.month
+            _, month, origin, destination = ev
+            in_run = (origin, destination) in last_seen and month - last_seen[origin, destination] <= k
+            last_seen[origin, destination] = month
             if not in_run:
                 collapsed.append(ev)
         events = collapsed
@@ -404,7 +411,8 @@ def reference_parse_events(lines, format, interval=None, registry=None):
     """``read_events`` one record at a time, as a list of :class:`Event`:
     each CSV line through its own ``csv.reader``, each JSONL line through
     ``json.loads``, every record through the per-record rules. The columnar
-    parser must match it, events and reject tallies alike."""
+    parser must match it, events and reject tallies alike. The events come
+    as ``read_events`` orders its rows: sorted stably by (user, time)."""
     events, stats = [], RejectStats()
     if format == "csv":
         for lineno, line in enumerate(lines):
@@ -429,7 +437,7 @@ def reference_parse_events(lines, format, interval=None, registry=None):
                 continue
             if ev is not None:
                 events.append(ev)
-        return events, stats
+        return by_user_time(events), stats
     for line in lines:
         if not line.strip():
             continue
@@ -462,7 +470,7 @@ def reference_parse_events(lines, format, interval=None, registry=None):
                                      interval, registry, stats)
         if ev is not None:
             events.append(ev)
-    return events, stats
+    return by_user_time(events), stats
 
 
 def reference_write_events(table: EventTable, fh) -> None:

@@ -29,6 +29,7 @@ from migtensor.events import (
     OUT_OF_INTERVAL,
     UNKNOWN_COUNTRY,
     _JSON_SPACE,
+    _MAX_CODES,
     EventTable,
     InputError,
     read_events,
@@ -51,6 +52,7 @@ from migtensor.ingestion import (
 
 from conftest import (
     Event,
+    by_user_time,
     central_angle,
     events_of,
     reference_filter_users,
@@ -161,7 +163,7 @@ class TestParseJsonl:
         ids = ['"u"', '" v "', "0", "1", "-7", "true", "false", "1.0", "[2]", '{"a": 1}', "null", '""']
         lines = ['{"user_id": %s, %s}' % (user_id, stamp) for user_id in ids]
         table, stats = read_events(lines, "jsonl")
-        assert [ev.user_id for ev in events_of(table)] == ["u", "v", "0", "1", "-7"]
+        assert [ev.user_id for ev in events_of(table)] == ["-7", "0", "1", "u", "v"]
         assert stats.as_dict() == {MISSING_FIELD: 7}
         expected, expected_stats = reference_parse_events(lines, "jsonl")
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
@@ -317,7 +319,7 @@ class TestRoundTrip:
         events = self._resolved() * 3
         with mock.patch("migtensor.events._PARSE_BLOCK", 2):
             text = written(table_of(events))
-        assert text == reference_serialize_events(events, "csv")
+        assert text == reference_serialize_events(by_user_time(events), "csv")
 
 
 class TestRegistry:
@@ -334,6 +336,45 @@ class TestRegistry:
         path = tmp_path / "registry.txt"
         save_registry(registry, path)
         assert load_registry(path).codes == registry.codes
+
+    def test_more_codes_than_a_country_index_holds_rejected(self):
+        codes = [f"C{i}" for i in range(_MAX_CODES + 1)]
+        assert len(CountryRegistry(codes[:-1])) == _MAX_CODES
+        with pytest.raises(ConfigError, match=f"registry holds {_MAX_CODES + 1} country codes"):
+            CountryRegistry(codes)
+
+
+def event_table(user, seconds) -> EventTable:
+    """A table of users "a" and "b" with the given user and second columns."""
+    return EventTable(["a", "b"], ["GB"], np.array(user, dtype=np.int32),
+                      np.array(seconds, dtype=np.int64), np.zeros(len(user), dtype=np.int16))
+
+
+class TestRowOrder:
+    def test_rows_sorted_by_user_then_time_accepted(self):
+        assert len(event_table([0, 0, 0, 1], [5, 5, 9, 1])) == 4
+        assert len(event_table([], [])) == 0
+
+    @pytest.mark.parametrize("user, seconds", [([1, 0], [0, 0]), ([0, 0], [9, 5]),
+                                               ([0, 1, 1], [0, 7, 3])])
+    def test_unsorted_rows_refused(self, user, seconds):
+        with pytest.raises(ValueError, match=r"sorted by \(user, time\)"):
+            event_table(user, seconds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(lambda user, second, country: Event(
+                        user, ts(2014, 1, 1) + timedelta(seconds=second), country=country),
+                    st.sampled_from(["b", "a", "c"]), st.sampled_from([0, 1, 86400]),
+                    st.sampled_from(CODES)), max_size=30),
+           st.sampled_from(["csv", "jsonl"]), st.sampled_from([3, 2048]))
+    def test_read_events_sorts_by_user_then_time_ties_in_input_order(self, events, format, block):
+        with mock.patch("migtensor.events._PARSE_BLOCK", block):
+            table, stats = read_events(reference_serialize_events(events, format).splitlines(), format)
+        assert stats.total == 0
+        keys = list(zip(table.user.tolist(), table.seconds.tolist()))
+        assert keys == sorted(keys)
+        # a stable sort: events of equal user and time keep their input order
+        assert events_of(table) == by_user_time(events)
 
 
 def resolve_points(points, centroids) -> list:
@@ -573,6 +614,13 @@ class TestFilterTable:
     def test_empty_input(self):
         kept, stats = filter_table(table_of([]), FilterPolicy())
         assert len(kept) == 0 and stats.users_seen == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("min_events_total", 2.5), ("min_active_months", True), ("max_events_per_day", "3"),
+        ("max_countries_per_day", 2.0)])
+    def test_threshold_of_another_type_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            FilterPolicy(**{name: value})
 
 
 # a NUL in a CSV line, which csv reads from Python 3.11 on; Python 3.10's
@@ -839,11 +887,13 @@ SECONDS = (-62135596800, 253402300799)
 
 @st.composite
 def event_tables(draw):
-    """A table of any rows over sorted users and codes that need quoting."""
+    """A table of any rows, sorted by (user, time), over sorted users and
+    codes that need quoting."""
     users = sorted(draw(st.sets(csv_texts, min_size=1, max_size=6)))
     codes = draw(st.lists(csv_texts, min_size=1, max_size=4, unique=True))
-    rows = draw(st.lists(st.tuples(st.integers(0, len(users) - 1), st.integers(*SECONDS),
-                                   st.integers(0, len(codes) - 1)), max_size=20))
+    rows = sorted(draw(st.lists(st.tuples(st.integers(0, len(users) - 1), st.integers(*SECONDS),
+                                          st.integers(0, len(codes) - 1)), max_size=20)),
+                  key=lambda row: row[:2])
     user, seconds, country = zip(*rows) if rows else ((), (), ())
     return EventTable(users, codes, np.array(user, dtype=np.int32), np.array(seconds, dtype=np.int64),
                       np.array(country, dtype=np.int16))
@@ -867,7 +917,7 @@ class TestSerializeRoundTrip:
         text = reference_serialize_events(events, format, header=header)
         table, stats = read_events(text.splitlines(keepends=True), format, centroids=CENTROIDS)
         assert stats.total == 0
-        resolved = reference_resolve_events(events, CENTROIDS)
+        resolved = by_user_time(reference_resolve_events(events, CENTROIDS))
         assert events_of(table) == resolved
         assert written(table, header) == reference_serialize_events(resolved, "csv", header=header)
 

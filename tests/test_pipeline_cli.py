@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -452,6 +453,33 @@ class TestCli:
         assert rc == 2
         assert "bad synth spec: calendar of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", [{"min_events_total": 2.5}, {"min_events_total": True},
+                                           {"max_events_per_day": "3"}, {"min_active_months": 1.0}])
+    def test_filter_threshold_of_another_type_exits_2(self, tmp_path, capsys, threshold):
+        path = write_workspace(tmp_path, filter=threshold)
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        (name,) = threshold
+        assert f"error [config] bad config: {name} must be an integer" in capsys.readouterr().err
+
+    def test_registry_past_the_country_index_exits_2(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        (tmp_path / "registry.txt").write_text("".join(f"C{i}\n" for i in range(40002)))
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert "error [ingest] registry holds 40002 country codes" in capsys.readouterr().err
+
+    def test_residences_of_row_shuffled_events_are_byte_identical(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        assert cli.main(["ingest", "--config", str(path)]) == 0
+        assert cli.main(["residences", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        expected = (out / "residences.csv").read_bytes()
+        header, *rows = (out / "events.csv").read_text().splitlines(keepends=True)
+        shuffled = random.Random(0).sample(rows, len(rows))
+        assert shuffled != rows
+        (out / "events.csv").write_text(header + "".join(shuffled))
+        assert cli.main(["residences", "--config", str(path)]) == 0
+        assert (out / "residences.csv").read_bytes() == expected
+
     def test_console_script_installed(self):
         # The `migtensor` entry point declared in pyproject.toml, run the way
         # an installer's generated launcher runs it, against this checkout's
@@ -780,13 +808,52 @@ class TestJsonlFormat:
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
-# sha256 of the demo tourism run's fit artifacts. A solver change that alters
-# a single bit of the fitted model changes these; such a change must say so
-# and update them on purpose.
+# sha256 of every file the demo tourism run writes. A change that alters a
+# single byte of any artifact, a single bit of the fitted model included,
+# changes these; such a change must say so and update them on purpose.
 TOURISM_DIGESTS = {
-    "model.txt": "6a809b12c2d6b32698cbb75eb1ba7198367d1f60bbaf31bb2ca4c35f97c7feb9",
+    "events.csv": "fb6148b854062ca9788d8d07800f9496cb5e3e66b80a412d505618a796098e7e",
     "fit_summary.json": "faec2387845ab6cfbdd52cb18d4d9c1de556c1505a9f0bef2912b19b231d4901",
+    "ingest_stats.json": "e6fa99ee5b841d59a5658538a8a5a20d0d00291e5258e97f904f967f8ae8a705",
+    "migrations.csv": "b044b35f5806994b85f439c898ab15e62726bea77a70b4ab5c9c4a732b184da4",
+    "model.txt": "6a809b12c2d6b32698cbb75eb1ba7198367d1f60bbaf31bb2ca4c35f97c7feb9",
+    "reports/component_1_countries.csv": "e3b1d0834ba63b703a5c20a7aac4dec1c0726be465a1cb7abc6e191cd0230536",
+    "reports/component_1_time.csv": "b11c31c74c7754c275b5741fdbb219fa37189b16aa937644a853f490d8e80798",
+    "reports/component_2_countries.csv": "995981c90fb2b1ffa85f8fc27482336095d03933a01ace137ab1c07d0a6e44d5",
+    "reports/component_2_time.csv": "0a8b381367525e2605588ed83d175e50c6f51802896df0e8c9bd7ce4ebf3f80e",
+    "reports/component_3_countries.csv": "16001e96005b7fd488212b386bcd77e1ab179d4c51cac7c0dfdab1316fedd475",
+    "reports/component_3_time.csv": "881151f238409417c51ad251c831719bd8258ddbae6719a69840ced4b0138c63",
+    "reports/component_4_countries.csv": "67076a4997c9dbc32e94b76f6055affd26b759645663d9b809ab981b6593a56a",
+    "reports/component_4_time.csv": "918d7e2c18c24ff26707ba5196e94e1a241f3252667dcb044d4ed419f783b33e",
+    "reports/component_5_countries.csv": "43c9847ae47d3c1be4c2a880953fb790d68528e9b61ceb6f19183e0287785109",
+    "reports/component_5_time.csv": "34c265e2d5605c6719f56be124781829d1154dacb2fab01793e4c7ff1cf82c74",
+    "reports/summary.json": "1c32054370fbda98f518924d78f6e74ec579110d167c75253ff2c5e033e98654",
+    "residences.csv": "48f036ca77776ac76c1fbe55ded26ab37c3f3e92a9c8d3e411a628a52bf355dd",
+    "run_summary.json": "c7e48b5433aadd94c65ee16679efbf12b903814156093b65cf0ee1a8fd60e4f2",
+    "tensor.registry.txt": "84425db902320b4987099325d654710aeb60910d8845f07b0b8805805e76a73e",
+    "tensor.txt": "94b1307b89605e4c1bbb404740b9fa294f8766c2edbc8a7005dc0cc8e812d995",
 }
+
+
+class TestStaleReports:
+    @staticmethod
+    def report_names(root) -> list:
+        return sorted(p.name for p in (root / "out" / "reports").iterdir())
+
+    def test_analyze_removes_component_reports_it_does_not_write(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)  # rank 2, top_k 2
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert len(self.report_names(tmp_path)) == 5
+        assert cli.main(["analyze", "--config", str(path), "--top-k", "1"]) == 0
+        assert self.report_names(tmp_path) == [
+            "component_1_countries.csv", "component_1_time.csv", "summary.json"]
+
+    def test_skipped_model_leaves_no_component_reports(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        (tmp_path / "events.csv").write_text("user_id,timestamp,country\n")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert self.report_names(tmp_path) == ["summary.json"]
 
 
 class TestDemoGoldenDigests:
@@ -797,9 +864,8 @@ class TestDemoGoldenDigests:
                          "--registry", str(tmp_path / "registry.txt"),
                          "--out-events", str(tmp_path / "tourism_events.csv")]) == 0
         assert cli.main(["run", "--config", str(tmp_path / "config_tourism.json")]) == 0
-        out_dir = tmp_path / "out_tourism"
-        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                   for name in TOURISM_DIGESTS}
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in artifact_bytes(tmp_path / "out_tourism").items()}
         assert digests == TOURISM_DIGESTS
 
 

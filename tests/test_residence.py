@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from migtensor.events import InputError
 from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import (
-    MigrationEvent,
     MonthCalendar,
     detect_all,
     read_migrations,
@@ -40,8 +39,14 @@ def ts(*args):
 
 
 def detect(filled, k, mode="strict"):
-    """:func:`detect_all` on one user's filled residence list (None unknown)."""
-    return detect_all(["u"], residence_rows([filled], len(filled)), k, mode)
+    """(month, origin, destination) of each move :func:`detect_all` finds in
+    one user's filled residence list (None unknown)."""
+    return [(m, o, d) for _, m, o, d in detect_all(residence_rows([filled], len(filled)), k, mode).tolist()]
+
+
+def named(users, moves) -> list:
+    """(user id, month, origin, destination) of each row of a migration array."""
+    return [(users[u], m, o, d) for u, m, o, d in moves.tolist()]
 
 
 def residence(events, calendar, registry) -> list:
@@ -125,11 +130,11 @@ class TestMonthlyResidence:
 class TestDetectStrict:
     def test_single_change_k1(self):
         events = detect([1, 1, 2, 2], 1)
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
+        assert events == [(2, 1, 2)]
 
     def test_single_change_k2(self):
         events = detect([1, 1, 2, 2], 2)
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
+        assert events == [(2, 1, 2)]
 
     def test_alternating_series_k2_has_no_uniform_window(self):
         assert detect([1, 2, 1, 2], 2) == []
@@ -147,8 +152,7 @@ class TestDetectStrict:
             for k in range(1, M // 2 + 1):
                 events = detect(filled, k)
                 if k <= change <= M - k:
-                    assert [(ev.month, ev.origin, ev.destination) for ev in events] \
-                        == [(change, 0, 1)]
+                    assert events == [(change, 0, 1)]
                 else:
                     assert events == []
 
@@ -157,7 +161,7 @@ class TestDetectStrict:
         assert detect([None, 1, 2, 2], 2) == []
         assert detect([None, None, 2, 2], 1) == []
         events = detect([None, 1, 2, 2], 1)
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
+        assert events == [(2, 1, 2)]
 
     def test_k_monotonicity_on_random_series(self):
         rng = np.random.default_rng(7)
@@ -183,11 +187,11 @@ class TestDetectStrict:
         for _ in range(100):
             filled = [int(c) for c in rng.integers(0, 4, size=M)]
             for k in (1, 2, 3):
-                for ev in detect(filled, k):
-                    assert ev.origin != ev.destination
-                    assert k <= ev.month <= M - k
-                    assert all(c == ev.origin for c in filled[ev.month - k:ev.month])
-                    assert all(c == ev.destination for c in filled[ev.month:ev.month + k])
+                for month, origin, destination in detect(filled, k):
+                    assert origin != destination
+                    assert k <= month <= M - k
+                    assert all(c == origin for c in filled[month - k:month])
+                    assert all(c == destination for c in filled[month:month + k])
 
 
 class TestDetectModal:
@@ -196,12 +200,12 @@ class TestDetectModal:
         filled = [1, 1, 2, 2, 2, 1]
         assert detect(filled, 3, mode="strict") == []
         events = detect(filled, 3, mode="modal")
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(3, 1, 2)]
+        assert events == [(3, 1, 2)]
 
     def test_tied_window_is_undefined(self):
         # every 2-month window around the change ties 1:1 except the clean cut
         events = detect([1, 1, 2, 2], 2, mode="modal")
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(2, 1, 2)]
+        assert events == [(2, 1, 2)]
 
     def test_repeat_detections_collapse_to_earliest(self):
         # one physical move, M=8, k=3: modal windows fire at m=3, 4 and 5
@@ -215,13 +219,12 @@ class TestDetectModal:
         ]
         assert [m for m, _, _ in raw] == [3, 4, 5]  # duplicates pre-collapse
         events = detect(filled, 3, mode="modal")
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] == [(3, 1, 2)]
+        assert events == [(3, 1, 2)]
 
     def test_distinct_pairs_do_not_collapse(self):
         filled = [1, 2, 3, 3]
         events = detect(filled, 1, mode="modal")
-        assert [(ev.month, ev.origin, ev.destination) for ev in events] \
-            == [(1, 1, 2), (2, 2, 3)]
+        assert events == [(1, 1, 2), (2, 2, 3)]
 
 
 @st.composite
@@ -256,15 +259,18 @@ class TestBatchedDetectMatchesReference:
         users = users_of(rows)
         expected = [ev for user, row in zip(users, rows)
                     for ev in reference_detect_migrations(user, row, k, mode)]
-        assert detect_all(users, residence_rows(rows, M), k, mode) == expected
+        moves = detect_all(residence_rows(rows, M), k, mode)
+        assert moves.dtype == np.int64 and moves.shape == (len(expected), 4)
+        assert named(users, moves) == expected
         for user, row in zip(users, rows):
-            assert detect_all([user], residence_rows([row], M), k, mode) == \
+            assert named([user], detect_all(residence_rows([row], M), k, mode)) == \
                 reference_detect_migrations(user, row, k, mode)
 
     def test_no_users_no_events(self):
-        assert detect_all([], np.empty((0, 4), dtype=np.int16), 1, "modal") == []
+        moves = detect_all(np.empty((0, 4), dtype=np.int16), 1, "modal")
+        assert moves.dtype == np.int64 and moves.shape == (0, 4)
         with pytest.raises(ConfigError):
-            detect_all([], np.empty((0, 4), dtype=np.int16), 1, "fuzzy")
+            detect_all(np.empty((0, 4), dtype=np.int16), 1, "fuzzy")
 
 
 class TestStrictDetectionNests:
@@ -275,10 +281,9 @@ class TestStrictDetectionNests:
         rows, M, k = problem
         if 2 * (k + 1) > M:
             return
-        users, filled = users_of(rows), residence_rows(rows, M)
-        wide = {(ev.user_id, ev.month, ev.origin, ev.destination) for ev in detect_all(users, filled, k + 1)}
-        assert wide <= {(ev.user_id, ev.month, ev.origin, ev.destination)
-                        for ev in detect_all(users, filled, k)}
+        filled = residence_rows(rows, M)
+        wide = set(map(tuple, detect_all(filled, k + 1).tolist()))
+        assert wide <= set(map(tuple, detect_all(filled, k).tolist()))
 
 
 TIE_CALENDAR = MonthCalendar(2014, 1, 4)
@@ -328,12 +333,6 @@ def _modal(window):
     top = max(counts.values())
     tied = [c for c, n in counts.items() if n == top]
     return tied[0] if len(tied) == 1 else None
-
-
-class TestMigrationEvent:
-    def test_origin_must_differ_from_destination(self):
-        with pytest.raises(ValueError):
-            MigrationEvent("u", 3, 1, 1)
 
 
 # text csv.writer quotes (a comma, a quote, a line break), pads or spells in
@@ -391,10 +390,26 @@ class TestDumps:
         assert users == [] and filled.shape == (0, 3)
 
     def test_migration_round_trip(self, registry, tmp_path):
-        events = [MigrationEvent("a", 3, 0, 1), MigrationEvent("b", 7, 2, 4)]
+        moves = np.array([[0, 3, 0, 1], [1, 7, 2, 4]], dtype=np.int64)
         path = tmp_path / "migrations.csv"
-        write_migrations(events, registry, path)
-        assert read_migrations(path, registry, 12) == events
+        write_migrations(["a", "b"], moves, registry, path)
+        assert path.read_text() == "user_id,month_index,origin,destination\na,3,GB,FR\nb,7,ES,KW\n"
+        users, read = read_migrations(path, registry, 12)
+        assert users == ["a", "b"] and read.dtype == np.int64
+        assert np.array_equal(read, moves)
+
+    def test_migration_users_come_in_first_seen_order(self, registry, tmp_path):
+        path = tmp_path / "migrations.csv"
+        path.write_text("user_id,month_index,origin,destination\nv,1,FR,GB\nu,0,GB,ES\nv,3,GB,FR\n")
+        users, moves = read_migrations(path, registry, 4)
+        assert users == ["v", "u"]
+        assert moves.tolist() == [[0, 1, 1, 0], [1, 0, 0, 2], [0, 3, 0, 1]]
+
+    def test_empty_migration_dump(self, registry, tmp_path):
+        path = tmp_path / "migrations.csv"
+        path.write_text("user_id,month_index,origin,destination\n")
+        users, moves = read_migrations(path, registry, 4)
+        assert users == [] and moves.dtype == np.int64 and moves.shape == (0, 4)
 
     def test_residence_csv_shape(self, registry, tmp_path):
         path = tmp_path / "residences.csv"

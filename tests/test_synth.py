@@ -28,8 +28,8 @@ def spec_with(**kwargs):
 def detected_moves(table, spec, registry, k=1):
     """Run residence + strict detection over a generated table, no filtering."""
     filled = residence_matrix(table, spec.calendar)
-    return [(ev.user_id, ev.month, table.codes[ev.origin], table.codes[ev.destination])
-            for ev in detect_all(table.users, filled, k)]
+    return [(table.users[u], m, table.codes[o], table.codes[d])
+            for u, m, o, d in detect_all(filled, k).tolist()]
 
 
 class TestGenerate:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from migtensor.events import InputError
-from migtensor.residence import MigrationEvent
 from migtensor.tensor import (
     MigrationTensor,
     build_tensor,
@@ -19,58 +18,58 @@ from migtensor.tensor import (
 from conftest import dense, make_tensor, random_tensor
 
 
-def random_events(rng, N, M, n_events):
-    events = []
-    for e in range(n_events):
+def random_moves(rng, N, M, n_moves):
+    """``(n_moves, 4)`` migration rows (user row, month, origin, destination)."""
+    moves = []
+    for e in range(n_moves):
         i = int(rng.integers(0, N))
         j = int(rng.integers(0, N - 1))
         if j >= i:
             j += 1
-        events.append(MigrationEvent(f"u{e}", int(rng.integers(0, M)), i, j))
-    return events
+        moves.append((e, int(rng.integers(0, M)), i, j))
+    return np.array(moves, dtype=np.int64)
 
 
 class TestBuildTensor:
     def test_same_triple_aggregates(self, registry):
         fr, es = registry.index_of("FR"), registry.index_of("ES")
-        events = [MigrationEvent("u1", 2, fr, es), MigrationEvent("u2", 2, fr, es)]
-        t = build_tensor(events, registry, 5)
+        moves = np.array([[0, 2, fr, es], [1, 2, fr, es]], dtype=np.int64)
+        t = build_tensor(moves, registry, 5)
         assert t.dims == (6, 6, 5)
         assert t.coords.tolist() == [[fr, es, 2]]
         assert t.counts.tolist() == [2]
         assert t.total == 2
 
     def test_empty_event_list(self, registry):
-        t = build_tensor([], registry, 7)
+        t = build_tensor(np.empty((0, 4), dtype=np.int64), registry, 7)
         assert t.dims == (6, 6, 7)
         assert t.nnz == 0 and t.total == 0
         assert dense(t).sum() == 0
 
     def test_counts_match_hash_map_tally(self, registry):
         rng = np.random.default_rng(3)
-        events = random_events(rng, len(registry), 12, 1000)
-        t = build_tensor(events, registry, 12)
-        tally = Counter((ev.origin, ev.destination, ev.month) for ev in events)
+        moves = random_moves(rng, len(registry), 12, 1000)
+        t = build_tensor(moves, registry, 12)
+        tally = Counter((o, d, m) for _, m, o, d in moves.tolist())
         got = {tuple(c): int(n) for c, n in zip(t.coords.tolist(), t.counts)}
         assert got == dict(tally)
         assert t.total == 1000
 
     def test_permutation_invariant(self, registry):
         rng = np.random.default_rng(5)
-        events = random_events(rng, len(registry), 10, 300)
-        shuffled = list(events)
-        rng.shuffle(shuffled)
-        assert build_tensor(events, registry, 10) == build_tensor(shuffled, registry, 10)
+        moves = random_moves(rng, len(registry), 10, 300)
+        shuffled = rng.permutation(moves)
+        assert build_tensor(moves, registry, 10) == build_tensor(shuffled, registry, 10)
 
     def test_sorted_storage(self, registry):
         rng = np.random.default_rng(8)
-        t = build_tensor(random_events(rng, len(registry), 9, 400), registry, 9)
+        t = build_tensor(random_moves(rng, len(registry), 9, 400), registry, 9)
         as_tuples = [tuple(c) for c in t.coords.tolist()]
         assert as_tuples == sorted(as_tuples)
 
     def test_month_out_of_range_fatal(self, registry):
         with pytest.raises(ValueError):
-            build_tensor([MigrationEvent("u", 5, 0, 1)], registry, 5)
+            build_tensor(np.array([[0, 5, 0, 1]], dtype=np.int64), registry, 5)
 
 
 class TestMigrationTensorInvariants:
