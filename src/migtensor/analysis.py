@@ -9,7 +9,7 @@ profile for plotting.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,22 +63,11 @@ class ComponentReport:
     top_destinations: list[tuple[str, float]]
     time_profile: list[float]
 
-    def as_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "weight": self.weight,
-            "gini": self.gini,
-            "degenerate": self.degenerate,
-            "top_origins": [[c, s] for c, s in self.top_origins],
-            "top_destinations": [[c, s] for c, s in self.top_destinations],
-            "time_profile": self.time_profile,
-        }
-
 
 def _top_shares(column: np.ndarray, registry: CountryRegistry, n_top: int) -> list[tuple[str, float]]:
     # descending share, ties to the smaller country index
     order = np.lexsort((np.arange(column.size), -column))[:n_top]
-    return [(registry.code(int(i)), float(column[i])) for i in order]
+    return [(registry.codes[i], float(column[i])) for i in order]
 
 
 def rank_components(
@@ -128,7 +117,7 @@ def emit_reports(reports: list[ComponentReport], calendar: MonthCalendar, out_di
     written = []
     summary_path = out_dir / "summary.json"
     write_json(summary_path, {"components": [
-        dict(r.as_dict(), rank=rank) for rank, r in enumerate(reports, start=1)
+        dict(asdict(r), rank=rank) for rank, r in enumerate(reports, start=1)
     ]})
     written.append(summary_path)
     for rank, report in enumerate(reports, start=1):

@@ -1,13 +1,14 @@
 """The event table and the line formats event streams travel in.
 
 An event stream is held as one columnar :class:`EventTable`: integer user,
-second and country columns, rows sorted by (user, time).
-:func:`read_events` parses line-delimited CSV or JSONL records (a user id,
-an RFC 3339 UTC timestamp, and an ISO 3166-1 alpha-2 country code or a
-(lat, lon) pair) into a table, giving each point the country of its
-nearest centroid as it goes, and :func:`write_events` writes one back as
-CSV. Every row of a table has a country. Malformed records are never
-dropped silently: every rejection is tallied per reason.
+second and country columns, rows sorted by (user, time), the country a
+:class:`~migtensor.ingestion.CountryRegistry` index. :func:`read_events`
+parses line-delimited CSV or JSONL records (a user id, an RFC 3339 UTC
+timestamp, and an ISO 3166-1 alpha-2 country code or a (lat, lon) pair)
+into a table, giving each point the country of its nearest centroid as it
+goes, and :func:`write_events` writes one back as CSV. Every row of a
+table has a country. Malformed records are never dropped silently: every
+rejection is tallied per reason.
 
 Every intermediate dump is read here too: one row per line under a checked
 header, and any defect is an :class:`InputError` naming ``path:line``
@@ -135,13 +136,13 @@ class EventTable:
     """Events as columns, one row per event.
 
     Row i is user ``users[user[i]]`` at ``seconds[i]`` (whole UTC seconds
-    since 1970) in country ``codes[country[i]]``. ``users`` is sorted and
-    names exactly the users that have rows, so user index order is user id
-    order. Rows are sorted by (user, second); any other order is a ``ValueError``.
+    since 1970) in the country of registry index ``country[i]``. ``users``
+    is sorted and names exactly the users that have rows, so user index
+    order is user id order. Rows are sorted by (user, second); any other
+    order is a ``ValueError``.
     """
 
     users: list[str]
-    codes: list[str]
     user: np.ndarray  # int32
     seconds: np.ndarray  # int64
     country: np.ndarray  # int16
@@ -317,7 +318,7 @@ _FIELDS = {"csv": _csv_fields, "jsonl": _jsonl_fields}
 _PARSE_BLOCK = 2048
 
 
-def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict, stats) -> tuple:
+def _finish_block(columns, bounds, registry, centroids, users: dict, stats) -> tuple:
     """Columns of a block's accepted rows, in input order, every row coded.
 
     Each rule tallies and drops the rows still accepted that break it, in
@@ -327,10 +328,10 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
     ``bounds``, the study interval in epoch seconds ``[start, end)``; an
     empty country code (a missing field); a code not in the registry; a
     point that is not finite or lies off the globe. Each point left takes
-    the code of its nearest row of ``centroids``; a point without a
-    centroid table is a :class:`ConfigError`. ``codes`` and ``users`` map
-    codes and user ids to their indices and grow, in row order, with the
-    accepted rows' new ones (codes only without a registry).
+    the country of its nearest row of ``centroids``; a point without a
+    centroid table is a :class:`ConfigError`. Countries are ``registry``
+    indices. ``users`` maps user ids to their indices and grows, in row
+    order, with the accepted rows' new ones.
     """
     user, stamp, country, lat, lon = columns
     n = len(user)
@@ -359,14 +360,14 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
     if bounds is not None:
         reject(OUT_OF_INTERVAL, (seconds < bounds[0]) | (seconds >= bounds[1]))
     # -1 a point, -2 a spelling that is not a code's key
-    code = np.fromiter(map({**codes, None: -1}.get, country, repeat(-2)), np.int32, n)
+    code = np.fromiter(map({**registry.index, None: -1}.get, country, repeat(-2)), np.int32, n)
     empty, unknown = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     for i in np.flatnonzero(accepted & (code == -2)).tolist():
         name = country[i].strip().upper()
         if not name:
             empty[i] = True
-        elif registry is None or name in codes:
-            code[i] = codes.setdefault(name, len(codes))
+        elif name in registry:
+            code[i] = registry.index[name]
         else:
             unknown[i] = True
     reject(MISSING_FIELD, empty)
@@ -381,10 +382,8 @@ def _finish_block(columns, bounds, registry, centroids, codes: dict, users: dict
     if on_globe.any():
         if centroids is None:
             raise ConfigError("geo_point events present but no centroid table configured")
-        row_code = np.array([codes.setdefault(c, len(codes)) for c in centroids.codes], dtype=np.int32)
-        code[points[on_globe]] = row_code[centroids.nearest(point_lat[on_globe], point_lon[on_globe])]
-    if len(codes) > _MAX_CODES:
-        raise InputError(f"more than {_MAX_CODES} distinct country codes")
+        code[points[on_globe]] = centroids.country[centroids.nearest(point_lat[on_globe],
+                                                                     point_lon[on_globe])]
     keep = np.flatnonzero(accepted)
     kept_users = list(map(user.__getitem__, keep.tolist()))
     for u in dict.fromkeys(kept_users):
@@ -400,28 +399,30 @@ def _ceil_seconds(ts: datetime) -> int:
 def read_events(
     stream: TextIO | Iterable[str],
     format: str,
+    registry: CountryRegistry,
     interval: Optional[tuple[datetime, datetime]] = None,
-    registry: Optional[CountryRegistry] = None,
     centroids: Optional[CentroidTable] = None,
 ) -> tuple[EventTable, RejectStats]:
     """Parse a line-delimited event stream into an :class:`EventTable`.
 
-    ``format`` is ``"csv"`` or ``"jsonl"``. When ``interval`` is given,
-    records outside ``[start, end)`` are rejected; when ``registry`` is
-    given, unknown country codes are rejected and the table's codes are the
-    registry's. A (lat, lon) point takes the code of its nearest centroid
-    in ``centroids``; a point in a stream read without one is a
-    :class:`ConfigError`. Rows come sorted by (user, time), equal times in
-    input order. The stream is read in blocks, so memory holds columns.
+    ``format`` is ``"csv"`` or ``"jsonl"``. Country codes not in
+    ``registry`` are rejected, and the table's countries are its indices.
+    When ``interval`` is given, records outside ``[start, end)`` are
+    rejected. A (lat, lon) point takes the country of its nearest centroid
+    in ``centroids``, which must be built over ``registry``; a point in a
+    stream read without one is a :class:`ConfigError`. Rows come sorted by (user,
+    time), equal times in input order. The stream is read in blocks, so
+    memory holds columns.
     """
     if format not in _FIELDS:
         raise InputError(f"unknown input format {format!r}")
+    if centroids is not None and centroids.registry != registry:
+        raise ConfigError("centroid table built over another registry")
     fields = _FIELDS[format]
     stats = RejectStats()
     # events hold whole seconds, so ts >= start and ts < end hold exactly
     # when they hold against the bounds rounded up to a whole second
     bounds = None if interval is None else (_ceil_seconds(interval[0]), _ceil_seconds(interval[1]))
-    codes = {} if registry is None else dict(registry.index)
     users: dict[str, int] = {}
     lines = iter(stream)
     if format == "csv":
@@ -429,11 +430,10 @@ def read_events(
         if first is not None and first.strip() not in (CSV_HEADER_COUNTRY, CSV_HEADER_GEO):
             lines = chain([first], lines)
     # typed empty columns first, so that an empty stream concatenates too
-    blocks = [_finish_block(_columns([]), None, None, None, codes, users, stats)]
+    blocks = [_finish_block(_columns([]), None, registry, None, users, stats)]
     while block := list(islice(lines, _PARSE_BLOCK)):
         # the columns go straight in, bound to no name, so they are freed with the call
-        blocks.append(_finish_block(fields(block, stats), bounds, registry, centroids, codes, users,
-                                    stats))
+        blocks.append(_finish_block(fields(block, stats), bounds, registry, centroids, users, stats))
         del block  # before the next block is read
     user, seconds, country = (np.concatenate(column) for column in zip(*blocks))
     del blocks  # before the sort below copies the columns again
@@ -444,8 +444,7 @@ def read_events(
     rank[order] = np.arange(len(names), dtype=np.int32)
     user = rank[user]
     rows = np.lexsort((seconds, user))  # stable: equal (user, second) rows keep input order
-    return EventTable([names[i] for i in order], list(codes), user[rows], seconds[rows],
-                      country[rows]), stats
+    return EventTable([names[i] for i in order], user[rows], seconds[rows], country[rows]), stats
 
 
 def _format_seconds(seconds: np.ndarray) -> list[str]:
@@ -477,10 +476,11 @@ def join_rows(heads: np.ndarray, middles, tails: np.ndarray) -> str:
     return "".join(cells.ravel().tolist())
 
 
-def write_events(table: EventTable, fh: TextIO) -> None:
+def write_events(table: EventTable, codes: list[str], fh: TextIO) -> None:
     """Write the table as CSV in the format :func:`read_events` reads: the
-    ``user_id,timestamp,country`` header, then one row per event."""
-    heads, tails = csv_cells(table.users, table.codes)
+    ``user_id,timestamp,country`` header, then one row per event, its
+    country index spelled as in ``codes``, the registry's codes."""
+    heads, tails = csv_cells(table.users, codes)
     fh.write(CSV_HEADER_COUNTRY + "\n")
     for start in range(0, len(table), _PARSE_BLOCK):
         rows = slice(start, start + _PARSE_BLOCK)

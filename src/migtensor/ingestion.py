@@ -47,12 +47,6 @@ class CountryRegistry:
     def __contains__(self, code: str) -> bool:
         return code in self.index
 
-    def index_of(self, code: str) -> int:
-        return self.index[code]
-
-    def code(self, i: int) -> str:
-        return self.codes[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CountryRegistry) and self.codes == other.codes
 
@@ -107,7 +101,8 @@ class CentroidTable:
     """Country centroid coordinates used by the nearest-centroid resolver.
 
     Rows are held in registry index order so that distance ties resolve to
-    the smaller registry index.
+    the smaller registry index; ``country`` holds each row's index into
+    ``registry``.
     """
 
     def __init__(self, rows: Iterable[tuple[str, float, float]], registry: CountryRegistry):
@@ -121,15 +116,16 @@ class CentroidTable:
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                 raise ConfigError(f"centroid for {code!r} out of range: ({lat}, {lon})")
             seen.add(code)
-        rows.sort(key=lambda r: registry.index_of(r[0]))
-        self.codes = [r[0] for r in rows]
+        rows.sort(key=lambda r: registry.index[r[0]])
+        self.registry = registry
+        self.country = np.array([registry.index[r[0]] for r in rows], dtype=np.int16)
         self._lat_rad = np.radians(np.array([r[1] for r in rows], dtype=float))
         self._lon_rad = np.radians(np.array([r[2] for r in rows], dtype=float))
         # (3, rows) unit vectors of the centroids
         self._unit = _unit_vectors(self._lat_rad, self._lon_rad).T.copy()
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.country)
 
     def nearest(self, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
         """Row index of the nearest centroid for each point, by great-circle distance.
@@ -154,7 +150,7 @@ class CentroidTable:
         near-tie goes to the haversine. The dots' last bits may vary with
         the BLAS build; the indices cannot.
         """
-        if not self.codes:
+        if not len(self):
             raise ConfigError("centroid table is empty")
         nearest = np.empty(len(lat_deg), dtype=np.intp)
         points = _unit_vectors(np.radians(lat_deg), np.radians(lon_deg))
@@ -195,17 +191,20 @@ def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
     rows = []
     with open_text(path) as fh:
         reader = csv.reader(fh)
-        for lineno, parts in enumerate(reader, start=1):
-            if not parts:
-                continue
-            if lineno == 1 and [p.strip().lower() for p in parts] == ["country", "lat", "lon"]:
-                continue
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                rows.append((parts[0].strip().upper(), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad coordinates") from exc
+        try:
+            for lineno, parts in enumerate(reader, start=1):
+                if not parts:
+                    continue
+                if lineno == 1 and [p.strip().lower() for p in parts] == ["country", "lat", "lon"]:
+                    continue
+                if len(parts) != 3:
+                    raise ConfigError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+                try:
+                    rows.append((parts[0].strip().upper(), float(parts[1]), float(parts[2])))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad coordinates") from exc
+        except csv.Error as exc:  # a field past csv's size limit, or a NUL before Python 3.11
+            raise ConfigError(f"{path}:{reader.line_num}: unreadable row ({exc})") from None
     return CentroidTable(rows, registry)
 
 
@@ -308,6 +307,6 @@ def filter_table(table: EventTable, policy: FilterPolicy) -> tuple[EventTable, D
     keep = ~dropped[user]
     new_index = (np.cumsum(~dropped) - 1).astype(np.int32)
     kept = EventTable(
-        [u for u, gone in zip(table.users, dropped.tolist()) if not gone], table.codes,
+        [u for u, gone in zip(table.users, dropped.tolist()) if not gone],
         new_index[user[keep]], seconds[keep], country[keep])
     return kept, stats

@@ -98,13 +98,13 @@ def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
     registry = ingestion.load_registry(config.registry)
     centroids = None if config.centroids is None else ingestion.load_centroids(config.centroids, registry)
     with open_text(config.input) as fh:
-        table, rejects = events.read_events(fh, config.format, config.calendar.interval(), registry,
+        table, rejects = events.read_events(fh, config.format, registry, config.calendar.interval(),
                                             centroids)
     kept, drops = ingestion.filter_table(table, config.filter_policy)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     with open(config.out_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
-        events.write_events(kept, fh)
+        events.write_events(kept, registry.codes, fh)
     summary = {
         "events_parsed": len(table),
         "events_kept": len(kept),
@@ -122,7 +122,7 @@ def _load_events(config: PipelineConfig) -> events.EventTable:
     interval = config.calendar.interval()
     try:
         with open_text(path) as fh:
-            table, rejects = events.read_events(fh, "csv", interval, registry)
+            table, rejects = events.read_events(fh, "csv", registry, interval)
     except ConfigError:  # a point row, which ingest resolves before writing
         table = None
     if table is None or rejects.total:
@@ -141,7 +141,7 @@ def _bad_events_line(path, interval, registry) -> InputError:
     def fault(lines: list[str], line: int) -> Optional[str]:
         rows = lines if line == 1 else [events.CSV_HEADER_COUNTRY + "\n", *lines]
         try:
-            rejects = events.read_events(rows, "csv", interval, registry)[1]
+            rejects = events.read_events(rows, "csv", registry, interval)[1]
         except ConfigError:
             return "holds an unresolved point"
         return f"row rejected as {', '.join(rejects.counts)}" if rejects.total else None

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventTable, csv_cells, dump_rows, join_rows, line_error, open_text, run_starts
+from .events import (_MAX_CODES, EventTable, csv_cells, dump_rows, join_rows, line_error, open_text,
+                     run_starts)
 from .ingestion import ConfigError, CountryRegistry
 
 
@@ -61,14 +62,15 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     """Filled monthly residence of every user of an event table.
 
     Returns a ``(len(table.users), calendar.months)`` int16 matrix of
-    indices into ``table.codes``, -1 where unknown. A month with events
-    takes its most frequent country; ties break to the previous filled
-    month's country when it is among the tied, else to the tied country
-    with the latest event in that month, and among equally late ones to
-    the country seen first that month. A silent month inherits the month
+    registry indices, -1 where unknown. A month with events takes its most
+    frequent country; ties break to the previous filled month's country
+    when it is among the tied, else to the tied country with the latest
+    event in that month, and among equally late ones to the country seen
+    first that month. A silent month inherits the month
     before it; months before a user's first event stay -1.
     """
-    U, M, N = len(table.users), calendar.months, max(len(table.codes), 1)
+    # one key digit per country index, as in filter_table's pair key
+    U, M, N = len(table.users), calendar.months, _MAX_CODES
     epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
     month = table.seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) - epoch
     if ((month < 0) | (month >= M)).any():
@@ -252,7 +254,7 @@ def write_migrations(users: Sequence[str], moves: np.ndarray, registry: CountryR
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MIGRATION_HEADER)
-        writer.writerows([users[u], m, registry.code(o), registry.code(d)] for u, m, o, d in moves.tolist())
+        writer.writerows([users[u], m, registry.codes[o], registry.codes[d]] for u, m, o, d in moves.tolist())
 
 
 def read_migrations(path, registry: CountryRegistry, months: int) -> tuple[list[str], np.ndarray]:

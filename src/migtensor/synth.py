@@ -20,6 +20,17 @@ from .events import EventTable, write_events
 from .ingestion import ConfigError, CountryRegistry, load_json_object, require_int, write_json
 from .residence import MonthCalendar
 
+# the largest rate a spec may give. A rate is rows or users drawn per
+# month, so a stream drawn at a larger one could not be held in memory,
+# and numpy's Poisson sampler fails only far above it (~9.2e18)
+_MAX_RATE = 1e9
+
+
+def _require_rate(name: str, value) -> None:
+    # chained, so that NaN fails both bounds as it fails every comparison
+    if not 0 <= value <= _MAX_RATE:
+        raise ConfigError(f"{name} must be in [0, {_MAX_RATE:g}], got {value!r}")
+
 
 @dataclass(frozen=True)
 class PlantedComponent:
@@ -33,8 +44,7 @@ class PlantedComponent:
             require_int("active month", month)
         if self.origin == self.destination:
             raise ConfigError("planted component needs distinct origin and destination")
-        if self.intensity < 0:
-            raise ConfigError("planted intensity must be >= 0")
+        _require_rate("planted intensity", self.intensity)
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,10 @@ class SynthSpec:
             require_int(name, getattr(self, name))
         if self.users < 0:
             raise ConfigError("user count must be >= 0")
-        if self.noise_rate < 0:
-            raise ConfigError("noise rate must be >= 0")
+        _require_rate("noise rate", self.noise_rate)
+        _require_rate("tweets_per_month", self.tweets_per_month)
         if self.dwell_months < 1:
             raise ConfigError("dwell_months must be >= 1")
-        if self.tweets_per_month < 0:
-            raise ConfigError("tweets_per_month must be >= 0")
         self.calendar  # validates epoch and length
         for comp in self.components:
             bad = [m for m in comp.active_months if not 0 <= m < self.months]
@@ -143,9 +151,10 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
     """Deterministically expand a spec into an event table plus ground truth.
 
     Returns (table, truth dict). The table's rows are sorted by user and
-    time, and its codes are the registry's. The truth lists every planted
-    move as (user, month, origin, destination); background noise moves are
-    recorded separately and are not part of the planted ground truth.
+    time, and its countries are registry indices. The truth lists every
+    planted move as (user, month, origin, destination); background noise
+    moves are recorded separately and are not part of the planted ground
+    truth.
     """
     for comp in spec.components:
         for code in (comp.origin, comp.destination):
@@ -158,7 +167,7 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
     noise_moves: list[dict] = []
 
     for comp in spec.components:
-        origin, destination = registry.index_of(comp.origin), registry.index_of(comp.destination)
+        origin, destination = registry.index[comp.origin], registry.index[comp.destination]
         for month in sorted(set(comp.active_months)):
             for _ in range(int(rng.poisson(comp.intensity))):
                 uid = pool.next()
@@ -179,7 +188,7 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
                     d += 1
                 rows.extend(_mover_events(rng, uid, month, o, d, spec))
                 noise_moves.append({"user_id": uid, "month": month,
-                                    "origin": registry.code(o), "destination": registry.code(d)})
+                                    "origin": registry.codes[o], "destination": registry.codes[d]})
 
     # stationary filler users keep the pool size honest and exercise filtering
     while pool.used < pool.size:
@@ -201,7 +210,7 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
     seconds = np.fromiter((second for _, second, _ in rows), np.int64, n)
     country = np.fromiter((code for _, _, code in rows), np.int16, n)
     order = np.lexsort((seconds, user))  # stable: equal (user, second) rows keep draw order
-    table = EventTable(users, registry.codes, user[order], seconds[order], country[order])
+    table = EventTable(users, user[order], seconds[order], country[order])
     truth = {
         "planted": planted,
         "noise_moves": noise_moves,
@@ -220,7 +229,7 @@ def write_synthetic(spec: SynthSpec, registry: CountryRegistry,
     table, truth = generate_synthetic(spec, registry)
     Path(events_path).parent.mkdir(parents=True, exist_ok=True)
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
-        write_events(table, fh)
+        write_events(table, registry.codes, fh)
     if truth_path is not None:
         write_json(truth_path, truth)
     return {"events": len(table), "planted_moves": len(truth["planted"]),

@@ -39,6 +39,11 @@ MODES = ("origin", "destination", "time")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
+# index order matters for tie-break tests: GB=0, FR=1, ES=2, US=3, KW=4, DE=5
+CODES = ["GB", "FR", "ES", "US", "KW", "DE"]
+# the registry tests read and build event tables over unless they name another
+REGISTRY = CountryRegistry(CODES)
+
 
 class Event(NamedTuple):
     """One event as the per-record oracles see it: a user at an aware UTC
@@ -55,20 +60,17 @@ class Event(NamedTuple):
         return self.country is None
 
 
-def table_of(events, registry=None) -> EventTable:
-    """The country-coded events as an :class:`EventTable`, rows sorted
-    stably by (user, time), so rows of equal time keep the given order.
-    ``codes`` starts with the registry's, if given, then any other code,
-    in the given order."""
+def table_of(events, registry=REGISTRY) -> EventTable:
+    """The country-coded events as an :class:`EventTable` over ``registry``,
+    rows sorted stably by (user, time), so rows of equal time keep the
+    given order."""
     users = sorted({ev.user_id for ev in events})
     rank = {u: i for i, u in enumerate(users)}
-    index = {} if registry is None else dict(registry.index)
-    country = [index.setdefault(ev.country, len(index)) for ev in events]
+    country = [registry.index[ev.country] for ev in events]
     user = np.array([rank[ev.user_id] for ev in events], dtype=np.int32)
     seconds = np.array([(ev.timestamp - EPOCH) // timedelta(seconds=1) for ev in events], dtype=np.int64)
     rows = np.lexsort((seconds, user))
-    return EventTable(users, list(index), user[rows], seconds[rows],
-                      np.array(country, dtype=np.int16)[rows])
+    return EventTable(users, user[rows], seconds[rows], np.array(country, dtype=np.int16)[rows])
 
 
 def by_user_time(events) -> list:
@@ -76,9 +78,10 @@ def by_user_time(events) -> list:
     return sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
 
 
-def events_of(table: EventTable) -> list:
-    """One :class:`Event` per row of the table, in row order."""
-    return [Event(table.users[user], EPOCH + timedelta(seconds=seconds), country=table.codes[country])
+def events_of(table: EventTable, registry=REGISTRY) -> list:
+    """One :class:`Event` per row of the table, in row order, its country
+    an index into ``registry``."""
+    return [Event(table.users[user], EPOCH + timedelta(seconds=seconds), country=registry.codes[country])
             for user, seconds, country in zip(
                 table.user.tolist(), table.seconds.tolist(), table.country.tolist())]
 
@@ -92,8 +95,7 @@ def residence_rows(rows, months: int) -> np.ndarray:
 
 @pytest.fixture
 def registry():
-    # index order matters for tie-break tests: GB=0, FR=1, ES=2, US=3, KW=4, DE=5
-    return CountryRegistry(["GB", "FR", "ES", "US", "KW", "DE"])
+    return CountryRegistry(CODES)
 
 
 def gini_double_loop(values) -> float:
@@ -307,7 +309,7 @@ def reference_resolve_country(point, table) -> str:
     dlon = table._lon_rad - lon
     h = np.sin(dlat / 2.0) ** 2 + math.cos(lat) * np.cos(table._lat_rad) * np.sin(dlon / 2.0) ** 2
     angle = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-    return table.codes[int(np.argmin(angle))]
+    return table.registry.codes[table.country[int(np.argmin(angle))]]
 
 
 def reference_resolve_events(events, table) -> list:
@@ -473,13 +475,13 @@ def reference_parse_events(lines, format, interval=None, registry=None):
     return by_user_time(events), stats
 
 
-def reference_write_events(table: EventTable, fh) -> None:
+def reference_write_events(table: EventTable, codes, fh) -> None:
     """``write_events`` through ``csv.writer``, one row per event."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["user_id", "timestamp", "country"])
     writer.writerows(zip(map(table.users.__getitem__, table.user.tolist()),
                          _format_seconds(table.seconds),
-                         map(table.codes.__getitem__, table.country.tolist())))
+                         map(codes.__getitem__, table.country.tolist())))
 
 
 def reference_write_residence_matrix(users, filled, registry, path) -> None:
@@ -570,7 +572,7 @@ def reference_monthly_residence(events, calendar, registry) -> list:
     latest = [{} for _ in range(calendar.months)]
     for ev in events:
         m = (ev.timestamp.year - calendar.epoch_year) * 12 + ev.timestamp.month - calendar.epoch_month
-        c = registry.index_of(ev.country)
+        c = registry.index[ev.country]
         counts[m][c] += 1
         latest[m][c] = ev.timestamp
     filled = [None] * calendar.months

@@ -215,7 +215,7 @@ def test_5_window_semantics(capsys, registry):
         base = datetime(year, mo, 1, tzinfo=timezone.utc)
         return Event("u", base + timedelta(hours=hours), country=country)
 
-    fr, es = registry.index_of("FR"), registry.index_of("ES")
+    fr, es = registry.index["FR"], registry.index["ES"]
 
     filled = residence([ev(0, "FR", h) for h in range(3)] + [ev(0, "ES", 10 + h) for h in range(2)])
     check("majority month", filled[0] == fr)

@@ -51,6 +51,8 @@ from migtensor.ingestion import (
 )
 
 from conftest import (
+    CODES,
+    REGISTRY,
     Event,
     by_user_time,
     central_angle,
@@ -65,28 +67,27 @@ from conftest import (
 )
 
 UTC = timezone.utc
-CODES = ["GB", "FR", "ES", "US", "KW", "DE"]
 # a centroid per country of CODES, for the tests that parse points
 CENTROIDS = CentroidTable([("GB", 54.0, -2.0), ("FR", 46.0, 2.0), ("ES", 40.0, -4.0),
                            ("US", 38.0, -97.0), ("KW", 29.5, 47.75), ("DE", 51.0, 9.0)],
-                          CountryRegistry(CODES))
+                          REGISTRY)
 
 
 def ts(*args):
     return datetime(*args, tzinfo=UTC)
 
 
-def written(table, header=False) -> str:
+def written(table, header=False, codes=CODES) -> str:
     """``write_events``'s text, less its header line unless ``header``."""
     buf = io.StringIO()
-    write_events(table, buf)
+    write_events(table, codes, buf)
     text = buf.getvalue()
     return text if header else text.partition("\n")[2]
 
 
 class TestParseCsv:
     def test_country_line(self):
-        table, stats = read_events(["u1,2014-12-03T10:00:00Z,GB"], "csv")
+        table, stats = read_events(["u1,2014-12-03T10:00:00Z,GB"], "csv", REGISTRY)
         assert stats.total == 0
         (ev,) = events_of(table)
         assert ev.user_id == "u1"
@@ -95,24 +96,25 @@ class TestParseCsv:
         assert not ev.has_point
 
     def test_geo_line(self):
-        table, stats = read_events(["u1,2014-12-03T10:00:00Z,51.5,-0.1"], "csv", centroids=CENTROIDS)
+        table, stats = read_events(["u1,2014-12-03T10:00:00Z,51.5,-0.1"], "csv", REGISTRY,
+                                   centroids=CENTROIDS)
         assert stats.total == 0
         (ev,) = events_of(table)
         assert ev.country == reference_resolve_country((51.5, -0.1), CENTROIDS) == "GB"
 
     def test_bad_timestamp_rejected(self):
         table, stats = read_events(
-            ["u1,not-a-date,GB", "u2,2014-01-02T00:00:00Z,FR"], "csv")
+            ["u1,not-a-date,GB", "u2,2014-01-02T00:00:00Z,FR"], "csv", REGISTRY)
         assert stats.as_dict() == {BAD_TIMESTAMP: 1}
         assert table.users == ["u2"]
 
     def test_header_and_blank_lines_skipped(self):
         lines = ["user_id,timestamp,country", "", "u1,2014-12-03T10:00:00Z,GB", "  "]
-        table, stats = read_events(lines, "csv")
+        table, stats = read_events(lines, "csv", REGISTRY)
         assert len(table) == 1 and stats.total == 0
 
     def test_bad_field_count(self):
-        _, stats = read_events(["u1,2014-12-03T10:00:00Z", "a,b,c,d,e"], "csv")
+        _, stats = read_events(["u1,2014-12-03T10:00:00Z", "a,b,c,d,e"], "csv", REGISTRY)
         assert stats.as_dict() == {BAD_FIELD_COUNT: 2}
 
     def test_out_of_interval(self):
@@ -120,7 +122,7 @@ class TestParseCsv:
         table, stats = read_events(
             ["u1,2013-12-31T23:59:59Z,GB", "u1,2014-01-01T00:00:00Z,GB",
              "u1,2015-01-01T00:00:00Z,GB"],
-            "csv", interval=interval)
+            "csv", REGISTRY, interval=interval)
         assert stats.as_dict() == {OUT_OF_INTERVAL: 2}
         assert len(table) == 1
 
@@ -135,25 +137,25 @@ class TestParseCsv:
         _, stats = read_events(
             ["u1,2014-12-03T10:00:00Z,91.0,0.0",
              "u1,2014-12-03T10:00:00Z,0.0,181.0",
-             "u1,2014-12-03T10:00:00Z,abc,0.0"], "csv")
+             "u1,2014-12-03T10:00:00Z,abc,0.0"], "csv", REGISTRY)
         assert stats.as_dict() == {BAD_COORDINATES: 3}
 
     def test_preserves_input_order(self):
         lines = [f"u{i},2014-06-0{i}T00:00:00Z,GB" for i in range(1, 6)]
-        table, _ = read_events(lines, "csv")
+        table, _ = read_events(lines, "csv", REGISTRY)
         assert [ev.user_id for ev in events_of(table)] == [f"u{i}" for i in range(1, 6)]
 
 
 class TestParseJsonl:
     def test_country_object(self):
         line = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}'
-        table, stats = read_events([line], "jsonl")
+        table, stats = read_events([line], "jsonl", REGISTRY)
         assert stats.total == 0
         assert events_of(table)[0].country == "GB"
 
     def test_geo_object(self):
         line = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 46.5, "lon": 2.5}'
-        table, _ = read_events([line], "jsonl", centroids=CENTROIDS)
+        table, _ = read_events([line], "jsonl", REGISTRY, centroids=CENTROIDS)
         assert events_of(table)[0].country == reference_resolve_country((46.5, 2.5), CENTROIDS) == "FR"
 
     def test_user_id_is_a_string_or_an_integer(self):
@@ -162,14 +164,14 @@ class TestParseJsonl:
         stamp = '"timestamp": "2014-12-03T10:00:00Z", "country": "GB"'
         ids = ['"u"', '" v "', "0", "1", "-7", "true", "false", "1.0", "[2]", '{"a": 1}', "null", '""']
         lines = ['{"user_id": %s, %s}' % (user_id, stamp) for user_id in ids]
-        table, stats = read_events(lines, "jsonl")
+        table, stats = read_events(lines, "jsonl", REGISTRY)
         assert [ev.user_id for ev in events_of(table)] == ["-7", "0", "1", "u", "v"]
         assert stats.as_dict() == {MISSING_FIELD: 7}
-        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        expected, expected_stats = reference_parse_events(lines, "jsonl", registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_bad_json(self):
-        _, stats = read_events(["{not json", "[1, 2]"], "jsonl")
+        _, stats = read_events(["{not json", "[1, 2]"], "jsonl", REGISTRY)
         assert stats.as_dict() == {BAD_JSON: 2}
 
     def test_integer_past_the_digit_limit_is_bad_json(self):
@@ -179,10 +181,10 @@ class TestParseJsonl:
         lines = ['{"user_id": "u", %s, "lat": 1%s, "lon": 2}' % (stamp, "0" * 5000),
                  '{"user_id": %s, %s, "country": "GB"}' % ("7" * 5000, stamp),
                  '{"user_id": "u", %s, "country": "GB"}' % stamp]
-        table, stats = read_events(lines, "jsonl", centroids=CENTROIDS)
+        table, stats = read_events(lines, "jsonl", REGISTRY, centroids=CENTROIDS)
         assert stats.as_dict() == {BAD_JSON: 2}
         assert [ev.user_id for ev in events_of(table)] == ["u"]
-        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        expected, expected_stats = reference_parse_events(lines, "jsonl", registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_nesting_past_the_recursion_limit_is_bad_json(self):
@@ -190,16 +192,16 @@ class TestParseJsonl:
         # nested deeper than Python's recursion limit
         lines = ["[" * 100000 + "\n",
                  '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}\n']
-        table, stats = read_events(lines, "jsonl")
+        table, stats = read_events(lines, "jsonl", REGISTRY)
         assert stats.as_dict() == {BAD_JSON: 1}
         assert [ev.user_id for ev in events_of(table)] == ["u"]
-        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        expected, expected_stats = reference_parse_events(lines, "jsonl", registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_location_must_be_exactly_one(self):
         both = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "country": "GB", "lat": 1, "lon": 2}'
         neither = '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z"}'
-        _, stats = read_events([both, neither], "jsonl")
+        _, stats = read_events([both, neither], "jsonl", REGISTRY)
         assert stats.total == 2
 
     def test_boolean_coordinates_rejected(self):
@@ -207,7 +209,7 @@ class TestParseJsonl:
         lines = ['{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": true, "lon": false}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1.0, "lon": false}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 1, "lon": 0}']
-        table, stats = read_events(lines, "jsonl", centroids=CENTROIDS)
+        table, stats = read_events(lines, "jsonl", REGISTRY, centroids=CENTROIDS)
         assert stats.as_dict() == {BAD_COORDINATES: 2}
         (ev,) = events_of(table)
         assert ev.country == reference_resolve_country((1.0, 0.0), CENTROIDS)
@@ -223,7 +225,7 @@ class TestParseJsonl:
                  '{"user_id": "u1", "timestamp": "2030-01-01T00:00:00Z", "lat": "46", "lon": "2"}',
                  '{"user_id": "u1", "timestamp": "2014-12-03T10:00:00Z", "lat": 46, "lon": 2}']
         interval = (datetime(2014, 1, 1, tzinfo=timezone.utc), datetime(2015, 1, 1, tzinfo=timezone.utc))
-        table, stats = read_events(lines, "jsonl", interval=interval, centroids=CENTROIDS)
+        table, stats = read_events(lines, "jsonl", REGISTRY, interval=interval, centroids=CENTROIDS)
         assert stats.as_dict() == {BAD_COORDINATES: 3, BAD_TIMESTAMP: 1, OUT_OF_INTERVAL: 1}
         (ev,) = events_of(table)
         assert ev.country == reference_resolve_country((46.0, 2.0), CENTROIDS)
@@ -236,15 +238,15 @@ class TestParseJsonl:
                  '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": 7}',
                  '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": {"code": "GB"}}',
                  '{"user_id": "u", "timestamp": "2014-12-03T10:00:00Z", "country": "GB"}']
-        table, stats = read_events(lines, "jsonl")
+        table, stats = read_events(lines, "jsonl", REGISTRY)
         assert stats.as_dict() == {BAD_LOCATION: 3, BAD_TIMESTAMP: 2}
         assert [ev.country for ev in events_of(table)] == ["GB"]
-        expected, expected_stats = reference_parse_events(lines, "jsonl")
+        expected, expected_stats = reference_parse_events(lines, "jsonl", registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
     def test_unknown_format_fatal(self):
         with pytest.raises(InputError):
-            read_events([], "xml")
+            read_events([], "xml", REGISTRY)
 
     def test_skips_the_whitespace_the_decoder_skips(self):
         in_decoder = {c for c in map(chr, range(0x3001)) if json.decoder.WHITESPACE.fullmatch(c)}
@@ -262,10 +264,10 @@ class TestUserIdsHoldingLineBreaks:
                  'c,2014-12-03T10:00:00Z,GB\n']),
     ])
     def test_line_break_inside_a_user_id_is_a_missing_field(self, format, lines):
-        table, stats = read_events(lines, format)
+        table, stats = read_events(lines, format, REGISTRY)
         assert stats.as_dict() == {MISSING_FIELD: 2}
         assert table.users == ["c"]
-        expected, expected_stats = reference_parse_events(lines, format)
+        expected, expected_stats = reference_parse_events(lines, format, registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
 
@@ -280,10 +282,10 @@ class TestOffsetsPastDatetimeRange:
         stamps = self.STAMPS + ["2014-12-03T10:00:00+05:30"]
         lines = ([f"u,{stamp},GB" for stamp in stamps] if format == "csv" else
                  [json.dumps({"user_id": "u", "timestamp": stamp, "country": "GB"}) for stamp in stamps])
-        table, stats = read_events(lines, format)
+        table, stats = read_events(lines, format, REGISTRY)
         assert stats.as_dict() == {BAD_TIMESTAMP: 2}
         assert [ev.timestamp for ev in events_of(table)] == [ts(2014, 12, 3, 4, 30)]
-        expected, expected_stats = reference_parse_events(lines, format)
+        expected, expected_stats = reference_parse_events(lines, format, registry=REGISTRY)
         assert events_of(table) == expected and stats.as_dict() == expected_stats.as_dict()
 
 
@@ -301,14 +303,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_parse_serialize_parse_identity(self, format):
         text = reference_serialize_events(self._events(), format)
-        table, stats = read_events(text.splitlines(), format, centroids=CENTROIDS)
+        table, stats = read_events(text.splitlines(), format, REGISTRY, centroids=CENTROIDS)
         assert stats.total == 0
         assert events_of(table) == self._resolved()
         assert written(table) == reference_serialize_events(self._resolved(), "csv")
 
     def test_csv_header_survives_round_trip(self):
         text = written(table_of(self._resolved()), header=True)
-        table, stats = read_events(text.splitlines(), "csv")
+        table, stats = read_events(text.splitlines(), "csv", REGISTRY)
         assert stats.total == 0
         assert events_of(table) == self._resolved()
 
@@ -325,8 +327,7 @@ class TestRoundTrip:
 class TestRegistry:
     def test_bijection(self, registry):
         for i, code in enumerate(registry.codes):
-            assert registry.index_of(code) == i
-            assert registry.code(i) == code
+            assert registry.index[code] == i
 
     def test_duplicate_rejected(self):
         with pytest.raises(ConfigError):
@@ -346,7 +347,7 @@ class TestRegistry:
 
 def event_table(user, seconds) -> EventTable:
     """A table of users "a" and "b" with the given user and second columns."""
-    return EventTable(["a", "b"], ["GB"], np.array(user, dtype=np.int32),
+    return EventTable(["a", "b"], np.array(user, dtype=np.int32),
                       np.array(seconds, dtype=np.int64), np.zeros(len(user), dtype=np.int16))
 
 
@@ -369,7 +370,8 @@ class TestRowOrder:
            st.sampled_from(["csv", "jsonl"]), st.sampled_from([3, 2048]))
     def test_read_events_sorts_by_user_then_time_ties_in_input_order(self, events, format, block):
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            table, stats = read_events(reference_serialize_events(events, format).splitlines(), format)
+            table, stats = read_events(reference_serialize_events(events, format).splitlines(), format,
+                                       REGISTRY)
         assert stats.total == 0
         keys = list(zip(table.user.tolist(), table.seconds.tolist()))
         assert keys == sorted(keys)
@@ -380,9 +382,9 @@ class TestRowOrder:
 def resolve_points(points, centroids) -> list:
     """The codes :func:`read_events` gives CSV point rows, in row order."""
     table, stats = read_events([f"u,2014-01-01T00:00:00Z,{lat!r},{lon!r}\n" for lat, lon in points],
-                               "csv", centroids=centroids)
+                               "csv", REGISTRY, centroids=centroids)
     assert stats.total == 0
-    return [table.codes[c] for c in table.country.tolist()]
+    return [REGISTRY.codes[c] for c in table.country.tolist()]
 
 
 class TestResolveCountry:
@@ -502,8 +504,9 @@ class TestBatchedResolveMatchesReference:
         lat = np.array([p[0] for p in pts], dtype=float)
         lon = np.array([p[1] for p in pts], dtype=float)
         expected = [reference_resolve_country(p, table) for p in pts]
+        row_of = {registry.codes[c]: row for row, c in enumerate(table.country.tolist())}
         assert np.array_equal(table.nearest(lat, lon),
-                              np.array([table.codes.index(code) for code in expected], dtype=np.intp))
+                              np.array([row_of[code] for code in expected], dtype=np.intp))
         assert resolve_points(pts, table) == expected
 
     def test_coincident_centroids_resolve_to_smaller_registry_index(self):
@@ -523,7 +526,6 @@ class TestBatchedResolveMatchesReference:
         expected = ["ES" if i % 3 == 0 else ("FR" if i % 2 else "GB") for i in range(len(lines))]
         assert stats.total == 0
         assert [ev.country for ev in events_of(parsed)] == expected
-        assert parsed.codes == CODES
 
 
 class TestResolveWhileParsing:
@@ -533,15 +535,21 @@ class TestResolveWhileParsing:
         parsed, _ = read_events(lines, "csv", registry=registry, centroids=table)
         assert [ev.country for ev in events_of(parsed)] == ["ES", "GB"]
 
+    def test_table_over_another_registry_fatal(self):
+        # its row indices would name other countries of the stream's registry
+        table = CentroidTable([("GB", 54.0, -2.0)], CountryRegistry(["FR", "GB"]))
+        with pytest.raises(ConfigError, match="another registry"):
+            read_events(["u1,2014-01-01T00:00:00Z,54.0,-2.0"], "csv", REGISTRY, centroids=table)
+
     def test_point_without_table_fatal(self):
         with pytest.raises(ConfigError, match="no centroid table configured"):
-            read_events(["u1,2014-01-01T00:00:00Z,0.0,0.0"], "csv")
+            read_events(["u1,2014-01-01T00:00:00Z,0.0,0.0"], "csv", REGISTRY)
 
     def test_rejected_point_needs_no_table(self):
         # only the points that pass every rule are resolved
         lines = ["u1,2013-01-01T00:00:00Z,0.0,0.0", "u1,2014-01-01T00:00:00Z,91.0,0.0",
                  "u1,2014-01-01T00:00:00Z,GB"]
-        table, stats = read_events(lines, "csv", interval=(ts(2014, 1, 1), ts(2015, 1, 1)))
+        table, stats = read_events(lines, "csv", REGISTRY, interval=(ts(2014, 1, 1), ts(2015, 1, 1)))
         assert stats.as_dict() == {BAD_COORDINATES: 1, OUT_OF_INTERVAL: 1}
         assert [ev.country for ev in events_of(table)] == ["GB"]
 
@@ -728,54 +736,50 @@ def jsonl_lines(draw):
 
 class TestColumnarParseMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(csv_streams(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 7, 8192]))
+    @given(csv_streams(), st.booleans(), st.sampled_from([1, 2, 7, 8192]))
     # a line break moved from the end of one line to the end of the next
-    @example(["u,2014-01-01T00:00:00Z,GB", "v,2014-01-02T00:00:00Z,FR\n\n"], False, False, 8192)
+    @example(["u,2014-01-01T00:00:00Z,GB", "v,2014-01-02T00:00:00Z,FR\n\n"], False, 8192)
     # records that break two rules next to each other in the reject order
-    @example([",2014-01-01T00:00:00.5Z,GB\n"], True, True, 8192)  # no user, bad timestamp
-    @example(["u,2013-02-30T00:00:00Z,GB\n"], True, True, 8192)  # bad timestamp, before the interval
-    @example(["u,2013-06-01T00:00:00Z, \n"], True, True, 8192)  # out of interval, empty code
-    @example(["u,2013-06-01T00:00:00Z,XX\n"], True, True, 8192)  # out of interval, unknown code
-    @example(["u,2013-06-01T00:00:00Z,95.0,0.0\n"], True, True, 8192)  # out of interval, off the globe
-    def test_csv_events_and_tallies(self, lines, use_interval, use_registry, block):
+    @example([",2014-01-01T00:00:00.5Z,GB\n"], True, 8192)  # no user, bad timestamp
+    @example(["u,2013-02-30T00:00:00Z,GB\n"], True, 8192)  # bad timestamp, before the interval
+    @example(["u,2013-06-01T00:00:00Z, \n"], True, 8192)  # out of interval, empty code
+    @example(["u,2013-06-01T00:00:00Z,XX\n"], True, 8192)  # out of interval, unknown code
+    @example(["u,2013-06-01T00:00:00Z,95.0,0.0\n"], True, 8192)  # out of interval, off the globe
+    def test_csv_events_and_tallies(self, lines, use_interval, block):
         interval = INTERVAL if use_interval else None
-        registry = CountryRegistry(CODES) if use_registry else None
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            table, stats = read_events(lines, "csv", interval=interval, registry=registry,
-                                       centroids=CENTROIDS)
-        expected, expected_stats = reference_parse_events(lines, "csv", interval, registry)
+            table, stats = read_events(lines, "csv", REGISTRY, interval=interval, centroids=CENTROIDS)
+        expected, expected_stats = reference_parse_events(lines, "csv", interval, REGISTRY)
         assert events_of(table) == reference_resolve_events(expected, CENTROIDS)
         assert stats.as_dict() == expected_stats.as_dict()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(jsonl_lines(), max_size=25), st.booleans(), st.booleans(), st.sampled_from([1, 3, 8192]))
+    @given(st.lists(jsonl_lines(), max_size=25), st.booleans(), st.sampled_from([1, 3, 8192]))
     # records that break two rules next to each other in the reject order
-    @example(['{"timestamp": 5, "country": "GB"}\n'], True, True, 8192)  # no user, bad timestamp
+    @example(['{"timestamp": 5, "country": "GB"}\n'], True, 8192)  # no user, bad timestamp
     @example(['{"user_id": "u", "timestamp": "2013-02-30T00:00:00Z", "country": "GB"}\n'],
-             True, True, 8192)  # bad timestamp, before the interval
+             True, 8192)  # bad timestamp, before the interval
     @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "country": ""}\n'],
-             True, True, 8192)  # out of interval, empty code
+             True, 8192)  # out of interval, empty code
     @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "country": "xx"}\n'],
-             True, True, 8192)  # out of interval, unknown code
+             True, 8192)  # out of interval, unknown code
     @example(['{"user_id": "u", "timestamp": "2013-06-01T00:00:00Z", "lat": 95.0, "lon": 0}\n'],
-             True, True, 8192)  # out of interval, off the globe
+             True, 8192)  # out of interval, off the globe
     # lines the decoder's scanner must judge as json.loads does
-    @example(["\ufeff" + GOOD_JSONL], True, True, 8192)  # a BOM is not JSON whitespace
-    @example(["\x0b" + GOOD_JSONL, GOOD_JSONL[:-1] + "\xa0\n"], True, True, 8192)  # nor are these
-    @example([" \t" + GOOD_JSONL[:-1] + " \r\n", GOOD_JSONL[:-1] + "x\n"], True, True, 8192)
+    @example(["\ufeff" + GOOD_JSONL], True, 8192)  # a BOM is not JSON whitespace
+    @example(["\x0b" + GOOD_JSONL, GOOD_JSONL[:-1] + "\xa0\n"], True, 8192)  # nor are these
+    @example([" \t" + GOOD_JSONL[:-1] + " \r\n", GOOD_JSONL[:-1] + "x\n"], True, 8192)
     @example(['{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": NaN, "lon": Infinity}\n',
               '{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": -Infinity, "lon": 0}\n'],
-             True, True, 8192)
-    @example(["[{}]\n", "[" * 100000 + "\n"], True, True, 8192)  # not an object; nested too deep
+             True, 8192)
+    @example(["[{}]\n", "[" * 100000 + "\n"], True, 8192)  # not an object; nested too deep
     @example(['{"user_id": "u", "timestamp": "2014-06-01T00:00:00Z", "lat": %s, "lon": 0}\n'
-              % ("1" * 5000)], True, True, 8192)  # past int()'s digit limit
-    def test_jsonl_events_and_tallies(self, lines, use_interval, use_registry, block):
+              % ("1" * 5000)], True, 8192)  # past int()'s digit limit
+    def test_jsonl_events_and_tallies(self, lines, use_interval, block):
         interval = INTERVAL if use_interval else None
-        registry = CountryRegistry(CODES) if use_registry else None
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            table, stats = read_events(lines, "jsonl", interval=interval, registry=registry,
-                                       centroids=CENTROIDS)
-        expected, expected_stats = reference_parse_events(lines, "jsonl", interval, registry)
+            table, stats = read_events(lines, "jsonl", REGISTRY, interval=interval, centroids=CENTROIDS)
+        expected, expected_stats = reference_parse_events(lines, "jsonl", interval, REGISTRY)
         assert events_of(table) == reference_resolve_events(expected, CENTROIDS)
         assert stats.as_dict() == expected_stats.as_dict()
 
@@ -806,17 +810,14 @@ class TestResolveWhileParsingMatchesReference:
     the stream is split."""
 
     @settings(max_examples=200, deadline=None)
-    @given(point_streams(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 7, 2048]))
-    def test_events_and_tallies(self, stream, use_interval, use_registry, block):
+    @given(point_streams(), st.booleans(), st.sampled_from([1, 2, 7, 2048]))
+    def test_events_and_tallies(self, stream, use_interval, block):
         format, lines, rows = stream
         interval = INTERVAL if use_interval else None
-        registry = CountryRegistry(CODES)
-        centroids = CentroidTable(rows, registry)
-        registry = registry if use_registry else None
+        centroids = CentroidTable(rows, REGISTRY)
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            table, stats = read_events(lines, format, interval=interval, registry=registry,
-                                       centroids=centroids)
-        expected, expected_stats = reference_parse_events(lines, format, interval, registry)
+            table, stats = read_events(lines, format, REGISTRY, interval=interval, centroids=centroids)
+        expected, expected_stats = reference_parse_events(lines, format, interval, REGISTRY)
         assert events_of(table) == reference_resolve_events(expected, centroids)
         assert stats.as_dict() == expected_stats.as_dict()
 
@@ -840,8 +841,8 @@ class TestLinesCsvCannotRead:
     def test_tallied_or_parsed_as_csv(self, line, block):
         lines = ["a,2014-01-01T00:00:00Z,GB\n", line, "b,2014-01-02T00:00:00Z,FR\n"]
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            table, stats = read_events(lines, "csv")
-        expected, expected_stats = reference_parse_events(lines, "csv")
+            table, stats = read_events(lines, "csv", REGISTRY)
+        expected, expected_stats = reference_parse_events(lines, "csv", registry=REGISTRY)
         assert events_of(table) == expected
         assert stats.as_dict() == expected_stats.as_dict()
         try:
@@ -852,23 +853,19 @@ class TestLinesCsvCannotRead:
 
 
 class TestCountryCodeCount:
-    """The country column holds 2**15 distinct codes; more is an input
-    error, never a code that wraps to a negative (point) index."""
+    """The country column holds the indices of a registry of 2**15 codes,
+    the most a registry holds, and the last never wraps to a negative
+    (point) index."""
 
     LIMIT = 2 ** 15
 
-    def lines(self, n):
-        return [f"u,2014-01-01T00:00:00Z,C{i}\n" for i in range(n)]
-
     def test_limit_parses_and_last_code_survives(self):
-        table, stats = read_events(self.lines(self.LIMIT), "csv")
+        registry = CountryRegistry(f"C{i}" for i in range(self.LIMIT))
+        lines = [f"u,2014-01-01T00:00:00Z,C{i}\n" for i in range(self.LIMIT)]
+        table, stats = read_events(lines, "csv", registry)
         assert stats.total == 0
-        assert table.codes[table.country[-1]] == f"C{self.LIMIT - 1}"
-        assert written(table).endswith(f",C{self.LIMIT - 1}\n")
-
-    def test_one_more_code_is_an_input_error(self):
-        with pytest.raises(InputError, match="distinct country codes"):
-            read_events(self.lines(self.LIMIT + 1), "csv")
+        assert registry.codes[table.country[-1]] == f"C{self.LIMIT - 1}"
+        assert written(table, codes=registry.codes).endswith(f",C{self.LIMIT - 1}\n")
 
 
 events_strategy = st.lists(st.builds(
@@ -895,18 +892,19 @@ def event_tables(draw):
                                           st.integers(0, len(codes) - 1)), max_size=20)),
                   key=lambda row: row[:2])
     user, seconds, country = zip(*rows) if rows else ((), (), ())
-    return EventTable(users, codes, np.array(user, dtype=np.int32), np.array(seconds, dtype=np.int64),
-                      np.array(country, dtype=np.int16))
+    return EventTable(users, np.array(user, dtype=np.int32), np.array(seconds, dtype=np.int64),
+                      np.array(country, dtype=np.int16)), codes
 
 
 class TestWriteEventsMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(event_tables(), st.sampled_from([1, 2, 7]))
-    def test_same_text_as_csv_writer(self, table, block):
+    def test_same_text_as_csv_writer(self, drawn, block):
+        table, codes = drawn
         expected = io.StringIO()
-        reference_write_events(table, expected)
+        reference_write_events(table, codes, expected)
         with mock.patch("migtensor.events._PARSE_BLOCK", block):
-            assert written(table, header=True) == expected.getvalue()
+            assert written(table, header=True, codes=codes) == expected.getvalue()
 
 
 class TestSerializeRoundTrip:
@@ -915,7 +913,8 @@ class TestSerializeRoundTrip:
     def test_parse_serialize_round_trip(self, events, format, header):
         header = header and format == "csv"
         text = reference_serialize_events(events, format, header=header)
-        table, stats = read_events(text.splitlines(keepends=True), format, centroids=CENTROIDS)
+        table, stats = read_events(text.splitlines(keepends=True), format, REGISTRY,
+                                   centroids=CENTROIDS)
         assert stats.total == 0
         resolved = by_user_time(reference_resolve_events(events, CENTROIDS))
         assert events_of(table) == resolved

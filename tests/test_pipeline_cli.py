@@ -467,6 +467,37 @@ class TestCli:
         assert cli.main(["ingest", "--config", str(path)]) == 2
         assert "error [ingest] registry holds 40002 country codes" in capsys.readouterr().err
 
+    # a field past csv's size limit; a NUL, which csv reads only from
+    # Python 3.11 on (and then it is a bad coordinate)
+    @pytest.mark.parametrize("row", ["FR," + "4" * (csv.field_size_limit() + 1) + ",2.0", "FR,46.0\0,2.0"],
+                             ids=["long field", "NUL"])
+    def test_centroid_row_csv_cannot_read_exits_2(self, tmp_path, capsys, row):
+        path = write_geo_workspace(tmp_path)
+        centroids = tmp_path / "centroids.csv"
+        lines = centroids.read_text().splitlines()
+        lines[2] = row
+        centroids.write_text("\n".join(lines) + "\n")
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert f"error [ingest] {centroids}:3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("name", ["noise_rate", "tweets_per_month", "intensity"])
+    def test_synth_rate_past_its_range_exits_2(self, tmp_path, capsys, name, value):
+        spec = {"users": 10, "noise_rate": 0.0, "seed": 1, "epoch": {"year": 2014, "month": 1}, "months": 6,
+                "components": [{"origin": "GB", "destination": "ES", "active_months": [1], "intensity": 1.0}]}
+        if name == "intensity":
+            spec["components"][0]["intensity"] = value
+        else:
+            spec[name] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        assert "must be in [0, 1e+09]" in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
+
     def test_residences_of_row_shuffled_events_are_byte_identical(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
         assert cli.main(["ingest", "--config", str(path)]) == 0

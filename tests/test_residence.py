@@ -94,32 +94,32 @@ class TestMonthlyResidence:
         cal = MonthCalendar(2014, 1, 1)
         events = (events_in_month("u", cal, 0, "FR", 3)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
-        assert residence(events, cal, registry)[0] == registry.index_of("FR")
+        assert residence(events, cal, registry)[0] == registry.index["FR"]
 
     def test_tie_breaks_to_previous_month(self, registry):
         cal = MonthCalendar(2014, 1, 2)
         events = (events_in_month("u", cal, 0, "ES", 1)
                   + events_in_month("u", cal, 1, "FR", 2)
                   + events_in_month("u", cal, 1, "ES", 2, start_hour=10))
-        assert residence(events, cal, registry)[1] == registry.index_of("ES")
+        assert residence(events, cal, registry)[1] == registry.index["ES"]
 
     def test_tie_without_previous_breaks_to_latest_event(self, registry):
         cal = MonthCalendar(2014, 1, 1)
         events = (events_in_month("u", cal, 0, "FR", 2)
                   + events_in_month("u", cal, 0, "ES", 2, start_hour=10))
-        assert residence(events, cal, registry)[0] == registry.index_of("ES")  # ES events are later
+        assert residence(events, cal, registry)[0] == registry.index["ES"]  # ES events are later
 
     def test_forward_fill(self, registry):
         cal = MonthCalendar(2014, 1, 5)
         events = (events_in_month("u", cal, 0, "FR", 1)
                   + events_in_month("u", cal, 3, "ES", 1))
-        fr, es = registry.index_of("FR"), registry.index_of("ES")
+        fr, es = registry.index["FR"], registry.index["ES"]
         assert residence(events, cal, registry) == [fr, fr, fr, es, es]
 
     def test_months_before_first_observation_stay_undefined(self, registry):
         cal = MonthCalendar(2014, 1, 4)
         events = events_in_month("u", cal, 2, "GB", 1)
-        gb = registry.index_of("GB")
+        gb = registry.index["GB"]
         assert residence(events, cal, registry) == [None, None, gb, gb]
 
     def test_no_events_no_rows(self, registry):
@@ -323,8 +323,8 @@ class TestResidenceMatrixMatchesReference:
         cal = MonthCalendar(2014, 1, 1)
         at = ts(2014, 1, 5)
         events = [Event("u", at, country="ES"), Event("u", at, country="FR")]
-        assert residence(events, cal, registry) == [registry.index_of("ES")]
-        assert residence(events[::-1], cal, registry) == [registry.index_of("FR")]
+        assert residence(events, cal, registry) == [registry.index["ES"]]
+        assert residence(events[::-1], cal, registry) == [registry.index["FR"]]
 
 
 def _modal(window):

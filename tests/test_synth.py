@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import detect_all, residence_matrix
 from migtensor.synth import (
+    _MAX_RATE,
     PlantedComponent,
     SynthSpec,
     generate_synthetic,
@@ -28,7 +30,7 @@ def spec_with(**kwargs):
 def detected_moves(table, spec, registry, k=1):
     """Run residence + strict detection over a generated table, no filtering."""
     filled = residence_matrix(table, spec.calendar)
-    return [(table.users[u], m, table.codes[o], table.codes[d])
+    return [(table.users[u], m, registry.codes[o], registry.codes[d])
             for u, m, o, d in detect_all(filled, k).tolist()]
 
 
@@ -107,7 +109,6 @@ class TestGenerate:
         table, _ = generate_synthetic(spec, registry)
         keys = list(zip(table.user.tolist(), table.seconds.tolist()))
         assert keys == sorted(keys)
-        assert table.codes == registry.codes
 
 
 class TestSpecValidation:
@@ -124,6 +125,21 @@ class TestSpecValidation:
             spec_with(noise_rate=-0.1)
         with pytest.raises(ConfigError):
             PlantedComponent("GB", "ES", (1,), -1.0)
+
+    # rates numpy's Poisson sampler refuses, and NaN, which `noise_rate > 0` reads as no noise
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_rates_not_finite_or_too_large_rejected(self, value):
+        with pytest.raises(ConfigError, match="noise rate must be in"):
+            spec_with(noise_rate=value)
+        with pytest.raises(ConfigError, match="tweets_per_month must be in"):
+            spec_with(tweets_per_month=value)
+        with pytest.raises(ConfigError, match="planted intensity must be in"):
+            PlantedComponent("GB", "ES", (1,), value)
+
+    def test_largest_rate_accepted(self):
+        # construction only: a spec at this rate is never generated here
+        spec_with(noise_rate=_MAX_RATE, tweets_per_month=_MAX_RATE,
+                  components=(PlantedComponent("GB", "ES", (1,), _MAX_RATE),))
 
     def test_load_spec_json(self, tmp_path):
         raw = {

@@ -32,7 +32,7 @@ def random_moves(rng, N, M, n_moves):
 
 class TestBuildTensor:
     def test_same_triple_aggregates(self, registry):
-        fr, es = registry.index_of("FR"), registry.index_of("ES")
+        fr, es = registry.index["FR"], registry.index["ES"]
         moves = np.array([[0, 2, fr, es], [1, 2, fr, es]], dtype=np.int64)
         t = build_tensor(moves, registry, 5)
         assert t.dims == (6, 6, 5)
