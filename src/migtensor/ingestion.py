@@ -191,11 +191,13 @@ def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
     rows = []
     with open_text(path) as fh:
         reader = csv.reader(fh)
+        start = 1  # the line the next record starts on; a quoted field may span lines
         try:
-            for lineno, parts in enumerate(reader, start=1):
+            for record, parts in enumerate(reader):
+                lineno, start = start, reader.line_num + 1
                 if not parts:
                     continue
-                if lineno == 1 and [p.strip().lower() for p in parts] == ["country", "lat", "lon"]:
+                if record == 0 and [p.strip().lower() for p in parts] == ["country", "lat", "lon"]:
                     continue
                 if len(parts) != 3:
                     raise ConfigError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")

@@ -38,6 +38,12 @@ each over a contiguous slab, into the bins r * n + row: like
 starting from 0.0. The likelihood's ``counts @ log(rates)`` stays one dot
 per restart. Scratch is reused rather than allocated per call because
 fresh nnz x K temporaries page-fault again on first touch.
+
+Restarts are independent: ``fit`` draws every start first, then deals
+whole blocks out in contiguous shares, one per worker process
+(``workers.count``, at most one per block), each forked before it
+allocates any scratch. A block is never split, so each process sweeps
+its restarts in the blocks one process would.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .events import line_error, open_text, read_header
 from .ingestion import require_int
 from .tensor import MigrationTensor
@@ -376,6 +383,39 @@ def _fit_block(tensor: MigrationTensor, index, starts: list, first: int,
     return list(zip(results, traces))
 
 
+def _per_block(restarts: int, size: int) -> int:
+    """Restarts in a block: as many as fit ``BLOCK_ELEMENTS`` at ``size`` =
+    nnz * K elements each, at least one."""
+    return max(1, min(restarts, BLOCK_ELEMENTS // max(size, 1)))
+
+
+def _fit_share(tensor: MigrationTensor, index, starts: list, first: int,
+               config: FitConfig) -> list[tuple[tuple, FitTrace]]:
+    """``_fit_block`` over restarts ``first``, ``first + 1``, ... drawn as
+    ``starts``, in blocks of ``_per_block`` restarts, on one scratch pair
+    allocated here."""
+    size = tensor.nnz * config.rank
+    per_block = _per_block(len(starts), size)
+    scratch = (np.empty(per_block * size), np.empty(per_block * size))
+    out = []
+    for lo in range(0, len(starts), per_block):
+        out += _fit_block(tensor, index, starts[lo:lo + per_block], first + lo, config, scratch)
+    return out
+
+
+def _fit_shares(tensor: MigrationTensor, starts: list, config: FitConfig,
+                n: int) -> list[tuple[tuple, FitTrace]]:
+    """Every restart's result and trace, in restart order. The blocks are
+    cut into at most ``n`` contiguous shares, each run in its own process."""
+    index = _index_columns(tensor)
+    per_block = _per_block(len(starts), tensor.nnz * config.rank)
+    blocks = -(-len(starts) // per_block)
+    n = min(n, blocks)
+    cuts = [min(len(starts), per_block * (blocks * w // n)) for w in range(n + 1)]
+    shares = [(tensor, index, starts[lo:hi], lo, config) for lo, hi in zip(cuts, cuts[1:])]
+    return [item for share in workers.run(_fit_share, shares) for item in share]
+
+
 def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTrace]:
     """Fit the decomposition with seeded multi-restart alternating updates.
 
@@ -385,7 +425,8 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
     turns non-finite stops there, unconverged. The restart with the best
     final objective wins, any finite one before every non-finite one (ties
     to the earliest restart); its model comes back normalized with
-    components sorted by descending weight.
+    components sorted by descending weight. The blocks of restarts run in
+    up to ``workers.count()`` processes, with the same bits in each.
     """
     N, _, M = tensor.dims
     if config.rank > min(N, M):
@@ -393,19 +434,10 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
             f"rank {config.rank} exceeds min tensor dim {min(N, M)}; "
             "the decomposition is overcomplete", RuntimeWarning)
     rng = np.random.default_rng(config.seed)
-    size = tensor.nnz * config.rank
-    per_block = max(1, min(config.restarts, BLOCK_ELEMENTS // max(size, 1)))
-    scratch = (np.empty(per_block * size), np.empty(per_block * size))
-    index = _index_columns(tensor)
-    best, best_trace = None, None
-    for first in range(0, config.restarts, per_block):
-        # drawn block by block, the starts still come off the stream in
-        # restart order
-        starts = [_draw_factors(tensor.dims, config.rank, rng)
-                  for _ in range(min(per_block, config.restarts - first))]
-        for result, trace in _fit_block(tensor, index, starts, first, config, scratch):
-            if best_trace is None or _restart_key(trace) < _restart_key(best_trace):
-                best, best_trace = result, trace
+    starts = [_draw_factors(tensor.dims, config.rank, rng) for _ in range(config.restarts)]
+    results = _fit_shares(tensor, starts, config, workers.count())
+    # min keeps the first of equal keys: ties go to the earliest restart
+    best, best_trace = min(results, key=lambda item: _restart_key(item[1]))
     # sweeps are gauge-covariant, so the raw draws needed no normalizing;
     # the winner is validated and canonicalized exactly once, here
     return FactorModel(*best).normalized().sorted_by_weight(), best_trace

@@ -378,6 +378,18 @@ class TestRowOrder:
         # a stable sort: events of equal user and time keep their input order
         assert events_of(table) == by_user_time(events)
 
+    @pytest.mark.parametrize("order, sorts", [([0, 1, 2, 3], 0), ([0, 2, 1, 3], 1), ([3, 0, 1, 2], 1)])
+    def test_read_events_sorts_only_rows_out_of_order(self, monkeypatch, order, sorts):
+        rows = ["a,2014-01-01T00:00:00Z,GB", "a,2014-01-01T00:00:00Z,FR",
+                "a,2014-01-02T00:00:00Z,ES", "b,2014-01-01T00:00:00Z,US"]
+        calls, real = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or real(keys))
+        table, _ = read_events([rows[i] + "\n" for i in order], "csv", REGISTRY)
+        assert len(calls) == sorts
+        # rows 0 and 1 share a user and a time, so they keep their input order
+        expected = sorted(order, key=lambda i: rows[i][:-3])
+        assert table.country.tolist() == [REGISTRY.index[rows[i][-2:]] for i in expected]
+
 
 def resolve_points(points, centroids) -> list:
     """The codes :func:`read_events` gives CSV point rows, in row order."""
@@ -434,6 +446,24 @@ class TestResolveCountry:
         path.write_text("country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n")
         table = load_centroids(path, registry)
         assert resolve_points([(54.0, -2.0)], table) == ["GB"]
+
+    # a quoted code holding a line break spans two lines: before the bad
+    # record (lines 2-3), so record 4 starts on line 5, or in it (lines 4-5)
+    @pytest.mark.parametrize("text, line", [
+        ('country,lat,lon\n"G\nB",54.0,-2.0\nFR,46.0,2.0\nES,abc,-4.0\n', 5),
+        ('country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n"E\nS",abc,-4.0\n', 4),
+    ])
+    def test_load_centroids_names_the_line_a_record_starts_on(self, registry, tmp_path, text, line):
+        path = tmp_path / "centroids.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"centroids\.csv:{line}: bad coordinates"):
+            load_centroids(path, registry)
+
+    def test_load_centroids_header_only_as_the_first_record(self, registry, tmp_path):
+        path = tmp_path / "centroids.csv"
+        path.write_text("GB,54.0,-2.0\ncountry,lat,lon\n")
+        with pytest.raises(ConfigError, match=r"centroids\.csv:2: bad coordinates"):
+            load_centroids(path, registry)
 
 
 BLOCK = ingestion._RESOLVE_BLOCK

@@ -899,6 +899,32 @@ class TestDemoGoldenDigests:
                    for name, data in artifact_bytes(tmp_path / "out_tourism").items()}
         assert digests == TOURISM_DIGESTS
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):
+        # spawned with numpy single-threaded, so that fit may fork a worker
+        # per usable CPU; the one-CPU run pins itself before it starts. Rank
+        # 15 and 30 restarts make two blocks of restarts, so two shares
+        for name in ("registry.txt", "centroids.csv", "synth_tourism.json", "config_tourism.json"):
+            shutil.copy(DEMO / name, tmp_path / name)
+        assert cli.main(["synth", "--spec", str(tmp_path / "synth_tourism.json"),
+                         "--registry", str(tmp_path / "registry.txt"),
+                         "--out-events", str(tmp_path / "tourism_events.csv")]) == 0
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(DEMO.parent / "src"), os.environ.get("PYTHONPATH")])))
+        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        outputs = {}
+        for cpus, setup in (("all", ""), ("one", pin)):
+            launcher = f"import os, sys; {setup}from migtensor.cli import main; sys.exit(main())"
+            result = subprocess.run(
+                [sys.executable, "-c", launcher, "run", "--config", "config_tourism.json",
+                 "--out-dir", f"out_{cpus}", "--rank", "15", "--restarts", "30"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            outputs[cpus] = artifact_bytes(tmp_path / f"out_{cpus}")
+        assert outputs["all"] == outputs["one"]
+        nnz = load_tensor(tmp_path / "out_one" / "tensor.txt").nnz
+        assert 30 > solver._per_block(30, nnz * 15)
+
 
 class TestGeoPointsEndToEnd:
     def test_points_at_exact_centroids_reproduce_the_country_coded_run(self, tmp_path, capsys):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 from unittest import mock
 
@@ -12,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from migtensor import solver
+from migtensor import solver, workers
 from migtensor.solver import FactorModel, FitConfig, fit, load_model, save_model
 
 from conftest import (
@@ -391,6 +395,8 @@ class TestFit:
             return out
 
         monkeypatch.setattr(solver, "_log_likelihoods", spoiled)
+        # one worker: a forked share's calls would not reach ``evaluated``
+        monkeypatch.setattr(workers, "count", lambda: 1)
         cfg = FitConfig(rank=2, max_iters=30, rel_tol=1e-12, seed=9, restarts=2)
         _, trace = fit(tensor, cfg)
         assert trace.restart == 1
@@ -444,8 +450,9 @@ def assert_fit_matches_reference(tensor, cfg):
 
 @st.composite
 def fit_problems(draw):
-    """A small tensor, a fit setting and a block budget from below one
-    restart's nnz * K (one restart per block) to above all of them."""
+    """A small tensor, a fit setting, a block budget from below one
+    restart's nnz * K (one restart per block) to above all of them, and a
+    worker count from 1 to more than the restarts."""
     N = draw(st.integers(2, 7))
     M = draw(st.integers(1, 6))
     cell = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), st.integers(0, M - 1))
@@ -460,34 +467,167 @@ def fit_problems(draw):
                     prior_shape=prior[0], prior_rate=prior[1])
     size = max(len(cells) * cfg.rank, 1)
     budget = draw(st.integers(1, (cfg.restarts + 1) * size))
-    return make_tensor((N, N, M), cells), cfg, budget
+    n = draw(st.integers(1, cfg.restarts + 2))
+    return make_tensor((N, N, M), cells), cfg, budget, n
 
 
 class TestFitMatchesReference:
-    """Batched restarts return exactly the bits of sequential ones."""
+    """Batched restarts, in any number of worker processes, return exactly
+    the bits of sequential ones."""
 
     @settings(max_examples=100, deadline=None)
     @given(fit_problems())
-    def test_any_block_budget(self, problem):
-        tensor, cfg, budget = problem
-        with warnings.catch_warnings(), mock.patch.object(solver, "BLOCK_ELEMENTS", budget):
+    def test_any_block_budget_and_workers(self, problem):
+        tensor, cfg, budget, n = problem
+        with warnings.catch_warnings(), mock.patch.object(solver, "BLOCK_ELEMENTS", budget), \
+                mock.patch.object(workers, "count", lambda: n):
             warnings.simplefilter("ignore", RuntimeWarning)  # overcomplete rank
             assert_fit_matches_reference(tensor, cfg)
 
-    # nnz * K below the budget (blocks of 4, 4 and 2 restarts) and above it
-    # (one restart per block)
+    # nnz * K below the module's budget (blocks of 4, 4 and 2 restarts) and
+    # above it (one restart per block); a budget of 1 runs one restart per
+    # block. Worker counts: in-process, two shares and more workers than
+    # restarts (one block each)
+    @pytest.mark.parametrize("budget", [solver.BLOCK_ELEMENTS, 1])
+    @pytest.mark.parametrize("n", [1, 2, 13])
     @pytest.mark.parametrize("dims, nnz, cfg", [
         ((20, 20, 8), 2000, FitConfig(rank=8, max_iters=40, rel_tol=1e-3, seed=3, restarts=10)),
         ((30, 30, 16), 4400, FitConfig(rank=16, max_iters=3, seed=4, restarts=2,
                                       prior_shape=1.2, prior_rate=0.1)),
     ])
-    def test_block_budget_of_the_module(self, dims, nnz, cfg):
+    def test_block_budget_and_workers(self, dims, nnz, cfg, n, budget, monkeypatch):
         rng = np.random.default_rng(33)
         tensor = random_tensor(rng, dims, nnz)
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(workers, "count", lambda: n)
         traces = assert_fit_matches_reference(tensor, cfg)
         if cfg.restarts > 2:
             # restarts left the block at different sweeps
             assert len({t.n_sweeps for t in traces}) > 1
+        # every restart, not only the winner, has the sequential trace
+        stream = np.random.default_rng(cfg.seed)
+        starts = [solver._draw_factors(dims, cfg.rank, stream) for _ in range(cfg.restarts)]
+        results = solver._fit_shares(tensor, starts, cfg, n)
+        assert [trace for _, trace in results] == traces
+
+
+def open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fit forks its workers only on Linux")
+class TestFitWorkers:
+    """Restart shares in forked children: failures, and when ``fit`` forks.
+    Each test but the one-block case runs one restart per block."""
+
+    tensor = random_tensor(np.random.default_rng(34), (6, 6, 5), 40)
+    cfg = FitConfig(rank=2, max_iters=30, seed=9, restarts=4)
+
+    @pytest.fixture(autouse=True)
+    def one_restart_per_block(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1)
+
+    def fail_in(self, monkeypatch, where, fail):
+        """Run ``fail`` in place of ``_fit_block`` in the parent or in the
+        children, with three workers."""
+        parent, real = os.getpid(), solver._fit_block
+
+        def block(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_fit_block", block)
+        monkeypatch.setattr(workers, "count", lambda: 3)
+
+    def assert_nothing_left(self, fds):
+        assert open_fds() == fds  # both pipe ends of every child are closed
+        with pytest.raises(ChildProcessError):  # and every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failing_share_raises_and_leaves_nothing(self, monkeypatch, where):
+        def fail():
+            raise ValueError(f"share failed in the {where}")
+
+        self.fail_in(monkeypatch, where, fail)
+        fds = open_fds()
+        with pytest.raises(ValueError, match=f"share failed in the {where}"):
+            fit(self.tensor, self.cfg)
+        self.assert_nothing_left(fds)
+
+    def test_a_failing_parent_kills_its_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def block(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child still at work when the parent fails
+            raise ValueError("share failed in the parent")
+
+        monkeypatch.setattr(solver, "_fit_block", block)
+        monkeypatch.setattr(workers, "count", lambda: 3)
+        fds, start = open_fds(), time.monotonic()
+        with pytest.raises(ValueError, match="share failed in the parent"):
+            fit(self.tensor, self.cfg)
+        assert time.monotonic() - start < 30  # the children were killed, not awaited
+        self.assert_nothing_left(fds)
+
+    def test_a_child_that_dies_without_a_result_raises(self, monkeypatch):
+        self.fail_in(monkeypatch, "child", lambda: os._exit(3))
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="exited without a result"):
+            fit(self.tensor, self.cfg)
+        self.assert_nothing_left(fds)
+
+    def forks(self, monkeypatch) -> list:
+        """The forks ``fit`` makes from here on, as a list of pids."""
+        pids, real = [], os.fork
+
+        def counted():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    def test_forks_one_child_per_usable_cpu_but_one(self, monkeypatch):
+        assert len(os.listdir("/proc/self/task")) == 1, "the suite runs with one OS thread"
+        expected = fit(self.tensor, self.cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pids = self.forks(monkeypatch)
+        model, trace = fit(self.tensor, self.cfg)
+        assert len(pids) == 2
+        assert trace == expected[1]
+        assert (model.O == expected[0].O).all() and (model.weights == expected[0].weights).all()
+
+    @pytest.mark.parametrize("case", ["another OS", "a second thread", "one CPU", "one restart",
+                                      "one block"])
+    def test_runs_in_process(self, monkeypatch, case):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg, stop = self.cfg, threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        if case == "another OS":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        elif case == "a second thread":
+            thread.start()
+        elif case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "one restart":
+            cfg = FitConfig(rank=2, max_iters=30, seed=9, restarts=1)
+        else:  # the module's budget holds all four restarts in one block
+            monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1 << 16)
+        pids = self.forks(monkeypatch)
+        try:
+            _, trace = fit(self.tensor, cfg)
+        finally:
+            stop.set()
+            if thread.ident is not None:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert pids == []
+        assert trace.n_sweeps > 0
 
 
 class TestGauge:
