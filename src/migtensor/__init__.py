@@ -5,7 +5,22 @@ detects country-to-country moves, aggregates them into a sparse
 origin x destination x month count tensor, factorizes that tensor with a
 non-negative Poisson CP decomposition, and ranks the recovered components
 by how unevenly their activity concentrates in time.
+
+numpy runs single-threaded unless the environment says otherwise: the
+package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where they are unset, before it imports numpy.
+Its BLAS then starts no thread pool, the process keeps a single OS
+thread, and ``fit`` may share its restarts among forked workers, one per
+usable CPU (see :mod:`migtensor.workers`). A process that imported numpy
+before the package, or asked the environment for BLAS threads, keeps
+those threads and fits in one process.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .analysis import ComponentReport, DegenerateComponentWarning, gini, rank_components
 from .events import (

@@ -206,7 +206,7 @@ def load_centroids(path, registry: CountryRegistry) -> CentroidTable:
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad coordinates") from exc
         except csv.Error as exc:  # a field past csv's size limit, or a NUL before Python 3.11
-            raise ConfigError(f"{path}:{reader.line_num}: unreadable row ({exc})") from None
+            raise ConfigError(f"{path}:{start}: unreadable row ({exc})") from None
     return CentroidTable(rows, registry)
 
 

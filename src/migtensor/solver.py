@@ -42,8 +42,13 @@ fresh nnz x K temporaries page-fault again on first touch.
 Restarts are independent: ``fit`` draws every start first, then deals
 whole blocks out in contiguous shares, one per worker process
 (``workers.count``, at most one per block), each forked before it
-allocates any scratch. A block is never split, so each process sweeps
-its restarts in the blocks one process would.
+allocates any scratch. There is a worker per CPU in the process's
+affinity mask where a fork is safe: on Linux, from a process with a
+single OS thread. numpy's OpenBLAS keeps that only with
+``OPENBLAS_NUM_THREADS=1``, which importing :mod:`migtensor` sets where
+it is unset; elsewhere every block runs in this process. A block is
+never split, so each process sweeps its restarts in the blocks one
+process would.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 :func:`count` says how many processes may share the work: the CPUs in
 this process's affinity mask (``os.sched_getaffinity``) where a fork is
 safe, else 1. A fork is safe on Linux in a process with a single OS
-thread, since a child holds only the thread that forked it. numpy's
-OpenBLAS starts a thread pool at import unless ``OPENBLAS_NUM_THREADS=1``,
-so a process that imported numpy without it never forks. :func:`run`
+thread, since a child holds only the thread that forked it; where
+``/proc/self/task`` cannot be read, the threads cannot be counted and no
+fork is made. numpy's OpenBLAS starts a thread pool at import unless
+``OPENBLAS_NUM_THREADS=1``, which importing :mod:`migtensor` sets where
+it is unset. :func:`run`
 calls a function on each share: share 0 in this process, each other one
 in a child made by ``os.fork``, which pickles its result back over a pipe.
 """
@@ -14,15 +16,20 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import sys
 
 
 def count() -> int:
     """Processes that may share work: the usable CPUs where a fork is
     safe, else 1."""
-    if sys.platform != "linux" or len(os.listdir("/proc/self/task")) != 1:
+    if sys.platform != "linux":
         return 1
-    return len(os.sched_getaffinity(0))
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: the threads cannot be counted
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
 
 
 def _child(write_end: int, fn, args: tuple) -> None:
@@ -74,9 +81,6 @@ def run(fn, shares: list) -> list:
             results.append(_received(pid, pipe.read()))
         return results
     except BaseException:
-        # imported on this path only: the module's enums hold ~40 KB
-        import signal
-
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise

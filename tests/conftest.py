@@ -11,10 +11,10 @@ from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple, Optional
 
-# numpy single-threaded, as the benchmark runs it: set before numpy is
-# imported, so OpenBLAS starts no thread pool, the test process keeps one
-# OS thread and ``fit`` shares its restarts among forked workers here as
-# it does in a run (a process with threads never forks)
+# numpy single-threaded, as importing migtensor leaves it: set here since
+# this module imports numpy first. OpenBLAS then starts no thread pool, the
+# test process keeps one OS thread and ``fit`` shares its restarts among
+# forked workers here as it does in a run (a process with threads never forks)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

@@ -448,15 +448,19 @@ class TestResolveCountry:
         assert resolve_points([(54.0, -2.0)], table) == ["GB"]
 
     # a quoted code holding a line break spans two lines: before the bad
-    # record (lines 2-3), so record 4 starts on line 5, or in it (lines 4-5)
-    @pytest.mark.parametrize("text, line", [
-        ('country,lat,lon\n"G\nB",54.0,-2.0\nFR,46.0,2.0\nES,abc,-4.0\n', 5),
-        ('country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n"E\nS",abc,-4.0\n', 4),
-    ])
-    def test_load_centroids_names_the_line_a_record_starts_on(self, registry, tmp_path, text, line):
+    # record (lines 2-3), so record 4 starts on line 5, or in it (lines 4-5);
+    # in the last case the record's latitude is past csv's field size limit
+    @pytest.mark.parametrize("text, line, message", [
+        ('country,lat,lon\n"G\nB",54.0,-2.0\nFR,46.0,2.0\nES,abc,-4.0\n', 5, "bad coordinates"),
+        ('country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n"E\nS",abc,-4.0\n', 4, "bad coordinates"),
+        ('country,lat,lon\nGB,54.0,-2.0\n"F\nR",' + "4" * (csv.field_size_limit() + 1) + ",2.0\n",
+         3, "unreadable row"),
+    ], ids=["before", "in it", "in it, too long"])
+    def test_load_centroids_names_the_line_a_record_starts_on(self, registry, tmp_path, text, line,
+                                                              message):
         path = tmp_path / "centroids.csv"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=rf"centroids\.csv:{line}: bad coordinates"):
+        with pytest.raises(ConfigError, match=rf"centroids\.csv:{line}: {message}"):
             load_centroids(path, registry)
 
     def test_load_centroids_header_only_as_the_first_record(self, registry, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -602,14 +603,39 @@ class TestFitWorkers:
         assert trace == expected[1]
         assert (model.O == expected[0].O).all() and (model.weights == expected[0].weights).all()
 
-    @pytest.mark.parametrize("case", ["another OS", "a second thread", "one CPU", "one restart",
-                                      "one block"])
+    # the environment a user's shell gives: no BLAS thread count named, or one
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+    def test_importing_the_package_keeps_numpy_single_threaded(self, preset, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+            solver.__file__)), os.environ.get("PYTHONPATH")]))
+        probe = ("import os; from migtensor import cli, workers; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], "
+                 "workers.count() == len(os.sched_getaffinity(0)))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        openblas, omp, forks = result.stdout.split()
+        assert (openblas, omp) == (threads, "1")  # a value the user set is kept
+        if preset is None:  # the CLI's process keeps one thread: fit may fork a worker per CPU
+            assert forks == "True"
+
+    @pytest.mark.parametrize("case", ["another OS", "no /proc", "a second thread", "one CPU",
+                                      "one restart", "one block"])
     def test_runs_in_process(self, monkeypatch, case):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cfg, stop = self.cfg, threading.Event()
         thread = threading.Thread(target=stop.wait, args=(60,))
         if case == "another OS":
             monkeypatch.setattr(sys, "platform", "darwin")
+        elif case == "no /proc":
+            def listdir(path):
+                raise FileNotFoundError(2, "No such file or directory", path)
+
+            monkeypatch.setattr(os, "listdir", listdir)
         elif case == "a second thread":
             thread.start()
         elif case == "one CPU":
