@@ -10,10 +10,11 @@ numpy runs single-threaded unless the environment says otherwise: the
 package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 where they are unset, before it imports numpy.
 Its BLAS then starts no thread pool, the process keeps a single OS
-thread, and ``fit`` may share its restarts among forked workers, one per
-usable CPU (see :mod:`migtensor.workers`). A process that imported numpy
-before the package, or asked the environment for BLAS threads, keeps
-those threads and fits in one process.
+thread, and ``fit`` and the event parser may share their work among
+forked workers, one per usable CPU (see :mod:`migtensor.workers`). A
+process that imported numpy before the package, or asked the environment
+for BLAS threads, keeps those threads and does all its work in one
+process.
 """
 
 import os

@@ -8,10 +8,12 @@ file values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .ingestion import ConfigError, FilterPolicy, load_json_object, require_int
+from . import ingestion
+from .ingestion import ConfigError, CountryRegistry, FilterPolicy, load_json_object, require_int
 from .residence import MonthCalendar
 from .solver import FitConfig
 
@@ -53,6 +55,12 @@ class PipelineConfig:
     @property
     def calendar(self) -> MonthCalendar:
         return MonthCalendar(self.epoch_year, self.epoch_month, self.months)
+
+    @cached_property
+    def countries(self) -> CountryRegistry:
+        """The registry file's countries, read once per config, so that
+        every stage of one run works with the same registry."""
+        return ingestion.load_registry(self.registry)
 
 
 def _build(raw: dict, base: Path) -> PipelineConfig:

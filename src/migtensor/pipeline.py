@@ -95,11 +95,10 @@ class Stage:
 
 def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
     """Parse the raw stream, resolve geo points, filter users, dump events."""
-    registry = ingestion.load_registry(config.registry)
+    registry = config.countries
     centroids = None if config.centroids is None else ingestion.load_centroids(config.centroids, registry)
-    with open_text(config.input) as fh:
-        table, rejects = events.read_events(fh, config.format, registry, config.calendar.interval(),
-                                            centroids)
+    table, rejects = events.read_events(config.input, config.format, registry,
+                                        config.calendar.interval(), centroids)
     kept, drops = ingestion.filter_table(table, config.filter_policy)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -117,12 +116,11 @@ def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
 
 def _load_events(config: PipelineConfig) -> events.EventTable:
     """The events artifact, which holds only rows ingest kept."""
-    registry = ingestion.load_registry(config.registry)
+    registry = config.countries
     path = config.out_dir / "events.csv"
     interval = config.calendar.interval()
     try:
-        with open_text(path) as fh:
-            table, rejects = events.read_events(fh, "csv", registry, interval)
+        table, rejects = events.read_events(path, "csv", registry, interval)
     except ConfigError:  # a point row, which ingest resolves before writing
         table = None
     if table is None or rejects.total:
@@ -159,33 +157,30 @@ def _bad_events_line(path, interval, registry) -> InputError:
 
 def _residences(config: PipelineConfig, table: events.EventTable) -> tuple[dict, tuple]:
     """Monthly residence of every user of the kept events."""
-    registry = ingestion.load_registry(config.registry)
     filled = residence.residence_matrix(table, config.calendar)
-    residence.write_residence_matrix(table.users, filled, registry, config.out_dir / "residences.csv")
+    residence.write_residence_matrix(table.users, filled, config.countries,
+                                     config.out_dir / "residences.csv")
     return {"users": len(table.users)}, (table.users, filled)
 
 
 def _load_residences(config: PipelineConfig) -> tuple:
-    registry = ingestion.load_registry(config.registry)
-    return residence.read_residences(config.out_dir / "residences.csv", registry, config.months)
+    return residence.read_residences(config.out_dir / "residences.csv", config.countries, config.months)
 
 
 def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, tuple]:
     """Window-k migration detection over the users' residences."""
-    registry = ingestion.load_registry(config.registry)
     users, filled = residences
     moves = residence.detect_all(filled, config.window_k, config.detection_mode)
-    residence.write_migrations(users, moves, registry, config.out_dir / "migrations.csv")
+    residence.write_migrations(users, moves, config.countries, config.out_dir / "migrations.csv")
     return {"migrations": len(moves)}, (users, moves)
 
 
 def _load_migrations(config: PipelineConfig) -> tuple:
-    registry = ingestion.load_registry(config.registry)
-    return residence.read_migrations(config.out_dir / "migrations.csv", registry, config.months)
+    return residence.read_migrations(config.out_dir / "migrations.csv", config.countries, config.months)
 
 
 def _tensorize(config: PipelineConfig, migrations: tuple) -> tuple[dict, tensor.MigrationTensor]:
-    registry = ingestion.load_registry(config.registry)
+    registry = config.countries
     t = tensor.build_tensor(migrations[1], registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
@@ -194,7 +189,7 @@ def _tensorize(config: PipelineConfig, migrations: tuple) -> tuple[dict, tensor.
 
 def _check_dims(config: PipelineConfig, path, kind: str, dims: tuple, stage: str) -> None:
     """Refuse an artifact whose (N, N, M) dims are not the config's."""
-    N, M = len(ingestion.load_registry(config.registry)), config.months
+    N, M = len(config.countries), config.months
     if dims != (N, N, M):
         raise InputError(f"{path}: {kind} of {dims[0]} x {dims[1]} countries x {dims[2]} months "
                          f"does not match the config's {N} countries and {M} months; "
@@ -246,9 +241,8 @@ def _load_model(config: PipelineConfig) -> Optional[solver.FactorModel]:
 
 
 def _analyze(config: PipelineConfig, model: Optional[solver.FactorModel]) -> tuple[dict, None]:
-    registry = ingestion.load_registry(config.registry)
-    reports = [] if model is None else analysis.rank_components(model, registry, config.top_k,
-                                                                 config.n_top)
+    reports = [] if model is None else analysis.rank_components(model, config.countries,
+                                                                 config.top_k, config.n_top)
     analysis.emit_reports(reports, config.calendar, config.out_dir / "reports")
     return {
         "components_reported": len(reports),

@@ -1,4 +1,6 @@
-"""Shares of one computation run in forked worker processes.
+"""Shares of one computation run in forked worker processes: the blocks
+of restarts of ``solver.fit``, and the byte ranges of an input file that
+``events.read_events`` parses.
 
 :func:`count` says how many processes may share the work: the CPUs in
 this process's affinity mask (``os.sched_getaffinity``) where a fork is

@@ -93,6 +93,17 @@ def events_of(table: EventTable, registry=REGISTRY) -> list:
                 table.user.tolist(), table.seconds.tolist(), table.country.tolist())]
 
 
+def assert_same_read(got, expected):
+    """Two ``read_events`` results hold the same table, dtypes and tallies."""
+    (table, stats), (expected_table, expected_stats) = got, expected
+    assert table.users == expected_table.users
+    for column in ("user", "seconds", "country"):
+        got_column, expected_column = getattr(table, column), getattr(expected_table, column)
+        assert got_column.dtype == expected_column.dtype
+        assert np.array_equal(got_column, expected_column)
+    assert stats.counts == expected_stats.counts
+
+
 def residence_rows(rows, months: int) -> np.ndarray:
     """A ``(len(rows), months)`` residence matrix from lists of country
     indices, None unknown."""
@@ -103,6 +114,32 @@ def residence_rows(rows, months: int) -> np.ndarray:
 @pytest.fixture
 def registry():
     return CountryRegistry(CODES)
+
+
+def open_fds() -> list:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def assert_nothing_left(fds: list) -> None:
+    """Only the descriptors ``fds`` are open, and no child is left unreaped."""
+    assert open_fds() == fds  # both pipe ends of every child are closed
+    with pytest.raises(ChildProcessError):  # and every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forks(monkeypatch) -> list:
+    """The children ``os.fork`` makes from here on, as a list of pids."""
+    pids, real = [], os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 def gini_double_loop(values) -> float:

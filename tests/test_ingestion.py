@@ -7,8 +7,11 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migtensor import ingestion
+from migtensor import events, ingestion, workers
 from migtensor.events import (
     BAD_COORDINATES,
     BAD_FIELD_COUNT,
@@ -49,14 +52,17 @@ from migtensor.ingestion import (
     load_registry,
     save_registry,
 )
+from migtensor.synth import load_synth_spec, write_synthetic
 
 from conftest import (
     CODES,
     REGISTRY,
     Event,
+    assert_same_read,
     by_user_time,
     central_angle,
     events_of,
+    forks,
     reference_filter_users,
     reference_parse_events,
     reference_resolve_country,
@@ -67,6 +73,7 @@ from conftest import (
 )
 
 UTC = timezone.utc
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 # a centroid per country of CODES, for the tests that parse points
 CENTROIDS = CentroidTable([("GB", 54.0, -2.0), ("FR", 46.0, 2.0), ("ES", 40.0, -4.0),
                            ("US", 38.0, -97.0), ("KW", 29.5, 47.75), ("DE", 51.0, 9.0)],
@@ -973,3 +980,132 @@ class TestColumnarFilterMatchesReference:
         expected, expected_stats = reference_filter_users(events, policy)
         assert events_of(kept) == expected
         assert stats.as_dict() == expected_stats.as_dict()
+
+
+# rows that each take one path through the rules, for the share tests below
+SHARE_ROWS = [
+    "u1,2014-03-05T10:00:00Z,GB",
+    "u2,2014-03-06T11:00:00Z,fr",
+    "u1,2014-02-01T00:00:00Z,51.5,-0.1",  # a point
+    "u3,2014-13-01T00:00:00Z,ES",  # bad timestamp
+    "u4,2014-03-05T10:00:00Z,XX",  # unknown country
+    "a,b",  # bad field count
+    CSV_HEADER_COUNTRY,  # past the first line a header's text is a data row
+    "é,2014-04-01T00:00:00+02:00,DE",  # a character of two UTF-8 bytes
+    "u2,2013-06-01T00:00:00Z,US",  # out of the interval
+    "u5,2014-05-05T05:05:05Z,KW",
+]
+SHARE_JSONL = [
+    '{"user_id": "u1", "timestamp": "2014-03-05T10:00:00Z", "country": "GB"}',
+    '{"user_id": "u2", "timestamp": "2014-03-06T11:00:00Z", "lat": 46.5, "lon": 2.5}',
+    '{"user_id": "u1", "timestamp": "2014-03-07T11:00:00Z", "country',  # bad JSON
+    '{"timestamp": "2014-03-05T10:00:00Z", "country": "GB"}',  # missing user
+    '{"user_id": "u3", "timestamp": "2014-02-30T00:00:00Z", "country": "ES"}',  # bad timestamp
+    '{"user_id": "u3", "timestamp": "2013-06-01T00:00:00Z", "country": "ES"}',  # out of the interval
+    '{"user_id": "u4", "timestamp": "2014-03-05T10:00:00Z", "lat": 95.0, "lon": 0}',  # off the globe
+    '{"user_id": "u4", "timestamp": "2014-03-05T10:00:00Z", "country": "XX"}',  # unknown country
+    '{"user_id": "u5", "timestamp": "2014-03-05T10:00:00Z", "country": "GB", "lat": 1, "lon": 2}',
+    '',
+    '{"user_id": "é", "timestamp": "2014-04-01T00:00:00Z", "lat": 29.0, "lon": 47.0}',
+]
+# the bytes of small files and their format
+SHARE_STREAMS = {
+    "csv with header": ("".join(f"{row}\n" for row in [CSV_HEADER_COUNTRY, *SHARE_ROWS]), "csv"),
+    "csv without header": ("".join(f"{row}\n" for row in SHARE_ROWS), "csv"),
+    "csv CRLF and CR": ("".join(row + ("\r\n", "\r", "\n")[i % 3] for i, row in enumerate(SHARE_ROWS)),
+                        "csv"),
+    "csv blank lines": ("".join(f"{row}\n" + ("\n", "  \n", "\r\n")[i % 3]
+                                for i, row in enumerate(SHARE_ROWS)), "csv"),
+    "csv no last line feed": ("\n".join(SHARE_ROWS), "csv"),
+    "csv quoted": ('"u,1",2014-03-05T10:00:00Z,GB\n"u""2",2014-03-05T10:00:00Z,"FR"\n'
+                   'u3,"2014-03-05T10:00:00Z","ES"\n"u4,2014-03-05T10:00:00Z,GB\n'
+                   + "".join(f"{row}\n" for row in SHARE_ROWS), "csv"),
+    "jsonl": ("".join(row + ("\n", "\r\n")[i % 2] for i, row in enumerate(SHARE_JSONL)), "jsonl"),
+}
+
+
+def read_in_shares(path, cuts, format, interval=INTERVAL, registry=REGISTRY, centroids=CENTROIDS):
+    """What ``read_events`` returns for the file at ``path`` parsed in one
+    share per byte range between ``cuts``, each through the share parser."""
+    bounds = None if interval is None else tuple(map(events._ceil_seconds, interval))
+    starts = [0, *cuts]
+    return events._joined([events._parse_range(path, start, end, format, registry, bounds, centroids)
+                           for start, end in zip(starts, [*cuts, None])])
+
+
+def line_feed_ends(data: bytes) -> list[int]:
+    """Every offset just after a line feed, short of the end: the cut points."""
+    return [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+
+
+class TestShares:
+    """A file parsed in byte-range shares, cut just after line feeds, gives
+    the table and the tallies of one share."""
+
+    @pytest.mark.parametrize("name", sorted(SHARE_STREAMS))
+    def test_every_cut_parses_as_one_share(self, tmp_path, name):
+        text, format = SHARE_STREAMS[name]
+        data = text.encode()
+        path = tmp_path / "stream"
+        path.write_bytes(data)
+        whole = read_in_shares(path, [], format)
+        # the one share reads as the per-record reference reads the file's lines
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        expected, expected_stats = reference_parse_events(lines, format, INTERVAL, REGISTRY)
+        assert events_of(whole[0]) == reference_resolve_events(expected, CENTROIDS)
+        assert whole[1].as_dict() == expected_stats.as_dict()
+        assert_same_read(read_events(path, format, REGISTRY, INTERVAL, CENTROIDS), whole)
+        if format == "jsonl":
+            assert set(whole[1].counts) == {BAD_JSON, MISSING_FIELD, BAD_TIMESTAMP, OUT_OF_INTERVAL,
+                                            BAD_COORDINATES, UNKNOWN_COUNTRY, BAD_LOCATION}
+        cuts = line_feed_ends(data)
+        assert len(cuts) >= 5
+        for chosen in itertools.chain(itertools.combinations(cuts, 1), itertools.combinations(cuts, 2)):
+            assert_same_read(read_in_shares(path, list(chosen), format), whole)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(csv_streams().map(lambda lines: ("csv", lines)),
+                     st.lists(jsonl_lines(), max_size=25).map(lambda lines: ("jsonl", lines))),
+           st.data())
+    def test_any_cuts_of_any_stream(self, stream, data):
+        format, lines = stream
+        raw = "".join(lines).encode()
+        cuts = data.draw(st.lists(st.sampled_from(line_feed_ends(raw) or [0]), max_size=4)
+                         .map(lambda cuts: sorted(set(cuts) - {0})))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "stream")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            assert_same_read(read_in_shares(path, cuts, format), read_in_shares(path, [], format))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="read_events forks its workers only on Linux")
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_a_file_in_any_number_of_processes(self, tmp_path, monkeypatch, format):
+        # the demo's synthetic stream, as codes or as points with malformed lines
+        registry = load_registry(DEMO / "registry.txt")
+        centroids = load_centroids(DEMO / "centroids.csv", registry)
+        csv_path = tmp_path / "events.csv"
+        write_synthetic(load_synth_spec(DEMO / "synth_tourism.json"), registry, csv_path)
+        path = csv_path
+        if format == "jsonl":
+            path = tmp_path / "events.jsonl"
+            with open(DEMO / "centroids.csv", encoding="utf-8") as fh:
+                point = {row["country"]: (float(row["lat"]), float(row["lon"]))
+                         for row in csv.DictReader(fh)}
+            with open(csv_path, encoding="utf-8") as src, open(path, "w", encoding="utf-8") as out:
+                for i, row in enumerate(csv.DictReader(src)):
+                    lat, lon = point[row["country"]]
+                    line = json.dumps({"user_id": row["user_id"], "timestamp": row["timestamp"],
+                                       "lat": lat + (i % 7) * 0.01, "lon": lon})
+                    out.write((line[:-3] if i % 97 == 0 else line) + "\n")
+        interval = (ts(2013, 1, 1), ts(2016, 1, 1))
+        with open(path, encoding="utf-8") as fh:
+            expected = read_events(fh.readlines(), format, registry, interval, centroids)
+        assert len(expected[0]) > 10000 and (format == "csv" or expected[1].counts[BAD_JSON] > 100)
+        monkeypatch.setattr(events, "MIN_SHARE_BYTES", 1 << 14)
+        pids = forks(monkeypatch)
+        for n in (1, 2, 3, 4):
+            monkeypatch.setattr(workers, "count", lambda n=n: n)
+            before = len(pids)
+            assert_same_read(read_events(path, format, registry, interval, centroids), expected)
+            assert len(events._ranges(path, n)) == n and len(pids) - before == n - 1

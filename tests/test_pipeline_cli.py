@@ -16,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from migtensor import cli, events, ingestion, pipeline, residence, solver, tensor
+from migtensor import cli, events, ingestion, pipeline, residence, solver, tensor, workers
 from migtensor.config import OVERRIDE_KEYS, apply_overrides, load_config
 from migtensor.events import InputError
 from migtensor.ingestion import ConfigError
 from migtensor.tensor import load_tensor
+
+from conftest import assert_nothing_left, assert_same_read, forks, open_fds
 
 REGISTRY = "GB\nFR\nES\nUS\nKW\nDE\n"
 STAGE_NAMES = [name for name, _ in pipeline.STAGES]
@@ -164,7 +166,8 @@ class TestRunPipeline:
         assert err.value.exit_code == 3
 
     def test_run_reads_only_the_raw_input(self, tmp_path, monkeypatch):
-        # each core takes the one before's hand-off: no artifact is read back
+        # each core takes the one before's hand-off: no artifact is read back.
+        # read_events reads a file through _parse_range, one call per share
         config = load_config(write_workspace(tmp_path))
         calls = []
 
@@ -176,16 +179,29 @@ class TestRunPipeline:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for module, name in [(events, "read_events"), (residence, "read_residences"),
+        for module, name in [(events, "_parse_range"), (residence, "read_residences"),
                              (residence, "read_migrations"), (tensor, "load_tensor"),
                              (solver, "load_model")]:
             spy(module, name)
         pipeline.run_pipeline(config, echo=None)
-        assert [(name, Path(source.name)) for name, source in calls] == [("read_events", config.input)]
+        assert calls == [("_parse_range", config.input)]
         # a stage command still loads the artifact of the stage before
         calls.clear()
         pipeline.stage_detect(config)
         assert calls == [("read_residences", config.out_dir / "residences.csv")]
+
+    def test_run_loads_the_registry_once(self, tmp_path, monkeypatch, capsys):
+        # every stage of the run, and every ingest share, works with one registry
+        path = write_geo_workspace(tmp_path)
+        calls, real = [], ingestion.load_registry
+
+        def load(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ingestion, "load_registry", load)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert calls == [(tmp_path / "registry.txt",)]
 
     def test_failure_inside_run_keeps_its_stage_tag(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
@@ -667,6 +683,102 @@ class TestCorruptArtifacts:
 
 # every file a stage reads, by path under the workspace, with the stage
 # command that reads it and the workspace that has the file
+# the fixture's rows for 40 users of each name: an input that ingest deals
+# out in three shares once a share may be as small as 1 KiB
+MANY_ROWS = "user_id,timestamp,country\n" + "".join(
+    f"{row.replace(',', f'{i},', 1)}\n" for i in range(40) for row in sorted(FIXTURE_ROWS))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ingest forks its workers only on Linux")
+class TestIngestShares:
+    """The input dealt out in three shares, two of them parsed in forked
+    children: a share's failure reaches the caller as the failure of a
+    one-share read, and no child or file descriptor is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        monkeypatch.setattr(events, "MIN_SHARE_BYTES", 1 << 10)
+
+    def workspace(self, root, row: bytes, share: int, **config_extra):
+        """The config of a workspace whose input holds ``row`` as a line of
+        share ``share`` of three."""
+        config = load_config(write_workspace(root, MANY_ROWS, **config_extra))
+        data = config.input.read_bytes()
+        ranges = events._ranges(config.input, 3)
+        assert len(ranges) == 3
+        at = data.index(b"\n", ranges[share][0] + 10) + 1
+        config.input.write_bytes(data[:at] + row + data[at:])
+        start, end = events._ranges(config.input, 3)[share]
+        assert start < at and at + len(row) <= (end or len(data) + len(row))
+        return config
+
+    def raised(self, monkeypatch, config, code: int, capsys) -> str:
+        """The error of a one-share read of the config's input, once the same
+        error is shown to reach the caller of a read in three shares and
+        ``ingest`` to exit with ``code``."""
+        errors = []
+        for n in (1, 3):
+            monkeypatch.setattr(workers, "count", lambda n=n: n)
+            with pytest.raises((InputError, ConfigError)) as err:
+                events.read_events(config.input, config.format, config.countries,
+                                   config.calendar.interval())
+            errors.append(err.value)
+        one, three = errors
+        assert type(three) is type(one) and str(three) == str(one)
+        capsys.readouterr()
+        assert cli.main(["ingest", "--config", str(config.input.parent / "config.json")]) == code
+        assert capsys.readouterr().err.strip() == f"error [ingest] {one}"
+        return str(one)
+
+    def test_undecodable_byte_in_the_last_share_exits_3(self, tmp_path, monkeypatch, capsys):
+        config = self.workspace(tmp_path, b"\xff\n", 2)
+        fds = open_fds()
+        assert self.raised(monkeypatch, config, 3, capsys).startswith(f"{config.input}: not UTF-8 text")
+        assert_nothing_left(fds)
+
+    def test_point_without_centroids_in_a_child_share_exits_2(self, tmp_path, monkeypatch, capsys):
+        config = self.workspace(tmp_path, b"zed,2014-03-05T10:00:00Z,51.5,-0.1\n", 1)
+        fds = open_fds()
+        assert "no centroid table" in self.raised(monkeypatch, config, 2, capsys)
+        assert_nothing_left(fds)
+
+    def test_a_child_that_dies_without_a_result_raises(self, tmp_path, monkeypatch):
+        config = load_config(write_workspace(tmp_path, MANY_ROWS))
+        parent, real = os.getpid(), events._parse
+
+        def parse(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(events, "_parse", parse)
+        monkeypatch.setattr(workers, "count", lambda: 3)
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="exited without a result"):
+            events.read_events(config.input, "csv", config.countries)
+        assert_nothing_left(fds)
+
+    def test_a_fifo_is_read_in_one_share_without_a_fork(self, tmp_path, monkeypatch):
+        config = load_config(write_workspace(tmp_path, MANY_ROWS))
+        monkeypatch.setattr(workers, "count", lambda: 3)
+        pids = forks(monkeypatch)
+        expected = events.read_events(config.input, "csv", config.countries)
+        assert len(pids) == 2  # the regular file is read in three shares
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+        fds = open_fds()
+        copy = "import sys; data = open(sys.argv[1], 'rb').read(); open(sys.argv[2], 'wb').write(data)"
+        writer = subprocess.Popen([sys.executable, "-c", copy, config.input, fifo])
+        try:
+            got = events.read_events(fifo, "csv", config.countries)
+        finally:  # the writer has closed the FIFO by the time a read ends
+            writer.kill()
+            writer.wait(timeout=60)
+        assert len(pids) == 2
+        assert_same_read(got, expected)
+        assert_nothing_left(fds)
+
+
 UNDECODABLE = {
     "input": ("events.csv", "ingest", write_workspace),
     "registry": ("registry.txt", "ingest", write_workspace),
@@ -899,16 +1011,19 @@ class TestDemoGoldenDigests:
                    for name, data in artifact_bytes(tmp_path / "out_tourism").items()}
         assert digests == TOURISM_DIGESTS
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    def test_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):
-        # spawned with numpy single-threaded, so that fit may fork a worker
-        # per usable CPU; the one-CPU run pins itself before it starts. Rank
-        # 15 and 30 restarts make two blocks of restarts, so two shares
+    def tourism_workspace(self, root):
         for name in ("registry.txt", "centroids.csv", "synth_tourism.json", "config_tourism.json"):
-            shutil.copy(DEMO / name, tmp_path / name)
-        assert cli.main(["synth", "--spec", str(tmp_path / "synth_tourism.json"),
-                         "--registry", str(tmp_path / "registry.txt"),
-                         "--out-events", str(tmp_path / "tourism_events.csv")]) == 0
+            shutil.copy(DEMO / name, root / name)
+        assert cli.main(["synth", "--spec", str(root / "synth_tourism.json"),
+                         "--registry", str(root / "registry.txt"),
+                         "--out-events", str(root / "tourism_events.csv")]) == 0
+
+    def run_on_all_cpus_and_one(self, root, *args) -> dict:
+        """The artifacts of ``run`` with ``args`` on all usable CPUs and on one.
+
+        Each run is spawned with numpy single-threaded, so that ingest and
+        fit may fork a worker per usable CPU; the one-CPU run pins itself
+        before it starts."""
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, [str(DEMO.parent / "src"), os.environ.get("PYTHONPATH")])))
         pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
@@ -916,14 +1031,45 @@ class TestDemoGoldenDigests:
         for cpus, setup in (("all", ""), ("one", pin)):
             launcher = f"import os, sys; {setup}from migtensor.cli import main; sys.exit(main())"
             result = subprocess.run(
-                [sys.executable, "-c", launcher, "run", "--config", "config_tourism.json",
-                 "--out-dir", f"out_{cpus}", "--rank", "15", "--restarts", "30"],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+                [sys.executable, "-c", launcher, "run", *args, "--out-dir", f"out_{cpus}"],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300)
             assert result.returncode == 0, result.stderr
-            outputs[cpus] = artifact_bytes(tmp_path / f"out_{cpus}")
+            outputs[cpus] = artifact_bytes(root / f"out_{cpus}")
+        return outputs
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):
+        # rank 15 and 30 restarts make two blocks of restarts, so two fit shares
+        self.tourism_workspace(tmp_path)
+        outputs = self.run_on_all_cpus_and_one(tmp_path, "--config", "config_tourism.json",
+                                               "--rank", "15", "--restarts", "30")
         assert outputs["all"] == outputs["one"]
         nnz = load_tensor(tmp_path / "out_one" / "tensor.txt").nnz
         assert 30 > solver._per_block(30, nnz * 15)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_geo_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):
+        # the demo's stream as JSONL points near their centroids, every 50th
+        # line cut short: large enough for ingest to deal out in two shares
+        self.tourism_workspace(tmp_path)
+        with open(DEMO / "centroids.csv", "r", encoding="utf-8") as fh:
+            centroids = {row["country"]: (float(row["lat"]), float(row["lon"]))
+                         for row in csv.DictReader(fh)}
+        with open(tmp_path / "tourism_events.csv", "r", encoding="utf-8") as fh:
+            lines = [json.dumps({"user_id": row["user_id"], "timestamp": row["timestamp"],
+                                 "lat": centroids[row["country"]][0] + i % 5 * 0.1,
+                                 "lon": centroids[row["country"]][1]})
+                     for i, row in enumerate(csv.DictReader(fh))]
+        (tmp_path / "tourism_events.jsonl").write_text(
+            "".join((line[:-2] if i % 50 == 0 else line) + "\n" for i, line in enumerate(lines)))
+        assert len(events._ranges(tmp_path / "tourism_events.jsonl", 2)) == 2
+        config = json.loads((tmp_path / "config_tourism.json").read_text())
+        config.update(input="tourism_events.jsonl", format="jsonl")
+        (tmp_path / "config_geo.json").write_text(json.dumps(config))
+        outputs = self.run_on_all_cpus_and_one(tmp_path, "--config", "config_geo.json")
+        assert outputs["all"] == outputs["one"]
+        stats = json.loads(outputs["one"]["ingest_stats.json"])
+        assert stats["rejects"] == {"bad_json": len(lines[::50])} and stats["events_kept"] > 10000
 
 
 class TestGeoPointsEndToEnd:

@@ -22,10 +22,13 @@ from migtensor.solver import FactorModel, FitConfig, fit, load_model, save_model
 
 from conftest import (
     MODES,
+    assert_nothing_left,
     dense_log_likelihood,
+    forks,
     kernel_log_likelihood,
     kernel_mode_update,
     make_tensor,
+    open_fds,
     random_tensor,
     reference_fit,
     reference_log_likelihood,
@@ -512,10 +515,6 @@ class TestFitMatchesReference:
         assert [trace for _, trace in results] == traces
 
 
-def open_fds() -> list:
-    return sorted(os.listdir("/proc/self/fd"))
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="fit forks its workers only on Linux")
 class TestFitWorkers:
     """Restart shares in forked children: failures, and when ``fit`` forks.
@@ -541,11 +540,6 @@ class TestFitWorkers:
         monkeypatch.setattr(solver, "_fit_block", block)
         monkeypatch.setattr(workers, "count", lambda: 3)
 
-    def assert_nothing_left(self, fds):
-        assert open_fds() == fds  # both pipe ends of every child are closed
-        with pytest.raises(ChildProcessError):  # and every child was reaped
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_a_failing_share_raises_and_leaves_nothing(self, monkeypatch, where):
         def fail():
@@ -555,7 +549,7 @@ class TestFitWorkers:
         fds = open_fds()
         with pytest.raises(ValueError, match=f"share failed in the {where}"):
             fit(self.tensor, self.cfg)
-        self.assert_nothing_left(fds)
+        assert_nothing_left(fds)
 
     def test_a_failing_parent_kills_its_children(self, monkeypatch):
         parent = os.getpid()
@@ -571,33 +565,20 @@ class TestFitWorkers:
         with pytest.raises(ValueError, match="share failed in the parent"):
             fit(self.tensor, self.cfg)
         assert time.monotonic() - start < 30  # the children were killed, not awaited
-        self.assert_nothing_left(fds)
+        assert_nothing_left(fds)
 
     def test_a_child_that_dies_without_a_result_raises(self, monkeypatch):
         self.fail_in(monkeypatch, "child", lambda: os._exit(3))
         fds = open_fds()
         with pytest.raises(ChildProcessError, match="exited without a result"):
             fit(self.tensor, self.cfg)
-        self.assert_nothing_left(fds)
-
-    def forks(self, monkeypatch) -> list:
-        """The forks ``fit`` makes from here on, as a list of pids."""
-        pids, real = [], os.fork
-
-        def counted():
-            pid = real()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
+        assert_nothing_left(fds)
 
     def test_forks_one_child_per_usable_cpu_but_one(self, monkeypatch):
         assert len(os.listdir("/proc/self/task")) == 1, "the suite runs with one OS thread"
         expected = fit(self.tensor, self.cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pids = self.forks(monkeypatch)
+        pids = forks(monkeypatch)
         model, trace = fit(self.tensor, self.cfg)
         assert len(pids) == 2
         assert trace == expected[1]
@@ -644,7 +625,7 @@ class TestFitWorkers:
             cfg = FitConfig(rank=2, max_iters=30, seed=9, restarts=1)
         else:  # the module's budget holds all four restarts in one block
             monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1 << 16)
-        pids = self.forks(monkeypatch)
+        pids = forks(monkeypatch)
         try:
             _, trace = fit(self.tensor, cfg)
         finally:
