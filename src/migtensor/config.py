@@ -63,6 +63,11 @@ class PipelineConfig:
         return ingestion.load_registry(self.registry)
 
 
+# top-level keys passed as given to PipelineConfig's fields of the same name,
+# only where the file holds them: the dataclass keeps the one copy of each default
+_PLAIN_KEYS = ("format", "window_k", "detection_mode", "top_k", "n_top")
+
+
 def _build(raw: dict, base: Path) -> PipelineConfig:
     def path_of(key, required=True):
         value = raw.get(key)
@@ -76,8 +81,7 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
     try:
         epoch = raw["epoch"]
         filter_policy = FilterPolicy(**raw.get("filter", {}))
-        fit_raw = dict(raw.get("fit", {}))
-        fit = FitConfig(**fit_raw)
+        fit = FitConfig(**dict(raw.get("fit", {})))
         return PipelineConfig(
             epoch_year=epoch["year"],
             epoch_month=epoch["month"],
@@ -86,13 +90,9 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
             input=path_of("input"),
             out_dir=path_of("out_dir"),
             centroids=path_of("centroids", required=False),
-            format=raw.get("format", "csv"),
-            window_k=raw.get("window_k", 1),
-            detection_mode=raw.get("detection_mode", "strict"),
             filter_policy=filter_policy,
             fit=fit,
-            top_k=raw.get("top_k", 10),
-            n_top=raw.get("n_top", 5),
+            **{key: raw[key] for key in _PLAIN_KEYS if key in raw},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc

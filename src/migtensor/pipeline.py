@@ -10,9 +10,9 @@ one-shot ``run`` chains the cores and reads no artifact back. It hands
 over the kept :class:`~migtensor.events.EventTable`, the user ids with
 their residence matrix, then with their ``(n, 4)`` migration rows, the
 tensor and the fitted model (None for an empty tensor). Only a file on disk
-can be corrupt or stale, so the loaders hold those checks: an events row that
-ingest would have rejected or left unresolved, and a model that does not fit
-the config's registry and months.
+can be corrupt or stale, so the loaders hold those checks: an events file
+without ingest's header or with a row that ingest would have rejected or left
+unresolved, and a model that does not fit the config's registry and months.
 
 Each stage has one boundary, around its loader and its core alike, that
 turns what they raise into a :class:`StageError` tagged with the stage's
@@ -100,25 +100,31 @@ def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
     table, rejects = events.read_events(config.input, config.format, registry,
                                         config.calendar.interval(), centroids)
     kept, drops = ingestion.filter_table(table, config.filter_policy)
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
-        events.write_events(kept, registry.codes, fh)
     summary = {
         "events_parsed": len(table),
         "events_kept": len(kept),
         "rejects": rejects.as_dict(),
         "filter": drops.as_dict(),
     }
+    del table  # only the kept rows are alive through the write
+
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(config.out_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        events.write_events(kept, registry.codes, fh)
     write_json(config.out_dir / "ingest_stats.json", summary)
     return summary, kept
 
 
 def _load_events(config: PipelineConfig) -> events.EventTable:
-    """The events artifact, which holds only rows ingest kept."""
+    """The events artifact, which holds only rows ingest kept, under the
+    header ingest writes."""
     registry = config.countries
     path = config.out_dir / "events.csv"
     interval = config.calendar.interval()
+    with open_text(path) as fh:
+        first = fh.readline().rstrip("\n")
+    if first != events.CSV_HEADER_COUNTRY:
+        raise events.line_error(path, 1, f"unexpected header {first!r}")
     try:
         table, rejects = events.read_events(path, "csv", registry, interval)
     except ConfigError:  # a point row, which ingest resolves before writing

@@ -20,11 +20,12 @@ every gather, product and row sum runs on two (R, nnz, K) C-order scratch
 buffers that ``fit`` allocates once. Restarts share a block while
 R * nnz * K fits ``BLOCK_ELEMENTS``; a tensor whose nnz * K alone exceeds
 it runs one restart per block, on scratch of one restart's size. A
-restart leaves the block once it converges or turns non-finite. The
-per-sweep likelihood is fused into the time update, which has already
-built O[ii] * D[jj]: the new rates are that product times the new T's
-rows, dotted with the new weights. ``FactorModel`` is built and
-validated once, for the winning restart, not on every update.
+restart leaves the block, at one point of the loop, once it converges,
+turns non-finite or runs out of sweeps. Each objective, the first too, is
+O[ii] * D[jj] times T's rows dotted with the weights; the product is
+gathered before the first and left in scratch by the time update before
+each later one. ``FactorModel`` is built and validated once, for the
+winning restart, not on every update.
 
 Every result has the bits of the plain per-restart formulation
 (fancy-index row gathers, ``.sum`` row sums, ``np.add.at`` scatter).
@@ -210,15 +211,6 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vec[..., None])[..., 0]
 
 
-def _rates(factors, lam: np.ndarray, index, scratch) -> np.ndarray:
-    """Reconstructed rate of every entry, one row per restart."""
-    (O, D, T), (ii, jj, tt), (prod, tmp) = factors, index, scratch
-    _gather(O, ii, prod)
-    prod *= _gather(D, jj, tmp)
-    prod *= _gather(T, tt, tmp)
-    return _matvec(prod, lam)
-
-
 def _mass(factors, lam: np.ndarray) -> np.ndarray:
     """Total reconstructed rate over admissible cells (diagonal excluded)."""
     O, D, T = factors
@@ -241,6 +233,14 @@ def _log_likelihoods(counts: np.ndarray, rates: np.ndarray, mass: np.ndarray) ->
         for r, row in enumerate(rates):
             out[r] = float("-inf") if zero[r] else counts @ np.log(row) - mass[r]
     return out
+
+
+def _objectives(counts: np.ndarray, index, factors, lam: np.ndarray, scratch) -> np.ndarray:
+    """Each restart's negative log-likelihood, from the O[ii] * D[jj] in
+    ``scratch[0]``: its rates cost one gather of T's rows and a multiply."""
+    contrib, tmp = scratch
+    prod = np.multiply(contrib, _gather(factors[2], index[2], tmp), out=tmp)
+    return -_log_likelihoods(counts, _matvec(prod, lam), _mass(factors, lam))
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -340,52 +340,40 @@ def _fit_block(tensor: MigrationTensor, index, starts: list, first: int,
     factors = [np.stack(mats) for mats in zip(*starts)]
     lam = np.ones((R, K))
     bins = [_bins(rows, n, R) for rows, n in zip(index, tensor.dims)]
-    traces = [FitTrace(restart=first + r) for r in range(R)]
-    results = [None] * R
-    active = list(range(R))
+    active = [FitTrace(restart=first + r) for r in range(R)]  # one per slab
+    done = []
 
     def views(n):
         return ([buf[:n * nnz * K].reshape(n, nnz, K) for buf in scratch],
                 [col[:n * nnz] for col in bins])
 
     block_scratch, block_bins = views(R)
-    lls = _log_likelihoods(counts, _rates(factors, lam, index, block_scratch), _mass(factors, lam))
-    objs = [-float(ll) for ll in lls]
-    for trace, obj in zip(traces, objs):
-        trace.objectives.append(obj)
-    rel = [float("inf")] * R
-    for _ in range(config.max_iters):
-        keep = [pos for pos in range(len(active))
-                if math.isfinite(objs[pos]) and rel[pos] > config.rel_tol]
-        for pos, r in enumerate(active):
-            if pos not in keep:
-                traces[r].converged = math.isfinite(objs[pos])
-                results[r] = tuple(mat[pos] for mat in (*factors, lam))
+    contrib, tmp = block_scratch
+    # every later O[ii] * D[jj] is the one the time update leaves in scratch[0]
+    np.multiply(_gather(factors[0], index[0], contrib), _gather(factors[1], index[1], tmp), out=contrib)
+    for sweep in range(config.max_iters + 1):
+        objs = _objectives(counts, index, factors, lam, block_scratch).tolist()
+        keep = []
+        for pos, (trace, obj) in enumerate(zip(active, objs)):
+            prev = trace.objectives[-1] if sweep else math.inf
+            rel = abs(prev - obj) / max(abs(prev), 1.0) if sweep else math.inf
+            trace.objectives.append(obj)
+            trace.n_sweeps = sweep
+            if math.isfinite(obj) and rel > config.rel_tol and sweep < config.max_iters:
+                keep.append(pos)
+            else:
+                trace.converged = math.isfinite(obj) and rel <= config.rel_tol
+                done.append((tuple(mat[pos] for mat in (*factors, lam)), trace))
         if not keep:
             break
         if len(keep) < len(active):
             factors, lam = [mat[keep] for mat in factors], lam[keep]
-            active, objs, rel = ([seq[pos] for pos in keep] for seq in (active, objs, rel))
-            block_scratch, block_bins = views(len(active))
+            active = [active[pos] for pos in keep]
+            block_scratch, block_bins = views(len(keep))
         for m in range(3):
             factors[m], lam = _update(counts, index, factors, lam, m, a, b,
                                       block_scratch, block_bins[m])
-        # the time update left O[ii] * D[jj] in scratch[0], the product that
-        # _rates builds first, so the new rates cost one gather and a multiply
-        contrib, tmp = block_scratch
-        prod = np.multiply(contrib, _gather(factors[2], index[2], tmp), out=tmp)
-        lls = _log_likelihoods(counts, _matvec(prod, lam), _mass(factors, lam))
-        for pos, r in enumerate(active):
-            new_obj = -float(lls[pos])
-            traces[r].objectives.append(new_obj)
-            traces[r].n_sweeps += 1
-            rel[pos] = abs(objs[pos] - new_obj) / max(abs(objs[pos]), 1.0)
-            objs[pos] = new_obj
-    else:
-        for pos, r in enumerate(active):
-            traces[r].converged = rel[pos] <= config.rel_tol
-            results[r] = tuple(mat[pos] for mat in (*factors, lam))
-    return list(zip(results, traces))
+    return sorted(done, key=lambda item: item[1].restart)
 
 
 def _per_block(restarts: int, size: int) -> int:

@@ -293,25 +293,29 @@ def kernel_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) -> 
 
 
 def kernel_log_likelihood(tensor, model) -> float:
-    """``solver._log_likelihoods`` of ``solver._rates``, the objective ``fit``
-    starts each restart from, on a block of one restart."""
+    """Minus ``solver._objectives``, the objective ``fit`` tracks, on a
+    block of one restart. Its O[ii] * D[jj] is the one the time update
+    ``solver._update`` leaves in scratch, whose result is dropped."""
     factors, lam, scratch = _one_restart(tensor, model)
-    rates = solver._rates(factors, lam, solver._index_columns(tensor), scratch)
-    return float(solver._log_likelihoods(tensor.counts, rates, solver._mass(factors, lam))[0])
+    index = solver._index_columns(tensor)
+    solver._update(tensor.counts, index, factors, lam, 2, 1.0, 0.0, scratch,
+                   solver._bins(index[2], tensor.dims[2], 1))
+    return -float(solver._objectives(tensor.counts, index, factors, lam, scratch)[0])
 
 
 def reference_fit(tensor, config):
     """``solver.fit`` as one restart after another on the reference kernels.
 
     Returns the winner's normalized, sorted model and trace, then every
-    restart's trace.
+    restart's final model, not normalized, and trace.
     """
-    def key(trace):  # finite final objectives first, lowest first
-        return (not math.isfinite(trace.objectives[-1]), trace.objectives[-1])
+    def key(item):  # finite final objectives first, lowest first
+        final = item[1].objectives[-1]
+        return (not math.isfinite(final), final)
 
     rng = np.random.default_rng(config.seed)
     N1, N2, M = tensor.dims
-    best_model, best_trace, traces = None, None, []
+    restarts = []
     for restart in range(config.restarts):
         model = FactorModel(rng.uniform(0.1, 1.1, size=(N1, config.rank)),
                             rng.uniform(0.1, 1.1, size=(N2, config.rank)),
@@ -337,10 +341,10 @@ def reference_fit(tensor, config):
             obj = new_obj
         else:
             trace.converged = rel_change <= config.rel_tol
-        traces.append(trace)
-        if best_trace is None or key(trace) < key(best_trace):
-            best_model, best_trace = model, trace
-    return best_model.normalized().sorted_by_weight(), best_trace, traces
+        restarts.append((model, trace))
+    # min keeps the first of equal keys: ties go to the earliest restart
+    best_model, best_trace = min(restarts, key=key)
+    return best_model.normalized().sorted_by_weight(), best_trace, restarts
 
 
 def reference_resolve_country(point, table) -> str:

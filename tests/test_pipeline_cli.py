@@ -664,6 +664,22 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "[residences]" in err and f"{target}:3: events artifact" in err
 
+    # an events.csv without the header line ingest writes: its first line
+    # removed, or no line at all
+    @pytest.mark.parametrize("headerless", [lambda lines: lines[1:], lambda lines: []],
+                             ids=["first line removed", "0 bytes"])
+    def test_events_without_header_exits_3(self, tmp_path, capsys, headerless):
+        path = write_workspace(tmp_path)
+        run_stages_before("residences", path)
+        target = tmp_path / "out" / "events.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(headerless(lines)))
+        capsys.readouterr()
+        assert cli.main(["residences", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[residences]" in err and f"{target}:1: unexpected header" in err
+        assert not (tmp_path / "out" / "residences.csv").exists()
+
     # a rejected events.csv row names its line and its reject reason, also
     # past the first parse block
     @pytest.mark.parametrize("row, reason", [("alice,2014-02-30T12:00:00Z,GB", "bad_timestamp"),

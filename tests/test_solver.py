@@ -409,7 +409,7 @@ class TestFit:
         # 31 times (start + its 30 sweeps)
         assert evaluated == [2, 2, 2] + [1] * 28
         # dropping restart 0 from the block changed none of restart 1's bits
-        assert trace.objectives == reference_fit(tensor, cfg)[2][1].objectives
+        assert trace.objectives == reference_fit(tensor, cfg)[2][1][1].objectives
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_non_finite_objective_ends_restart_unconverged(self, monkeypatch, bad):
@@ -446,10 +446,10 @@ class TestFit:
 def assert_fit_matches_reference(tensor, cfg):
     """``fit`` returns the bits of one-restart-at-a-time ``reference_fit``."""
     model, trace = fit(tensor, cfg)
-    expected_model, expected, traces = reference_fit(tensor, cfg)
+    expected_model, expected, restarts = reference_fit(tensor, cfg)
     assert_same_bits(model, expected_model)
     assert trace == expected
-    return traces
+    return restarts
 
 
 @st.composite
@@ -491,11 +491,15 @@ class TestFitMatchesReference:
     # nnz * K below the module's budget (blocks of 4, 4 and 2 restarts) and
     # above it (one restart per block); a budget of 1 runs one restart per
     # block. Worker counts: in-process, two shares and more workers than
-    # restarts (one block each)
+    # restarts (one block each). The restarts of the first setting converge
+    # after 21 to 34 sweeps; with 27 sweeps, restart 5 first reaches rel_tol
+    # on the last one and restarts 0, 6, 7 and 9 run out above it
     @pytest.mark.parametrize("budget", [solver.BLOCK_ELEMENTS, 1])
     @pytest.mark.parametrize("n", [1, 2, 13])
     @pytest.mark.parametrize("dims, nnz, cfg", [
         ((20, 20, 8), 2000, FitConfig(rank=8, max_iters=40, rel_tol=1e-3, seed=3, restarts=10)),
+        ((20, 20, 8), 2000, FitConfig(rank=8, max_iters=27, rel_tol=1e-3, seed=3, restarts=10)),
+        ((20, 20, 8), 2000, FitConfig(rank=8, max_iters=1, rel_tol=1e-3, seed=3, restarts=2)),
         ((30, 30, 16), 4400, FitConfig(rank=16, max_iters=3, seed=4, restarts=2,
                                       prior_shape=1.2, prior_rate=0.1)),
     ])
@@ -504,15 +508,20 @@ class TestFitMatchesReference:
         tensor = random_tensor(rng, dims, nnz)
         monkeypatch.setattr(solver, "BLOCK_ELEMENTS", budget)
         monkeypatch.setattr(workers, "count", lambda: n)
-        traces = assert_fit_matches_reference(tensor, cfg)
+        restarts = assert_fit_matches_reference(tensor, cfg)
+        traces = [trace for _, trace in restarts]
         if cfg.restarts > 2:
             # restarts left the block at different sweeps
             assert len({t.n_sweeps for t in traces}) > 1
-        # every restart, not only the winner, has the sequential trace
+        if cfg.max_iters == 27:
+            assert [(t.n_sweeps, t.converged) for t in traces[5:7]] == [(27, True), (27, False)]
+        # every restart, not only the winner, has the sequential bits and trace
         stream = np.random.default_rng(cfg.seed)
         starts = [solver._draw_factors(dims, cfg.rank, stream) for _ in range(cfg.restarts)]
         results = solver._fit_shares(tensor, starts, cfg, n)
         assert [trace for _, trace in results] == traces
+        for (got, _), (expected, _) in zip(results, restarts):
+            assert_same_bits(FactorModel(*got), expected)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fit forks its workers only on Linux")
