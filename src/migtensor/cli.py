@@ -1,14 +1,19 @@
 """Subcommand CLI for the migration tensor pipeline.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 numerical
-failure.
+failure. The ``migtensor`` command and ``python -m migtensor.cli`` both
+leave through :func:`hard_exit`, which flushes stdout and stderr and ends
+the process without interpreter teardown; every artifact file is closed
+by then. :func:`main` returns its code, for callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import pipeline, synth
 from .config import DETECTION_MODES, FORMATS, OVERRIDE_KEYS, apply_overrides, load_config
@@ -104,5 +109,30 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def hard_exit(code: int) -> NoReturn:
+    """End the process with ``code`` once stdout and stderr are flushed,
+    skipping the teardown that frees every module and object one by one.
+    A stdout that cannot be flushed (its reader has closed the pipe) ends
+    with 120, the code CPython gives then, but quietly."""
+    try:
+        sys.stdout.flush()
+    except (OSError, ValueError):
+        code = 120
+    try:
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
+    os._exit(code)
+
+
+def console_main() -> NoReturn:
+    """The ``migtensor`` command: :func:`main`, through :func:`hard_exit`."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    hard_exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -81,7 +81,7 @@ def _build(raw: dict, base: Path) -> PipelineConfig:
     try:
         epoch = raw["epoch"]
         filter_policy = FilterPolicy(**raw.get("filter", {}))
-        fit = FitConfig(**dict(raw.get("fit", {})))
+        fit = FitConfig(**raw.get("fit", {}))
         return PipelineConfig(
             epoch_year=epoch["year"],
             epoch_month=epoch["month"],

@@ -40,6 +40,17 @@ starting from 0.0. The likelihood's ``counts @ log(rates)`` stays one dot
 per restart. Scratch is reused rather than allocated per call because
 fresh nnz x K temporaries page-fault again on first touch.
 
+The tensor's entries are sorted by origin, and ``np.bincount`` over
+sorted rows stalls: each add into a bin waits for the add before it into
+the same bin. So the origin and destination updates sweep the nonzeros
+dealt out by their own rows (``_sweep_orders``, built once per fit):
+every row's first entry, then every row's second, and so on, so that
+neighbouring adds go to different bins. A row keeps its entries in entry
+order, so each bin adds the same terms in the same order and the bits do
+not change. The time update and the objective keep the tensor's order:
+the time update leaves the O[ii] * D[jj] that the objective reads, and
+the objective's dot sums in entry order.
+
 Restarts are independent: ``fit`` draws every start first, then deals
 whole blocks out in contiguous shares, one per worker process
 (``workers.count``, at most one per block), each forked before it
@@ -193,9 +204,29 @@ def _gather(mat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(mat, idx, axis=1, out=out, mode="clip")
 
 
-def _index_columns(tensor: MigrationTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origin, destination and month index of every entry, each contiguous."""
-    return tuple(np.ascontiguousarray(col) for col in tensor.coords.T)
+def _dealt(rows: np.ndarray) -> np.ndarray:
+    """The entries in the order that deals ``rows`` out in turn: every row's
+    first entry, then every row's second, and so on, rows ascending within
+    a turn. Each row keeps its own entries in entry order, and no row comes
+    twice in a row while two or more rows have entries left."""
+    by_row = np.argsort(rows, kind="stable")
+    sizes = np.bincount(rows)
+    turn = np.empty_like(rows)
+    turn[by_row] = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[rows[by_row]]
+    return np.lexsort((rows, turn))
+
+
+def _sweep_orders(tensor: MigrationTensor) -> list[tuple[np.ndarray, tuple]]:
+    """Each mode update's counts and (origin, destination, month) index
+    columns, each contiguous: the origin and destination updates see the
+    entries in the ``_dealt`` order of their own rows, the time update and
+    the objective in the tensor's own."""
+    index = tuple(np.ascontiguousarray(col) for col in tensor.coords.T)
+    orders = []
+    for rows in index[:2]:
+        perm = _dealt(rows)
+        orders.append((tensor.counts[perm], tuple(col[perm] for col in index)))
+    return orders + [(tensor.counts, index)]
 
 
 def _bins(rows: np.ndarray, n: int, R: int) -> np.ndarray:
@@ -325,21 +356,23 @@ def _restart_key(trace: FitTrace) -> tuple[bool, float]:
     return (not math.isfinite(final), final)
 
 
-def _fit_block(tensor: MigrationTensor, index, starts: list, first: int,
+def _fit_block(tensor: MigrationTensor, orders, starts: list, first: int,
                config: FitConfig, scratch) -> list[tuple[tuple, FitTrace]]:
     """Sweep a block of restarts together: each one's (O, D, T, weights) and trace.
 
-    ``starts`` holds the block's (O, D, T) draws, ``first`` the number of
-    its first restart and ``scratch`` two flat buffers of at least
-    len(starts) * nnz * K elements. Restart r reads and writes slab r of
+    ``orders`` holds each mode update's counts and index columns
+    (``_sweep_orders``), ``starts`` the block's (O, D, T) draws, ``first``
+    the number of its first restart and ``scratch`` two flat buffers of at
+    least len(starts) * nnz * K elements. Restart r reads and writes slab r of
     every stacked array only, so dropping a finished restart from the
     active set changes no other restart's bits.
     """
     R, nnz, K = len(starts), tensor.nnz, config.rank
-    a, b, counts = config.prior_shape, config.prior_rate, tensor.counts
+    a, b = config.prior_shape, config.prior_rate
+    counts, index = orders[2]
     factors = [np.stack(mats) for mats in zip(*starts)]
     lam = np.ones((R, K))
-    bins = [_bins(rows, n, R) for rows, n in zip(index, tensor.dims)]
+    bins = [_bins(orders[m][1][m], n, R) for m, n in enumerate(tensor.dims)]
     active = [FitTrace(restart=first + r) for r in range(R)]  # one per slab
     done = []
 
@@ -371,7 +404,7 @@ def _fit_block(tensor: MigrationTensor, index, starts: list, first: int,
             active = [active[pos] for pos in keep]
             block_scratch, block_bins = views(len(keep))
         for m in range(3):
-            factors[m], lam = _update(counts, index, factors, lam, m, a, b,
+            factors[m], lam = _update(*orders[m], factors, lam, m, a, b,
                                       block_scratch, block_bins[m])
     return sorted(done, key=lambda item: item[1].restart)
 
@@ -382,7 +415,7 @@ def _per_block(restarts: int, size: int) -> int:
     return max(1, min(restarts, BLOCK_ELEMENTS // max(size, 1)))
 
 
-def _fit_share(tensor: MigrationTensor, index, starts: list, first: int,
+def _fit_share(tensor: MigrationTensor, orders, starts: list, first: int,
                config: FitConfig) -> list[tuple[tuple, FitTrace]]:
     """``_fit_block`` over restarts ``first``, ``first + 1``, ... drawn as
     ``starts``, in blocks of ``_per_block`` restarts, on one scratch pair
@@ -392,7 +425,7 @@ def _fit_share(tensor: MigrationTensor, index, starts: list, first: int,
     scratch = (np.empty(per_block * size), np.empty(per_block * size))
     out = []
     for lo in range(0, len(starts), per_block):
-        out += _fit_block(tensor, index, starts[lo:lo + per_block], first + lo, config, scratch)
+        out += _fit_block(tensor, orders, starts[lo:lo + per_block], first + lo, config, scratch)
     return out
 
 
@@ -400,12 +433,12 @@ def _fit_shares(tensor: MigrationTensor, starts: list, config: FitConfig,
                 n: int) -> list[tuple[tuple, FitTrace]]:
     """Every restart's result and trace, in restart order. The blocks are
     cut into at most ``n`` contiguous shares, each run in its own process."""
-    index = _index_columns(tensor)
+    orders = _sweep_orders(tensor)
     per_block = _per_block(len(starts), tensor.nnz * config.rank)
     blocks = -(-len(starts) // per_block)
     n = min(n, blocks)
     cuts = [min(len(starts), per_block * (blocks * w // n)) for w in range(n + 1)]
-    shares = [(tensor, index, starts[lo:hi], lo, config) for lo, hi in zip(cuts, cuts[1:])]
+    shares = [(tensor, orders, starts[lo:hi], lo, config) for lo, hi in zip(cuts, cuts[1:])]
     return [item for share in workers.run(_fit_share, shares) for item in share]
 
 

@@ -282,12 +282,12 @@ def _one_restart(tensor, model):
 
 def kernel_mode_update(tensor, model, mode, prior_shape=1.0, prior_rate=0.0) -> FactorModel:
     """``solver._update`` of factor matrix ``mode``, as ``fit`` runs it, on a
-    block of one restart."""
+    block of one restart: over the entries in that mode's sweep order."""
     m = MODES.index(mode)
     factors, lam, scratch = _one_restart(tensor, model)
-    index = solver._index_columns(tensor)
+    counts, index = solver._sweep_orders(tensor)[m]
     bins = solver._bins(index[m], tensor.dims[m], 1)
-    factors[m], lam = solver._update(tensor.counts, index, factors, lam, m,
+    factors[m], lam = solver._update(counts, index, factors, lam, m,
                                      prior_shape, prior_rate, scratch, bins)
     return FactorModel(*(mat[0] for mat in factors), lam[0])
 
@@ -297,10 +297,10 @@ def kernel_log_likelihood(tensor, model) -> float:
     block of one restart. Its O[ii] * D[jj] is the one the time update
     ``solver._update`` leaves in scratch, whose result is dropped."""
     factors, lam, scratch = _one_restart(tensor, model)
-    index = solver._index_columns(tensor)
-    solver._update(tensor.counts, index, factors, lam, 2, 1.0, 0.0, scratch,
+    counts, index = solver._sweep_orders(tensor)[2]
+    solver._update(counts, index, factors, lam, 2, 1.0, 0.0, scratch,
                    solver._bins(index[2], tensor.dims[2], 1))
-    return -float(solver._objectives(tensor.counts, index, factors, lam, scratch)[0])
+    return -float(solver._objectives(counts, index, factors, lam, scratch)[0])
 
 
 def reference_fit(tensor, config):

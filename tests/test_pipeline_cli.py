@@ -39,6 +39,19 @@ for month, country in [(m, "US") for m in range(4)] + [(m, "KW") for m in range(
 FIXTURE_CSV = "user_id,timestamp,country\n" + "\n".join(sorted(FIXTURE_ROWS)) + "\n"
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def console_script_target() -> str:
+    """The ``module:function`` of the ``migtensor`` script in pyproject.toml."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["migtensor"]
+
+
 def write_workspace(root, input_text=FIXTURE_CSV, **config_extra):
     (root / "registry.txt").write_text(REGISTRY)
     (root / "events.csv").write_text(input_text)
@@ -407,6 +420,15 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"error [config] bad config: {next(iter(fit))} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, pairs", [
+        ("filter", [["min_events_total", 5], ["min_active_months", 2]]),
+        ("fit", [["rank", 3], ["restarts", 1]])])
+    def test_block_given_as_list_of_pairs_exits_2(self, tmp_path, capsys, block, pairs):
+        path = write_workspace(tmp_path, **{block: pairs})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "error [config] bad config:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_prior_exits_2(self, tmp_path, capsys):
         path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100,
                                               "seed": 0, "prior_shape": float("nan")})
@@ -531,18 +553,11 @@ class TestCli:
         # The `migtensor` entry point declared in pyproject.toml, run the way
         # an installer's generated launcher runs it, against this checkout's
         # src/; and the installed script too, wherever one is on PATH.
-        if sys.version_info >= (3, 11):
-            import tomllib
-        else:
-            tomllib = pytest.importorskip("tomli")
-        repo = Path(__file__).resolve().parent.parent
-        with open(repo / "pyproject.toml", "rb") as fh:
-            target = tomllib.load(fh)["project"]["scripts"]["migtensor"]
-        module, attr = target.split(":")
+        module, attr = console_script_target().split(":")
         launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         runs = [([sys.executable, "-c", launcher, "--help"], env)]
         installed = shutil.which("migtensor")
         if installed:
@@ -1086,6 +1101,92 @@ class TestDemoGoldenDigests:
         assert outputs["all"] == outputs["one"]
         stats = json.loads(outputs["one"]["ingest_stats.json"])
         assert stats["rejects"] == {"bad_json": len(lines[::50])} and stats["events_kept"] > 10000
+
+
+# what the demo tourism `run` prints
+TOURISM_SUMMARY = """\
+users kept:      547
+events kept:     14515
+migrations:      368
+tensor nnz:      198 (total 368)
+final objective: 485.693127
+top ginis:       [0.922414, 0.803555, 0.789766, 0.661374, 0.637254]
+"""
+
+
+class TestEntryPoints:
+    """``python -m migtensor.cli`` and the ``migtensor`` console script, each
+    run as its own process the way a shell runs it, leave through
+    ``cli.hard_exit``: what they print and write is all there, with the
+    exit code ``main`` returns."""
+
+    @pytest.fixture(params=["module", "script"])
+    def command(self, request, tmp_path_factory) -> list:
+        if request.param == "module":
+            return [sys.executable, "-m", "migtensor.cli"]
+        # the launcher an installer writes for the console script
+        module, attr = console_script_target().split(":")
+        launcher = tmp_path_factory.mktemp("bin") / "migtensor"
+        launcher.write_text(
+            f"import re\nimport sys\nfrom {module} import {attr}\n"
+            "if __name__ == '__main__':\n"
+            "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+            f"    sys.exit({attr}())\n")
+        return [sys.executable, str(launcher)]
+
+    @staticmethod
+    def spawn(command, *args, cwd=None, stdout=subprocess.PIPE):
+        # stdout block-buffered, as in a shell pipeline, so that what a
+        # command prints is still buffered when it exits
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([*command, *map(str, args)], cwd=cwd, env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+
+    def test_demo_run_prints_its_summary_and_writes_the_golden_bytes(self, command, tmp_path):
+        for name in ("registry.txt", "centroids.csv", "synth_tourism.json", "config_tourism.json"):
+            shutil.copy(DEMO / name, tmp_path / name)
+        synth = self.spawn(command, "synth", "--spec", "synth_tourism.json", "--registry",
+                           "registry.txt", "--out-events", "tourism_events.csv", cwd=tmp_path)
+        assert (synth.returncode, synth.stderr) == (0, "")
+        assert json.loads(synth.stdout)["events"] == 14681
+        result = self.spawn(command, "run", "--config", "config_tourism.json", cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == TOURISM_SUMMARY
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in artifact_bytes(tmp_path / "out_tourism").items()}
+        assert digests == TOURISM_DIGESTS
+
+    def test_bad_config_exits_2_with_its_message(self, command, tmp_path):
+        path = write_workspace(tmp_path, fit=[["rank", 3], ["restarts", 1]])
+        result = self.spawn(command, "run", "--config", path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [config] bad config: ")
+        assert result.stderr.count("\n") == 1 and result.stdout == ""
+
+    def test_help_exits_0_with_its_text(self, command):
+        result = self.spawn(command, "--help")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: migtensor ")
+        assert "Turn geo-tagged event streams into migration count tensors" in result.stdout
+        assert "synth" in result.stdout
+
+    def test_closed_stdout_exits_120_without_a_traceback(self, command, tmp_path):
+        # a pipe whose reader is gone before the command writes: CPython's
+        # own exit gives 120 when it cannot flush stdout, with a message
+        path = write_workspace(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            plain = self.spawn([sys.executable, "-c", "import sys; from migtensor.cli import main; "
+                                "sys.exit(main())"], "--help", stdout=write_end)
+            results = [self.spawn(command, "--help", stdout=write_end),
+                       self.spawn(command, "run", "--config", path, stdout=write_end)]
+        finally:
+            os.close(write_end)
+        assert plain.returncode == 120 and "BrokenPipeError" in plain.stderr
+        assert [(r.returncode, r.stderr) for r in results] == [(120, ""), (120, "")]
+        assert (tmp_path / "out" / "run_summary.json").exists()
 
 
 class TestGeoPointsEndToEnd:

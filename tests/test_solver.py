@@ -475,6 +475,46 @@ def fit_problems(draw):
     return make_tensor((N, N, M), cells), cfg, budget, n
 
 
+class TestDealtOrder:
+    """The order in which the origin and destination updates see the entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=80))
+    @example([])
+    @example([3])
+    @example([0, 0, 0, 1, 2, 2])
+    @example([5] * 9 + [1, 4] + [5] * 3)
+    def test_deals_each_row_in_turn_keeping_its_entry_order(self, values):
+        rows = np.array(values, dtype=np.int64)
+        order = solver._dealt(rows).tolist()
+        assert sorted(order) == list(range(len(rows)))
+        for row in set(values):
+            # each row's entries come in entry order
+            mine = [pos for pos in order if values[pos] == row]
+            assert mine == sorted(mine)
+        dealt = [values[pos] for pos in order]
+        for p in range(len(dealt) - 1):
+            if len(set(dealt[p:])) >= 2:
+                assert dealt[p] != dealt[p + 1], (dealt, p)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("budget", [solver.BLOCK_ELEMENTS, 1])
+    def test_fit_with_one_row_holding_most_entries(self, n, budget, monkeypatch):
+        # origin 0 sends to every destination in every month and the other
+        # origins send a few moves, so its dealt order ends in a long run
+        # of origin 0's entries alone
+        rng = np.random.default_rng(35)
+        cells = {(0, j, t): int(rng.integers(1, 30)) for j in range(1, 8) for t in range(12)}
+        cells.update({(i, (i + 1) % 8, 3 * i % 12): 2 for i in range(1, 8)})
+        tensor = make_tensor((8, 8, 12), cells)
+        tail = tensor.coords[solver._dealt(np.ascontiguousarray(tensor.coords[:, 0])), 0][-70:]
+        assert not tail.any()
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(workers, "count", lambda: n)
+        assert_fit_matches_reference(tensor, FitConfig(rank=3, max_iters=40, rel_tol=1e-5,
+                                                       seed=8, restarts=3, prior_rate=0.1))
+
+
 class TestFitMatchesReference:
     """Batched restarts, in any number of worker processes, return exactly
     the bits of sequential ones."""
