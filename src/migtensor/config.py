@@ -107,10 +107,9 @@ def load_config(path) -> PipelineConfig:
 _PLAIN_OVERRIDES = ("input", "format", "out_dir", "window_k", "detection_mode", "top_k", "n_top")
 _FIT_OVERRIDES = ("rank", "seed", "restarts", "max_iters", "rel_tol")
 OVERRIDE_KEYS = (*_PLAIN_OVERRIDES, *_FIT_OVERRIDES)
-# conversions of the fields that get one; every other value reaches the
-# dataclasses' checks as given, as a config file's value does
-_CONVERSIONS = {"input": Path, "format": str, "out_dir": Path, "detection_mode": str,
-                "rel_tol": float}
+# overrides made paths; every other value reaches the dataclasses' checks
+# as given, as a config file's value does
+_PATH_OVERRIDES = ("input", "out_dir")
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
@@ -121,12 +120,11 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
             continue
         if key not in OVERRIDE_KEYS:
             raise ConfigError(f"unknown override {key!r}")
-        if key in _CONVERSIONS:
-            value = _CONVERSIONS[key](value)
         (fit_kwargs if key in _FIT_OVERRIDES else plain)[key] = value
     try:
+        plain.update((key, Path(plain[key])) for key in _PATH_OVERRIDES if key in plain)
         if fit_kwargs:
             plain["fit"] = replace(config.fit, **fit_kwargs)
         return replace(config, **plain) if plain else config
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad override: {exc}") from exc

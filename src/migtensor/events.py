@@ -115,7 +115,7 @@ def read_header(fh: TextIO, path, tag: str, n: int, kind: str) -> tuple[int, ...
     fields = fh.readline().split()
     # 19 digits or more are past int64, and may be past int()'s digit limit
     if fields[:2] != ["#", tag] or len(fields) != n + 2 or not all(
-            x.isdecimal() and len(x) < 19 for x in fields[2:]):
+            x.isascii() and x.isdecimal() and len(x) < 19 for x in fields[2:]):
         raise line_error(path, 1, f"malformed {kind} header")
     return tuple(map(int, fields[2:]))
 

@@ -27,6 +27,14 @@ def require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """The one rule for real-valued settings: ``value`` must be an ``int``
+    or a float (numpy's too), so a boolean or a string is a
+    :class:`ConfigError`, never read as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 class CountryRegistry:
     """Ordered set of country codes; line order defines tensor indices."""
 
@@ -34,6 +42,9 @@ class CountryRegistry:
         self.codes = [c.strip().upper() for c in codes]
         if any(not c for c in self.codes):
             raise ConfigError("registry contains an empty country code")
+        for c in self.codes:
+            if not c.isprintable():
+                raise ConfigError(f"registry holds a country code that is not printable: {c!r}")
         if len(self.codes) > _MAX_CODES:
             raise ConfigError(f"registry holds {len(self.codes)} country codes, more than {_MAX_CODES}")
         self.index = {c: i for i, c in enumerate(self.codes)}

@@ -17,7 +17,7 @@ sweep over sweep; a>1 / b>0 adds Gamma(a, b) MAP smoothing.
 ``fit`` sweeps a block of restarts together: their factors are stacked
 as (R, N, K), (R, N, K) and (R, M, K) arrays plus (R, K) weights, and
 every gather, product and row sum runs on two (R, nnz, K) C-order scratch
-buffers that ``fit`` allocates once. Restarts share a block while
+buffers that each process allocates once. Restarts share a block while
 R * nnz * K fits ``BLOCK_ELEMENTS``; a tensor whose nnz * K alone exceeds
 it runs one restart per block, on scratch of one restart's size. A
 restart leaves the block, at one point of the loop, once it converges,
@@ -51,12 +51,12 @@ not change. The time update and the objective keep the tensor's order:
 the time update leaves the O[ii] * D[jj] that the objective reads, and
 the objective's dot sums in entry order.
 
-Restarts are independent: ``fit`` draws every start first, then deals
-whole blocks out in contiguous shares, one per worker process
-(``workers.count``, at most one per block), each forked before it
-allocates any scratch. There is a worker per CPU in the process's
-affinity mask where a fork is safe: on Linux, from a process with a
-single OS thread. numpy's OpenBLAS keeps that only with
+Restarts are independent: ``_restarts`` draws every start first, cuts
+the blocks once, then deals them out whole in contiguous shares, one per
+worker process (``workers.count``, at most one per block), each forked
+before it allocates any scratch. There is a worker per CPU in the
+process's affinity mask where a fork is safe: on Linux, from a process
+with a single OS thread. numpy's OpenBLAS keeps that only with
 ``OPENBLAS_NUM_THREADS=1``, which importing :mod:`migtensor` sets where
 it is unset; elsewhere every block runs in this process. A block is
 never split, so each process sweeps its restarts in the blocks one
@@ -75,7 +75,7 @@ import numpy as np
 
 from . import workers
 from .events import line_error, open_text, read_header
-from .ingestion import require_int
+from .ingestion import require_int, require_real
 from .tensor import MigrationTensor
 
 # floor applied to reconstructed rates inside update ratios; factor entries
@@ -158,6 +158,8 @@ class FitConfig:
     def __post_init__(self):
         for name in ("rank", "max_iters", "restarts", "seed"):
             require_int(name, getattr(self, name))
+        for name in ("rel_tol", "prior_shape", "prior_rate"):
+            require_real(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.rank < 1:
@@ -314,24 +316,19 @@ def _update(counts: np.ndarray, index, factors, lam: np.ndarray, mode: int,
     Returns the new (R, n, K) matrix and (R, K) weights. On return
     ``scratch[0]`` holds the product of the other two modes' rows.
     """
-    O, D, T = factors
-    ii, jj, tt = index
+    # the other two modes' factors and index columns, in mode order: (D, jj)
+    # and (T, tt) for the origin update
+    (P, p), (Q, q) = [(factors[m], index[m]) for m in range(3) if m != mode]
     contrib, work = scratch
     W = factors[mode] * lam[:, None]
-    sum_T = T.sum(1)[:, None]
-
-    # contrib is the product of the other two modes' rows: D[jj] * T[tt] etc.
-    if mode == 0:
-        rows, (P, p), (Q, q) = ii, (D, jj), (T, tt)
-        denom = b + D.sum(1)[:, None] * sum_T - D * sum_T
-    elif mode == 1:
-        rows, (P, p), (Q, q) = jj, (O, ii), (T, tt)
-        denom = b + O.sum(1)[:, None] * sum_T - O * sum_T
+    if mode < 2:  # Q is T; the diagonal drops P's row of the same number
+        sum_T = Q.sum(1)[:, None]
+        denom = b + P.sum(1)[:, None] * sum_T - P * sum_T
     else:
-        rows, (P, p), (Q, q) = tt, (O, ii), (D, jj)
-        denom = b + (O.sum(1) * D.sum(1) - (O * D).sum(1))[:, None]
+        denom = b + (P.sum(1) * Q.sum(1) - (P * Q).sum(1))[:, None]
+    # contrib is the product of the other two modes' rows: D[jj] * T[tt] etc.
     np.multiply(_gather(P, p, contrib), _gather(Q, q, work), out=contrib)
-    prod = np.multiply(_gather(W, rows, work), contrib, out=work)
+    prod = np.multiply(_gather(W, index[mode], work), contrib, out=work)
     rates = _pairwise_sum(prod.transpose(2, 0, 1))
 
     num = np.zeros_like(W)
@@ -362,9 +359,9 @@ def _fit_block(tensor: MigrationTensor, orders, starts: list, first: int,
 
     ``orders`` holds each mode update's counts and index columns
     (``_sweep_orders``), ``starts`` the block's (O, D, T) draws, ``first``
-    the number of its first restart and ``scratch`` two flat buffers of at
-    least len(starts) * nnz * K elements. Restart r reads and writes slab r of
-    every stacked array only, so dropping a finished restart from the
+    the number of its first restart and ``scratch`` two C-order (R', nnz,
+    K) buffers with R' >= len(starts). Restart r reads and writes slab r
+    of every stacked array only, so dropping a finished restart from the
     active set changes no other restart's bits.
     """
     R, nnz, K = len(starts), tensor.nnz, config.rank
@@ -377,8 +374,7 @@ def _fit_block(tensor: MigrationTensor, orders, starts: list, first: int,
     done = []
 
     def views(n):
-        return ([buf[:n * nnz * K].reshape(n, nnz, K) for buf in scratch],
-                [col[:n * nnz] for col in bins])
+        return [buf[:n] for buf in scratch], [col[:n * nnz] for col in bins]
 
     block_scratch, block_bins = views(R)
     contrib, tmp = block_scratch
@@ -409,36 +405,32 @@ def _fit_block(tensor: MigrationTensor, orders, starts: list, first: int,
     return sorted(done, key=lambda item: item[1].restart)
 
 
-def _per_block(restarts: int, size: int) -> int:
-    """Restarts in a block: as many as fit ``BLOCK_ELEMENTS`` at ``size`` =
-    nnz * K elements each, at least one."""
-    return max(1, min(restarts, BLOCK_ELEMENTS // max(size, 1)))
-
-
-def _fit_share(tensor: MigrationTensor, orders, starts: list, first: int,
+def _fit_share(tensor: MigrationTensor, orders, blocks: list,
                config: FitConfig) -> list[tuple[tuple, FitTrace]]:
-    """``_fit_block`` over restarts ``first``, ``first + 1``, ... drawn as
-    ``starts``, in blocks of ``_per_block`` restarts, on one scratch pair
-    allocated here."""
-    size = tensor.nnz * config.rank
-    per_block = _per_block(len(starts), size)
-    scratch = (np.empty(per_block * size), np.empty(per_block * size))
-    out = []
-    for lo in range(0, len(starts), per_block):
-        out += _fit_block(tensor, orders, starts[lo:lo + per_block], first + lo, config, scratch)
-    return out
+    """``_fit_block`` over each ``(first, starts)`` block in turn, on one
+    scratch pair allocated here for the largest of them."""
+    shape = (max(len(starts) for _, starts in blocks), tensor.nnz, config.rank)
+    scratch = (np.empty(shape), np.empty(shape))
+    return [item for first, starts in blocks
+            for item in _fit_block(tensor, orders, starts, first, config, scratch)]
 
 
-def _fit_shares(tensor: MigrationTensor, starts: list, config: FitConfig,
-                n: int) -> list[tuple[tuple, FitTrace]]:
-    """Every restart's result and trace, in restart order. The blocks are
-    cut into at most ``n`` contiguous shares, each run in its own process."""
+def _restarts(tensor: MigrationTensor, config: FitConfig) -> list[tuple[tuple, FitTrace]]:
+    """Every restart's (O, D, T, weights) and trace, in restart order.
+
+    The starts are drawn first, from one seeded stream. Blocks of as many
+    restarts as ``BLOCK_ELEMENTS`` holds at nnz * K elements each (at
+    least one) are dealt out whole in at most ``workers.count()``
+    contiguous shares, each run in its own process.
+    """
+    rng = np.random.default_rng(config.seed)
+    starts = [_draw_factors(tensor.dims, config.rank, rng) for _ in range(config.restarts)]
+    per_block = max(1, min(config.restarts, BLOCK_ELEMENTS // max(tensor.nnz * config.rank, 1)))
+    blocks = [(lo, starts[lo:lo + per_block]) for lo in range(0, config.restarts, per_block)]
     orders = _sweep_orders(tensor)
-    per_block = _per_block(len(starts), tensor.nnz * config.rank)
-    blocks = -(-len(starts) // per_block)
-    n = min(n, blocks)
-    cuts = [min(len(starts), per_block * (blocks * w // n)) for w in range(n + 1)]
-    shares = [(tensor, orders, starts[lo:hi], lo, config) for lo, hi in zip(cuts, cuts[1:])]
+    n = min(workers.count(), len(blocks))
+    shares = [(tensor, orders, blocks[len(blocks) * w // n:len(blocks) * (w + 1) // n], config)
+              for w in range(n)]
     return [item for share in workers.run(_fit_share, shares) for item in share]
 
 
@@ -459,9 +451,7 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
         warnings.warn(
             f"rank {config.rank} exceeds min tensor dim {min(N, M)}; "
             "the decomposition is overcomplete", RuntimeWarning)
-    rng = np.random.default_rng(config.seed)
-    starts = [_draw_factors(tensor.dims, config.rank, rng) for _ in range(config.restarts)]
-    results = _fit_shares(tensor, starts, config, workers.count())
+    results = _restarts(tensor, config)
     # min keeps the first of equal keys: ties go to the earliest restart
     best, best_trace = min(results, key=lambda item: _restart_key(item[1]))
     # sweeps are gauge-covariant, so the raw draws needed no normalizing;

@@ -276,6 +276,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, got {value!r}")):
             apply_overrides(config, {key: value})
 
+    # argparse has typed every flag, so an override reaches the dataclasses'
+    # checks as given: a boolean is never made 1.0, nor a string a float
+    @pytest.mark.parametrize("key, value", [("rel_tol", True), ("rel_tol", "1e-3"), ("rel_tol", "abc"),
+                                            ("input", 3), ("out_dir", 2.5)])
+    def test_override_of_another_type_rejected(self, tmp_path, key, value):
+        config = load_config(write_workspace(tmp_path))
+        with pytest.raises(ConfigError, match="bad override: "):
+            apply_overrides(config, {key: value})
+
     def test_unknown_top_level_keys_are_ignored(self, tmp_path):
         # such as an option since retired that older configs still carry
         plain = tmp_path / "plain"
@@ -413,8 +422,12 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"error [config] config {path} is not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fit", [{"rank": 2.5}, {"restarts": 2.0}, {"max_iters": 3.0}, {"seed": -1}],
-                             ids=["rank", "restarts", "max_iters", "seed"])
+    # a real-valued setting must be a number: a boolean is never read as 1.0
+    @pytest.mark.parametrize("fit", [{"rank": 2.5}, {"restarts": 2.0}, {"max_iters": 3.0}, {"seed": -1},
+                                     {"rel_tol": True}, {"prior_rate": False}, {"prior_shape": True},
+                                     {"rel_tol": "1e-6"}, {"prior_rate": "0.1"}, {"prior_shape": None}],
+                             ids=["rank", "restarts", "max_iters", "seed", "rel_tol-true", "prior_rate-false",
+                                  "prior_shape-true", "rel_tol-string", "prior_rate-string", "prior_shape-null"])
     def test_fit_setting_out_of_its_domain_exits_2(self, tmp_path, capsys, fit):
         path = write_workspace(tmp_path, fit={"rank": 2, "restarts": 2, "max_iters": 100, "seed": 0, **fit})
         assert cli.main(["run", "--config", str(path)]) == 2
@@ -498,6 +511,25 @@ class TestCli:
         assert cli.main(["ingest", "--config", str(path)]) == 2
         (name,) = threshold
         assert f"error [config] bad config: {name} must be an integer" in capsys.readouterr().err
+
+    # a byte order mark, or a tab inside a code: GB would be unknown, and
+    # every GB event rejected
+    @pytest.mark.parametrize("registry, code", [("\ufeff" + REGISTRY, "\ufeffGB"),
+                                                (REGISTRY.replace("GB", "G\tB"), "G\tB")],
+                             ids=["bom", "tab"])
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_registry_with_an_unprintable_code_exits_2(self, tmp_path, capsys, command, registry, code):
+        path = write_workspace(tmp_path)
+        (tmp_path / "registry.txt").write_text(registry, encoding="utf-8")
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "users": 1, "noise_rate": 0.0, "seed": 1,
+            "epoch": {"year": 2014, "month": 1}, "months": 6}))
+        args = {"run": ["--config", str(path)],
+                "synth": ["--spec", str(tmp_path / "spec.json"), "--registry", str(tmp_path / "registry.txt"),
+                          "--out-events", str(tmp_path / "synth.csv")]}[command]
+        assert cli.main([command, *args]) == 2
+        assert f"registry holds a country code that is not printable: {code!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "synth.csv").exists()
 
     def test_registry_past_the_country_index_exits_2(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
@@ -614,6 +646,11 @@ CORRUPT_ROWS = {
 CORRUPT_HEADERS = {
     "tensor-dim-digit-limit": ("tensor.txt", "fit", f"# dims {'9' * 5000} 6 6"),
     "model-dim-digit-limit": ("model.txt", "analyze", f"# cp 6 6 {'9' * 5000} 2"),
+    # digits that str.isdecimal and int() take, but the writers never write
+    "tensor-arabic-indic-digit": ("tensor.txt", "fit", "# dims \u0666 6 6"),
+    "tensor-fullwidth-digit": ("tensor.txt", "fit", "# dims 6 6 \uff16"),
+    "model-arabic-indic-digit": ("model.txt", "analyze", "# cp 6 \u0666 6 2"),
+    "model-fullwidth-digit": ("model.txt", "analyze", "# cp 6 6 6 \uff12"),
 }
 
 
@@ -1076,7 +1113,7 @@ class TestDemoGoldenDigests:
                                                "--rank", "15", "--restarts", "30")
         assert outputs["all"] == outputs["one"]
         nnz = load_tensor(tmp_path / "out_one" / "tensor.txt").nnz
-        assert 30 > solver._per_block(30, nnz * 15)
+        assert 30 * nnz * 15 > solver.BLOCK_ELEMENTS
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_geo_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):

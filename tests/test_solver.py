@@ -558,10 +558,54 @@ class TestFitMatchesReference:
         # every restart, not only the winner, has the sequential bits and trace
         stream = np.random.default_rng(cfg.seed)
         starts = [solver._draw_factors(dims, cfg.rank, stream) for _ in range(cfg.restarts)]
-        results = solver._fit_shares(tensor, starts, cfg, n)
+        results = solver._restarts(tensor, cfg)
         assert [trace for _, trace in results] == traces
         for (got, _), (expected, _) in zip(results, restarts):
             assert_same_bits(FactorModel(*got), expected)
+
+
+class TestRestartSchedule:
+    """How ``_restarts`` cuts the restarts into blocks and deals the blocks
+    out. Each restart's bits are the same however that is done, so the bit
+    tests cannot see it: these read the shares ``workers.run`` is given."""
+
+    tensor = random_tensor(np.random.default_rng(36), (8, 8, 5), 60)
+    cfg = FitConfig(rank=3, max_iters=2, seed=5, restarts=10)
+
+    # the largest budget that holds 4 restarts (blocks of 4, 4 and 2), one
+    # below a single restart's nnz * K (blocks of 1) and one that holds all
+    @pytest.mark.parametrize("budget, sizes", [
+        (lambda size: 5 * size - 1, [4, 4, 2]),
+        (lambda size: 1, [1] * 10),
+        (lambda size: 1 << 30, [10]),
+    ], ids=["blocks-of-4", "blocks-of-1", "one-block"])
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_blocks_and_shares(self, budget, sizes, n, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", budget(self.tensor.nnz * self.cfg.rank))
+        monkeypatch.setattr(workers, "count", lambda: n)
+        shares, real = [], workers.run
+
+        def run(fn, args):
+            shares.extend(blocks for _, _, blocks, _ in args)
+            return real(fn, args)
+
+        monkeypatch.setattr(workers, "run", run)
+        results = solver._restarts(self.tensor, self.cfg)
+        assert [trace.restart for _, trace in results] == list(range(self.cfg.restarts))
+        # blocks of per_block restarts, the last one shorter, dealt out in
+        # contiguous shares in restart order
+        blocks = [block for share in shares for block in share]
+        assert [len(starts) for _, starts in blocks] == sizes
+        assert [first for first, _ in blocks] == [sum(sizes[:b]) for b in range(len(sizes))]
+        stream = np.random.default_rng(self.cfg.seed)
+        for start in (start for _, starts in blocks for start in starts):
+            drawn = solver._draw_factors(self.tensor.dims, self.cfg.rank, stream)
+            assert all((got == want).all() for got, want in zip(start, drawn))
+        # at most one share per block, each with the same number of blocks
+        # give or take one
+        assert len(shares) == min(n, len(sizes))
+        counts = [len(share) for share in shares]
+        assert min(counts) >= 1 and max(counts) - min(counts) <= 1
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fit forks its workers only on Linux")
@@ -726,9 +770,15 @@ class TestModelValidationAndConfig:
                        {"rel_tol": 0.0}, {"prior_shape": 0.5}, {"prior_rate": -1.0},
                        {"prior_shape": math.nan}, {"prior_rate": math.nan},
                        {"prior_shape": math.inf}, {"prior_rate": math.inf},
-                       {"prior_shape": -math.inf}, {"prior_rate": -math.inf}):
+                       {"prior_shape": -math.inf}, {"prior_rate": -math.inf},
+                       {"rel_tol": True}, {"prior_shape": True}, {"prior_rate": False},
+                       {"prior_rate": np.False_}, {"rel_tol": "1"}, {"prior_shape": None}):
             with pytest.raises(ValueError):
                 FitConfig(**kwargs)
+
+    def test_real_settings_take_ints_and_numpy_floats(self):
+        cfg = FitConfig(rel_tol=1, prior_shape=np.float32(1.5), prior_rate=np.float64(0.25))
+        assert (cfg.rel_tol, cfg.prior_shape, cfg.prior_rate) == (1, 1.5, 0.25)
 
 
 class TestModelFile:
