@@ -69,44 +69,57 @@ def residence_matrix(table: EventTable, calendar: MonthCalendar) -> np.ndarray:
     first that month. A silent month inherits the month
     before it; months before a user's first event stay -1.
     """
-    # one key digit per country index, as in filter_table's pair key
-    U, M, N = len(table.users), calendar.months, _MAX_CODES
-    epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
-    month = table.seconds.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) - epoch
-    if ((month < 0) | (month >= M)).any():
-        raise ValueError("event outside the study interval")
+    U, M, N, n = len(table.users), calendar.months, _MAX_CODES, len(table)
     filled = np.full((U, M), -1, dtype=np.int16)
-    if not len(table):
+    if not n:
         return filled
-    # rows grouped by (user, month, country), the stable sort keeping each
-    # group's rows in time order
-    key = (table.user.astype(np.int64) * M + month) * N + table.country
+    epoch = (calendar.epoch_year - 1970) * 12 + calendar.epoch_month - 1
+    # the first second of each month of the calendar and of the month after it
+    bounds = np.arange(epoch, epoch + M + 1).astype("datetime64[M]").astype("datetime64[s]").astype(np.int64)
+    month = np.searchsorted(bounds, table.seconds, side="right")
+    month -= 1
+    if month.min() < 0 or month.max() >= M:
+        raise ValueError("event outside the study interval")
+    # rows are sorted by (user, time), so each (user, month) cell is one run of rows
+    cell_rows = np.flatnonzero(run_starts(table.user, month))
+    cells = table.user[cell_rows].astype(np.int64) * M + month[cell_rows]
+    del month
+    country = table.country
+    filled.reshape(-1)[cells] = country[cell_rows]  # right for every cell of one country
+    is_mixed = np.minimum.reduceat(country, cell_rows) != np.maximum.reduceat(country, cell_rows)
+    mixed = np.flatnonzero(is_mixed)
+    # the rows of the cells of several countries, grouped by (cell, country)
+    # in a stable sort that keeps each group's rows in time order; a group's
+    # key is its cell's place in `mixed` times N plus its country
+    sizes = np.diff(cell_rows, append=n)
+    rows = np.flatnonzero(np.repeat(is_mixed, sizes))
+    key = np.repeat(np.arange(mixed.size), sizes[mixed]) * N + country[rows]
     by_key = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(run_starts(key[by_key]))
-    ends = np.append(starts[1:], key.size) - 1
-    group_key = key[by_key][starts]
-    count = ends - starts + 1
-    latest = table.seconds[by_key[ends]]
-    first = by_key[starts]  # row of the country's first event that month
+    key = key[by_key]
+    starts = np.flatnonzero(run_starts(key))
+    count = np.diff(starts, append=key.size)
+    ends = starts + count - 1
+    group_key = key[starts]
+    latest = table.seconds[rows[by_key[ends]]]
+    first = by_key[starts]  # the country's first event in the cell
     group_cell = group_key // N
-    cell_of_group = np.cumsum(run_starts(group_cell)) - 1
-    # one winner per (user, month) cell: most events, latest event, seen first
+    # one winner per cell: most events, latest event, seen first
     ranked = np.lexsort((first, -latest, -count, group_cell))
     winner = ranked[run_starts(group_cell[ranked])]
-    cells = group_cell[winner]
-    tied = count == count[winner][cell_of_group]
-    tie_cell = np.bincount(cell_of_group[tied], minlength=cells.size) > 1
+    filled.reshape(-1)[cells[mixed]] = group_key[winner] % N
+    tied = count == count[winner][group_cell]
+    tie_cell = np.flatnonzero(np.bincount(group_cell[tied], minlength=mixed.size) > 1)
     tied_keys = group_key[tied]
-    tie_user, tie_month = np.divmod(cells[tie_cell], M)
+    tie_user, tie_month = np.divmod(cells[mixed[tie_cell]], M)
 
-    filled.reshape(-1)[cells] = group_key[winner] % N
     previous = np.full(U, -1, dtype=np.int16)
     for m in range(M):
         column = filled[:, m]
-        users = tie_user[tie_month == m]
+        now = tie_month == m
+        users = tie_user[now]
         if users.size:
             # a tie keeps the previous month's country when it is among the tied
-            wanted = (users.astype(np.int64) * M + m) * N + previous[users]
+            wanted = tie_cell[now] * N + previous[users]
             found = tied_keys[np.minimum(np.searchsorted(tied_keys, wanted), tied_keys.size - 1)]
             keeps = (previous[users] >= 0) & (found == wanted)
             column[users[keeps]] = previous[users[keeps]]

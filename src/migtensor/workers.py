@@ -12,10 +12,13 @@ fork is made. numpy's OpenBLAS starts a thread pool at import unless
 it is unset. :func:`run`
 calls a function on each share: share 0 in this process, each other one
 in a child made by ``os.fork``, which pickles its result back over a pipe.
+A fork refused for want of processes or memory (``EAGAIN``, ``ENOMEM``)
+leaves that share and the later ones to this process.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import signal
@@ -50,10 +53,22 @@ def _child(write_end: int, fn, args: tuple) -> None:
         os._exit(status)
 
 
-def _received(pid: int, data: bytes):
-    """A child's result from the bytes it sent; its exception is raised."""
+def _ended(status: int) -> str:
+    """How a child with wait status ``status`` ended, in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exited with code {code}"
+    try:
+        return f"was killed by {signal.Signals(-code).name}"
+    except ValueError:  # a signal with no name, such as a real-time one
+        return f"was killed by signal {-code}"
+
+
+def _received(pid: int, data: bytes, status: int):
+    """A child's result from the bytes it sent before it ended with wait
+    status ``status``; its exception is raised."""
     if not data:
-        raise ChildProcessError(f"worker {pid} exited without a result")
+        raise ChildProcessError(f"worker {pid} {_ended(status)} without a result")
     result, exc = pickle.loads(data)
     if exc is not None:
         raise exc
@@ -62,26 +77,37 @@ def _received(pid: int, data: bytes):
 
 def run(fn, shares: list) -> list:
     """``[fn(*args) for args in shares]``: share 0 runs here, each other one
-    in a forked child, all at once. A child's exception is raised here. If
-    any share fails, the children are killed, and they are always reaped."""
-    children = []  # (pid, read end of its pipe), in share order
+    in a forked child, all at once. Where ``os.fork`` fails for want of
+    processes or memory, that share and the later ones run here after share
+    0, in share order, and no further child is forked. A child's exception
+    is raised here. If any share fails, the children are killed, and they
+    are always reaped."""
+    children = []  # (pid, read end of its pipe) of each child not yet reaped, in share order
     try:
         for args in shares[1:]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except BaseException:
+            except BaseException as exc:
                 os.close(read_end)
                 os.close(write_end)
+                if isinstance(exc, OSError) and exc.errno in (errno.EAGAIN, errno.ENOMEM):
+                    break
                 raise
             if pid == 0:
                 _child(write_end, fn, args)
             os.close(write_end)
             children.append((pid, open(read_end, "rb", buffering=0)))
-        results = [fn(*shares[0])]
-        for pid, pipe in children:
-            results.append(_received(pid, pipe.read()))
-        return results
+        here = [fn(*args) for args in (shares[0], *shares[1 + len(children):])]
+        results = here[:1]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            results.append(_received(pid, data, status))
+        return results + here[1:]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)

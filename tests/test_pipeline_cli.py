@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -10,10 +11,12 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from migtensor import cli, events, ingestion, pipeline, residence, solver, tensor, workers
@@ -822,7 +825,7 @@ class TestIngestShares:
         monkeypatch.setattr(events, "_parse", parse)
         monkeypatch.setattr(workers, "count", lambda: 3)
         fds = open_fds()
-        with pytest.raises(ChildProcessError, match="exited without a result"):
+        with pytest.raises(ChildProcessError, match="exited with code 3 without a result"):
             events.read_events(config.input, "csv", config.countries)
         assert_nothing_left(fds)
 
@@ -844,6 +847,89 @@ class TestIngestShares:
             writer.wait(timeout=60)
         assert len(pids) == 2
         assert_same_read(got, expected)
+        assert_nothing_left(fds)
+
+
+def failing_fork(monkeypatch, fail_at: int, error: OSError) -> list:
+    """Patch ``os.fork`` to raise ``error`` from call ``fail_at`` on, forking
+    for real before it; returns the number of each call, as it is made."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(len(calls) + 1)
+        if len(calls) >= fail_at:
+            raise error
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+EAGAIN = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+ENOMEM = OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ingest and fit fork their workers only on Linux")
+class TestForkFailures:
+    """A fork refused for want of processes or memory leaves its share and
+    the later ones to the parent, with the bytes of a one-process run; a
+    child that dies is named by how it died."""
+
+    @pytest.fixture(autouse=True)
+    def three_shares(self, monkeypatch):
+        # ingest deals MANY_ROWS out in three shares, fit its four restarts
+        # in four blocks of one, three shares in all
+        monkeypatch.setattr(events, "MIN_SHARE_BYTES", 1 << 10)
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(workers, "count", lambda: 3)
+
+    def one_process_bytes(self, root, monkeypatch, command) -> dict:
+        """A workspace's artifacts after ``command`` run in one process."""
+        path = write_workspace(root, MANY_ROWS, fit={"rank": 2, "restarts": 4, "max_iters": 50, "seed": 0})
+        with monkeypatch.context() as one:
+            one.setattr(workers, "count", lambda: 1)
+            if command == "fit":
+                assert cli.main(["run", "--config", str(path)]) == 0
+            assert cli.main([command, "--config", str(path)]) == 0
+        return artifact_bytes(root / "out")
+
+    @pytest.mark.parametrize("error", [EAGAIN, ENOMEM], ids=["EAGAIN", "ENOMEM"])
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    @pytest.mark.parametrize("command", ["ingest", "fit"])
+    def test_a_refused_fork_runs_the_share_here(self, tmp_path, monkeypatch, capsys, command,
+                                                fail_at, error):
+        expected = self.one_process_bytes(tmp_path, monkeypatch, command)
+        calls = failing_fork(monkeypatch, fail_at, error)
+        fds = open_fds()
+        assert cli.main([command, "--config", str(tmp_path / "config.json")]) == 0, capsys.readouterr().err
+        assert calls == list(range(1, fail_at + 1))  # no fork tried after the refused one
+        assert artifact_bytes(tmp_path / "out") == expected
+        assert_nothing_left(fds)
+
+    def test_another_fork_error_ends_the_run(self, tmp_path, monkeypatch, capsys):
+        self.one_process_bytes(tmp_path, monkeypatch, "fit")
+        failing_fork(monkeypatch, 2, PermissionError(errno.EPERM, os.strerror(errno.EPERM)))
+        fds = open_fds()
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err.startswith("error [fit] [Errno 1]")
+        assert_nothing_left(fds)
+
+    def test_a_child_killed_by_sigkill_is_named(self, tmp_path, monkeypatch, capsys):
+        self.one_process_bytes(tmp_path, monkeypatch, "fit")
+        parent, real = os.getpid(), solver._fit_block
+
+        def block(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's OOM killer would
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_fit_block", block)
+        fds = open_fds()
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", str(tmp_path / "config.json")]) == 3
+        assert re.fullmatch(r"error \[fit\] worker \d+ was killed by SIGKILL without a result\n",
+                            capsys.readouterr().err)
         assert_nothing_left(fds)
 
 
@@ -1104,6 +1190,25 @@ class TestDemoGoldenDigests:
             assert result.returncode == 0, result.stderr
             outputs[cpus] = artifact_bytes(root / f"out_{cpus}")
         return outputs
+
+    def test_run_leaves_numpy_random_unimported(self, tmp_path, capsys):
+        """Only ``synth`` draws from ``numpy.random``: the demo ``run`` in a
+        fresh interpreter loads none of it that ``import numpy`` alone does
+        not (numpy 2 loads none; numpy 1 loads it with itself)."""
+        self.tourism_workspace(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(DEMO.parent / "src"), os.environ.get("PYTHONPATH")])))
+        launcher = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                    "from migtensor.cli import main; code = main(); "
+                    "print(before, 'numpy.random' in sys.modules); sys.exit(code)")
+        result = subprocess.run([sys.executable, "-c", launcher, "run", "--config", "config_tourism.json"],
+                                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        before, after = result.stdout.splitlines()[-1].split()
+        assert after == before
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert after == "False"
+        assert artifact_bytes(tmp_path / "out_tourism")["model.txt"]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migtensor.events import InputError
+from migtensor.events import EventTable, InputError
 from migtensor.ingestion import ConfigError, CountryRegistry
 from migtensor.residence import (
     MonthCalendar,
@@ -125,6 +126,42 @@ class TestMonthlyResidence:
     def test_no_events_no_rows(self, registry):
         cal = MonthCalendar(2014, 1, 3)
         assert residence_matrix(table_of([], registry), cal).shape == (0, 3)
+
+    @pytest.mark.parametrize("at, inside", [
+        (ts(2013, 12, 31, 23, 59, 59), False), (ts(2014, 1, 1), True),
+        (ts(2014, 3, 31, 23, 59, 59), True), (ts(2014, 4, 1), False),
+    ], ids=["second-before", "first-second", "last-second", "second-after"])
+    def test_an_event_outside_the_calendar_raises(self, registry, at, inside):
+        cal = MonthCalendar(2014, 1, 3)
+        table = table_of([Event("u", ts(2014, 2, 1), country="GB"), Event("v", at, country="FR")], registry)
+        if inside:
+            assert residence_matrix(table, cal)[1].tolist().count(registry.index["FR"]) >= 1
+        else:
+            with pytest.raises(ValueError, match="outside the study interval"):
+                residence_matrix(table, cal)
+
+    def test_memory_stays_near_one_int64_per_row(self):
+        """Rows arrive sorted by (user, time), so the matrix needs no sort
+        key per row: its peak beyond the result stays under 40 bytes a row
+        on 60k rows, a tenth of them moved to one more country so that many
+        cells hold two. A sort key per row, sorted and gathered, takes
+        more than twice that."""
+        cal = MonthCalendar(2014, 1, 24)
+        start, end = (int(t.timestamp()) for t in cal.interval())
+        rng = np.random.default_rng(5)
+        users, per = 2000, 30
+        seconds = np.sort(rng.integers(start, end, (users, per)), axis=1).reshape(-1)
+        country = np.repeat(rng.integers(0, 6, users), per).astype(np.int16)
+        country[rng.random(country.size) < 0.1] = 5
+        table = EventTable([f"u{i:04d}" for i in range(users)],
+                           np.repeat(np.arange(users, dtype=np.int32), per), seconds, country)
+        tracemalloc.start()
+        try:
+            filled = residence_matrix(table, cal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - filled.nbytes) / len(table) < 40
 
 
 class TestDetectStrict:

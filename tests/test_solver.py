@@ -78,6 +78,46 @@ def integer_model_and_dense_tensor(rng, dims, K):
     return model, make_tensor(dims, cells)
 
 
+class TestPcg64:
+    """``Pcg64`` against the stream it writes out, numpy's ``default_rng``."""
+
+    # the seed in one 32-bit word, at the word limits, in three words, in
+    # four, and in seven (words past the pool's four are mixed in after it)
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30, 2**200 + 3])
+    def test_consecutive_draws_match_numpy_bit_for_bit(self, seed):
+        ours, numpy_stream = solver.Pcg64(seed), np.random.default_rng(seed)
+        for shape in [(1, 1), (2, 3), (40, 5), (36, 15), (1, 7), (200, 10)]:
+            got = ours.uniform(0.1, 1.1, size=shape)
+            want = numpy_stream.uniform(0.1, 1.1, size=shape)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_other_bounds_and_an_integer_size(self):
+        got = solver.Pcg64(7).uniform(-3.0, 2.5, size=100)
+        want = np.random.default_rng(7).uniform(-3.0, 2.5, size=100)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_fit_leaves_numpy_random_unimported(self):
+        """In a fresh interpreter, ``fit`` loads no module of ``numpy.random``
+        that ``import numpy`` alone does not (numpy 2 loads none; numpy 1
+        loads it with itself)."""
+        probe = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                 "from migtensor import solver, tensor; "
+                 "t = tensor.MigrationTensor((4, 4, 3), numpy.array([[0, 1, 0], [1, 2, 2], [3, 0, 1]]), "
+                 "numpy.array([2, 1, 3])); "
+                 "solver.fit(t, solver.FitConfig(rank=2, restarts=3, max_iters=5)); "
+                 "print(before, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(
+            os.path.dirname(solver.__file__)), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        before, after = result.stdout.split()
+        assert after == before
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert after == "False"
+
+
 class TestDrawFactors:
     def test_same_seed_identical(self):
         a = random_start((5, 5, 7), 3, 42)
@@ -556,8 +596,6 @@ class TestFitMatchesReference:
         if cfg.max_iters == 27:
             assert [(t.n_sweeps, t.converged) for t in traces[5:7]] == [(27, True), (27, False)]
         # every restart, not only the winner, has the sequential bits and trace
-        stream = np.random.default_rng(cfg.seed)
-        starts = [solver._draw_factors(dims, cfg.rank, stream) for _ in range(cfg.restarts)]
         results = solver._restarts(tensor, cfg)
         assert [trace for _, trace in results] == traces
         for (got, _), (expected, _) in zip(results, restarts):
@@ -663,7 +701,7 @@ class TestFitWorkers:
     def test_a_child_that_dies_without_a_result_raises(self, monkeypatch):
         self.fail_in(monkeypatch, "child", lambda: os._exit(3))
         fds = open_fds()
-        with pytest.raises(ChildProcessError, match="exited without a result"):
+        with pytest.raises(ChildProcessError, match="exited with code 3 without a result"):
             fit(self.tensor, self.cfg)
         assert_nothing_left(fds)
 
