@@ -4,12 +4,11 @@ Plants movers that establish residence in an origin country for several
 months and then relocate to a destination at a month drawn from the
 component's active set, on top of uniform background moves and stationary
 filler users. The planted ground truth is written alongside the stream so
-recovery can be scored.
+recovery can be scored. Every draw is numpy's ``default_rng(seed)``'s.
 """
 
 from __future__ import annotations
 
-from calendar import monthrange
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventTable, write_events
-from .ingestion import ConfigError, CountryRegistry, load_json_object, require_int, write_json
+from .ingestion import ConfigError, CountryRegistry, load_json_object, require_int, require_real, write_json
 from .residence import MonthCalendar
 
 # the largest rate a spec may give. A rate is rows or users drawn per
@@ -27,6 +26,7 @@ _MAX_RATE = 1e9
 
 
 def _require_rate(name: str, value) -> None:
+    require_real(name, value)
     # chained, so that NaN fails both bounds as it fails every comparison
     if not 0 <= value <= _MAX_RATE:
         raise ConfigError(f"{name} must be in [0, {_MAX_RATE:g}], got {value!r}")
@@ -64,6 +64,8 @@ class SynthSpec:
             require_int(name, getattr(self, name))
         if self.users < 0:
             raise ConfigError("user count must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         _require_rate("noise rate", self.noise_rate)
         _require_rate("tweets_per_month", self.tweets_per_month)
         if self.dwell_months < 1:
@@ -85,17 +87,17 @@ def load_synth_spec(path) -> SynthSpec:
         components = tuple(
             PlantedComponent(c["origin"], c["destination"],
                              tuple(c["active_months"]),
-                             float(c["intensity"]))
+                             c["intensity"])
             for c in raw.get("components", []))
         return SynthSpec(
             users=raw["users"],
             components=components,
-            noise_rate=float(raw.get("noise_rate", 0.0)),
+            noise_rate=raw.get("noise_rate", 0.0),
             seed=raw["seed"],
             epoch_year=raw["epoch"]["year"],
             epoch_month=raw["epoch"]["month"],
             months=raw["months"],
-            tweets_per_month=float(raw.get("tweets_per_month", 3.0)),
+            tweets_per_month=raw.get("tweets_per_month", 3.0),
             dwell_months=raw.get("dwell_months", 6),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -105,73 +107,83 @@ def load_synth_spec(path) -> SynthSpec:
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
 
 
-def _instant(rng: np.random.Generator, calendar: MonthCalendar, month: int) -> int:
-    """A uniformly drawn second of a calendar month, in UTC epoch seconds."""
-    year, mo = calendar.year_month(month)
-    day = int(rng.integers(1, monthrange(year, mo)[1] + 1))
-    second = int(rng.integers(0, 86400))
-    return (date(year, mo, day).toordinal() - _EPOCH_DAY) * 86400 + second
+class _Draws:
+    """numpy's ``default_rng(seed)``: ``poisson`` is the Generator's, and
+    ``integers`` (a span below 2**32) replays its int64 path on the raw
+    words: a word's low 32 bits, then its high 32 kept for the next draw
+    (``poisson`` reads whole words), mapped by Lemire's multiply-and-reject;
+    a span of 1 draws nothing."""
 
+    def __init__(self, seed: int, calendar: MonthCalendar):
+        rng = np.random.default_rng(seed)
+        self.poisson = rng.poisson
+        self._raw = rng.bit_generator.random_raw
+        self._half = -1  # the kept high half, or -1
+        # the first epoch second of each month and of the next
+        self._starts = [(date(*calendar.year_month(m), 1).toordinal() - _EPOCH_DAY) * 86400
+                        for m in range(calendar.months + 1)]
+        self._days = [(b - a) // 86400 for a, b in zip(self._starts, self._starts[1:])]
 
-class _UserPool:
-    def __init__(self, size: int):
-        self.size = size
-        self.used = 0
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        threshold = (0x100000000 - span) % span
+        while True:
+            half = self._half
+            if half < 0:
+                word = self._raw()
+                self._half, m = word >> 32, (word & 0xFFFFFFFF) * span
+            else:
+                self._half, m = -1, half * span
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
 
-    def next(self) -> str:
-        if self.used >= self.size:
-            raise ConfigError(f"synthetic user pool of {self.size} exhausted; raise `users`")
-        self.used += 1
-        return f"u{self.used:06d}"
-
-
-def _mover_events(rng, uid, move_month, origin, destination, spec) -> list[tuple[str, int, int]]:
-    """Residence-establishing tweets around one move, as (user id, epoch
-    second, registry index) rows.
-
-    The first origin month and the move month always get at least one
-    tweet so the move is anchored on both sides; other months draw plain
-    Poisson counts and may stay silent (forward fill covers them).
-    """
-    calendar = spec.calendar
-    first = max(0, move_month - spec.dwell_months)
-    last = min(spec.months - 1, move_month + spec.dwell_months - 1)
-    events = []
-    for m in range(first, last + 1):
-        code = origin if m < move_month else destination
-        n = int(rng.poisson(spec.tweets_per_month))
-        if m in (first, move_month):
-            n = max(1, n)
-        for _ in range(n):
-            events.append((uid, _instant(rng, calendar, m), code))
-    return events
+    def instant(self, month: int) -> int:
+        """A uniformly drawn epoch second of a calendar month."""
+        # the day as integers(1, days + 1) draws it, less 1
+        return self._starts[month] + self.integers(0, self._days[month]) * 86400 + self.integers(0, 86400)
 
 
 def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[EventTable, dict]:
-    """Deterministically expand a spec into an event table plus ground truth.
+    """Deterministically expand a spec into (event table, truth dict).
 
-    Returns (table, truth dict). The table's rows are sorted by user and
-    time, and its countries are registry indices. The truth lists every
-    planted move as (user, month, origin, destination); background noise
-    moves are recorded separately and are not part of the planted ground
-    truth.
+    The table's rows are sorted by user and time, its countries registry
+    indices. The truth lists every planted move as (user, month, origin,
+    destination), and the background noise moves apart from them.
     """
     for comp in spec.components:
         for code in (comp.origin, comp.destination):
             if code not in registry:
                 raise ConfigError(f"planted country {code!r} not in registry")
-    rng = np.random.default_rng(spec.seed)
-    pool = _UserPool(spec.users)
-    rows: list[tuple[str, int, int]] = []
-    planted: list[dict] = []
-    noise_moves: list[dict] = []
+    draw = _Draws(spec.seed, spec.calendar)
+    user_ids = (f"u{i:06d}" for i in range(1, spec.users + 1))
+    rows = []  # (user id, epoch second, country)
+    planted, noise_moves = [], []
+
+    def next_user():
+        uid = next(user_ids, None)
+        if uid is None:
+            raise ConfigError(f"synthetic user pool of {spec.users} exhausted; raise `users`")
+        return uid
+
+    def tweets(uid, code, month, anchored):
+        n = draw.poisson(spec.tweets_per_month)
+        for _ in range(max(1, n) if anchored else n):
+            rows.append((uid, draw.instant(month), code))
+
+    def move(uid, month, origin, destination):
+        # the first origin month and the move month get a tweet or more
+        first = max(0, month - spec.dwell_months)
+        for m in range(first, min(spec.months, month + spec.dwell_months)):
+            tweets(uid, origin if m < month else destination, m, m in (first, month))
 
     for comp in spec.components:
         origin, destination = registry.index[comp.origin], registry.index[comp.destination]
         for month in sorted(set(comp.active_months)):
-            for _ in range(int(rng.poisson(comp.intensity))):
-                uid = pool.next()
-                rows.extend(_mover_events(rng, uid, month, origin, destination, spec))
+            for _ in range(draw.poisson(comp.intensity)):
+                uid = next_user()
+                move(uid, month, origin, destination)
                 planted.append({"user_id": uid, "month": month,
                                 "origin": comp.origin, "destination": comp.destination})
 
@@ -180,35 +192,29 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
         if N < 2:
             raise ConfigError("background noise needs at least two registered countries")
         for month in range(1, spec.months):
-            for _ in range(int(rng.poisson(spec.noise_rate))):
-                uid = pool.next()
-                o = int(rng.integers(0, N))
-                d = int(rng.integers(0, N - 1))
+            for _ in range(draw.poisson(spec.noise_rate)):
+                uid = next_user()
+                o = draw.integers(0, N)
+                d = draw.integers(0, N - 1)
                 if d >= o:
                     d += 1
-                rows.extend(_mover_events(rng, uid, month, o, d, spec))
+                move(uid, month, o, d)
                 noise_moves.append({"user_id": uid, "month": month,
                                     "origin": registry.codes[o], "destination": registry.codes[d]})
 
     # stationary filler users keep the pool size honest and exercise filtering
-    while pool.used < pool.size:
-        uid = pool.next()
-        code = int(rng.integers(0, len(registry)))
-        start = int(rng.integers(0, spec.months))
-        span = int(rng.integers(1, 7))
+    for uid in user_ids:
+        code = draw.integers(0, len(registry))
+        start = draw.integers(0, spec.months)
+        span = draw.integers(1, 7)
         for m in range(start, min(spec.months, start + span)):
-            n = int(rng.poisson(spec.tweets_per_month))
-            if m == start:
-                n = max(1, n)
-            for _ in range(n):
-                rows.append((uid, _instant(rng, spec.calendar, m), code))
+            tweets(uid, code, m, m == start)
 
-    n = len(rows)
     users = sorted({uid for uid, _, _ in rows})
     rank = {u: i for i, u in enumerate(users)}
-    user = np.fromiter((rank[uid] for uid, _, _ in rows), np.int32, n)
-    seconds = np.fromiter((second for _, second, _ in rows), np.int64, n)
-    country = np.fromiter((code for _, _, code in rows), np.int16, n)
+    user = np.array([rank[uid] for uid, _, _ in rows], np.int32)
+    seconds = np.array([second for _, second, _ in rows], np.int64)
+    country = np.array([code for _, _, code in rows], np.int16)
     order = np.lexsort((seconds, user))  # stable: equal (user, second) rows keep draw order
     table = EventTable(users, user[order], seconds[order], country[order])
     truth = {
@@ -216,7 +222,7 @@ def generate_synthetic(spec: SynthSpec, registry: CountryRegistry) -> tuple[Even
         "noise_moves": noise_moves,
         "components": [
             {"origin": c.origin, "destination": c.destination,
-             "active_months": sorted(set(c.active_months)), "intensity": c.intensity}
+             "active_months": sorted(set(c.active_months)), "intensity": float(c.intensity)}
             for c in spec.components
         ],
     }
@@ -227,7 +233,9 @@ def write_synthetic(spec: SynthSpec, registry: CountryRegistry,
                     events_path, truth_path=None) -> dict:
     """Generate and write the event stream CSV (and optionally the truth JSON)."""
     table, truth = generate_synthetic(spec, registry)
-    Path(events_path).parent.mkdir(parents=True, exist_ok=True)
+    for path in (events_path, truth_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
         write_events(table, registry.codes, fh)
     if truth_path is not None:

@@ -7,8 +7,9 @@ import io
 import json
 import math
 import os
+from calendar import monthrange
 from collections import Counter, defaultdict
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import NamedTuple, Optional
 
 # numpy single-threaded, as importing migtensor leaves it: set here since
@@ -638,3 +639,80 @@ def reference_monthly_residence(events, calendar, registry) -> list:
             previous = choice
         filled[m] = previous
     return filled
+
+
+def reference_generate_synthetic(spec, registry) -> tuple:
+    """``synth.generate_synthetic`` as scalar ``Generator`` calls: every
+    bounded integer from ``rng.integers`` and every instant from
+    ``monthrange`` and ``date``. Returns the same (table, truth)."""
+    rng = np.random.default_rng(spec.seed)
+    calendar = spec.calendar
+    rows, planted, noise_moves = [], [], []
+    used = 0
+
+    def next_user():
+        nonlocal used
+        if used >= spec.users:
+            raise ConfigError(f"synthetic user pool of {spec.users} exhausted; raise `users`")
+        used += 1
+        return f"u{used:06d}"
+
+    def instant(month):
+        year, mo = calendar.year_month(month)
+        day = int(rng.integers(1, monthrange(year, mo)[1] + 1))
+        second = int(rng.integers(0, 86400))
+        return (date(year, mo, day) - date(1970, 1, 1)).days * 86400 + second
+
+    def tweets(uid, code, month, anchored):
+        n = int(rng.poisson(spec.tweets_per_month))
+        for _ in range(max(1, n) if anchored else n):
+            rows.append((uid, instant(month), code))
+
+    def mover(uid, move_month, origin, destination):
+        first = max(0, move_month - spec.dwell_months)
+        for m in range(first, min(spec.months - 1, move_month + spec.dwell_months - 1) + 1):
+            tweets(uid, origin if m < move_month else destination, m, m in (first, move_month))
+
+    for comp in spec.components:
+        for code in (comp.origin, comp.destination):
+            if code not in registry:
+                raise ConfigError(f"planted country {code!r} not in registry")
+    for comp in spec.components:
+        for month in sorted(set(comp.active_months)):
+            for _ in range(int(rng.poisson(comp.intensity))):
+                uid = next_user()
+                mover(uid, month, registry.index[comp.origin], registry.index[comp.destination])
+                planted.append({"user_id": uid, "month": month,
+                                "origin": comp.origin, "destination": comp.destination})
+    if spec.noise_rate > 0:
+        N = len(registry)
+        if N < 2:
+            raise ConfigError("background noise needs at least two registered countries")
+        for month in range(1, spec.months):
+            for _ in range(int(rng.poisson(spec.noise_rate))):
+                uid = next_user()
+                o = int(rng.integers(0, N))
+                d = int(rng.integers(0, N - 1))
+                d += d >= o
+                mover(uid, month, o, d)
+                noise_moves.append({"user_id": uid, "month": month,
+                                    "origin": registry.codes[o], "destination": registry.codes[d]})
+    while used < spec.users:
+        uid = next_user()
+        code = int(rng.integers(0, len(registry)))
+        start = int(rng.integers(0, spec.months))
+        span = int(rng.integers(1, 7))
+        for m in range(start, min(spec.months, start + span)):
+            tweets(uid, code, m, m == start)
+
+    users = sorted({uid for uid, _, _ in rows})
+    rank = {u: i for i, u in enumerate(users)}
+    ordered = sorted(rows, key=lambda row: (rank[row[0]], row[1]))  # stable, as the lexsort
+    table = EventTable(users, np.array([rank[uid] for uid, _, _ in ordered], np.int32),
+                       np.array([second for _, second, _ in ordered], np.int64),
+                       np.array([code for _, _, code in ordered], np.int16))
+    truth = {"planted": planted, "noise_moves": noise_moves,
+             "components": [{"origin": c.origin, "destination": c.destination,
+                             "active_months": sorted(set(c.active_months)), "intensity": c.intensity}
+                            for c in spec.components]}
+    return table, truth

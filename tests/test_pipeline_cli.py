@@ -571,6 +571,53 @@ class TestCli:
         assert "must be in [0, 1e+09]" in capsys.readouterr().err
         assert not (tmp_path / "events.csv").exists()
 
+    # a boolean or a string is not read as a number: float() took true as 1.0 and "3" as 3.0
+    @pytest.mark.parametrize("value", [True, "3"], ids=["true", "string"])
+    @pytest.mark.parametrize("name", ["noise_rate", "tweets_per_month", "intensity"])
+    def test_synth_rate_not_a_number_exits_2(self, tmp_path, capsys, name, value):
+        spec = {"users": 10, "noise_rate": 0.0, "seed": 1, "epoch": {"year": 2014, "month": 1}, "months": 6,
+                "components": [{"origin": "GB", "destination": "ES", "active_months": [1], "intensity": 1.0}]}
+        if name == "intensity":
+            spec["components"][0]["intensity"] = value
+        else:
+            spec[name] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        label = {"noise_rate": "noise rate", "intensity": "planted intensity"}.get(name, name)
+        assert f"bad synth spec: {label} must be a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
+
+    def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "users": 5, "noise_rate": 0.0, "seed": -1, "epoch": {"year": 2014, "month": 1}, "months": 6}))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events.csv")])
+        assert rc == 2
+        assert "bad synth spec: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
+
+    def test_synth_out_truth_creates_its_directory(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "users": 20, "noise_rate": 1.0, "seed": 3, "epoch": {"year": 2014, "month": 1}, "months": 6,
+            "components": [{"origin": "GB", "destination": "ES", "active_months": [2], "intensity": 2}]}))
+        (tmp_path / "registry.txt").write_text(REGISTRY)
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                       "--registry", str(tmp_path / "registry.txt"),
+                       "--out-events", str(tmp_path / "events" / "events.csv"),
+                       "--out-truth", str(tmp_path / "truth" / "deeper" / "truth.json")])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        text = (tmp_path / "truth" / "deeper" / "truth.json").read_text()
+        assert summary["planted_moves"] == len(json.loads(text)["planted"])
+        assert '"intensity": 2.0' in text  # a JSON integer rate is written as a float
+        assert (tmp_path / "events" / "events.csv").exists()
+
     def test_residences_of_row_shuffled_events_are_byte_identical(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
         assert cli.main(["ingest", "--config", str(path)]) == 0

@@ -4,20 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from calendar import monthrange
+from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migtensor.ingestion import ConfigError, CountryRegistry
-from migtensor.residence import detect_all, residence_matrix
+from migtensor.residence import MonthCalendar, detect_all, residence_matrix
 from migtensor.synth import (
     _MAX_RATE,
     PlantedComponent,
     SynthSpec,
+    _Draws,
     generate_synthetic,
     load_synth_spec,
     write_synthetic,
 )
+
+from conftest import CODES, reference_generate_synthetic
 
 
 def spec_with(**kwargs):
@@ -136,6 +144,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="planted intensity must be in"):
             PlantedComponent("GB", "ES", (1,), value)
 
+    @pytest.mark.parametrize("value", [True, "3"], ids=["true", "string"])
+    def test_rates_not_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="noise rate must be a number"):
+            spec_with(noise_rate=value)
+        with pytest.raises(ConfigError, match="tweets_per_month must be a number"):
+            spec_with(tweets_per_month=value)
+        with pytest.raises(ConfigError, match="planted intensity must be a number"):
+            PlantedComponent("GB", "ES", (1,), value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            spec_with(seed=-1)
+
     def test_largest_rate_accepted(self):
         # construction only: a spec at this rate is never generated here
         spec_with(noise_rate=_MAX_RATE, tweets_per_month=_MAX_RATE,
@@ -165,3 +186,73 @@ class TestSpecValidation:
         path.write_text('{"users": 5}')
         with pytest.raises(ConfigError):
             load_synth_spec(path)
+
+
+class TestDraws:
+    # spans below 2**32 that numpy's int64 path maps with Lemire's rule; the
+    # last two enter its rejection loop often, and a span of 1 draws nothing
+    SPANS = [1, 2, 7, 28, 29, 30, 31, 36, 40, 86400, 2**31 + 5, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 10**30])
+    def test_integers_interleaved_with_poisson_match_numpy(self, seed):
+        ops = np.random.default_rng(seed % 997)  # which draw comes next, apart from both streams
+        draw, rng = _Draws(seed, MonthCalendar(2014, 1, 1)), np.random.default_rng(seed)
+        for _ in range(600):
+            if ops.random() < 0.2:
+                lam = float(ops.choice([0.0, 0.5, 3.0, 24.0, 120.0]))
+                assert draw.poisson(lam) == rng.poisson(lam)
+            else:
+                span = int(ops.choice(self.SPANS))
+                low = int(ops.integers(-3, 4))
+                assert draw.integers(low, low + span) == rng.integers(low, low + span)
+        # both streams still agree on whole words after the last draw
+        assert draw.poisson(3.0) == rng.poisson(3.0)
+
+    @pytest.mark.parametrize("epoch_year", [1, 1899, 1900, 1970, 2000, 2024, 9997])
+    def test_instant_matches_monthrange_and_date(self, epoch_year):
+        calendar = MonthCalendar(epoch_year, 1, 24)
+        draw, rng = _Draws(5, calendar), np.random.default_rng(5)
+        for month in range(24):
+            year, mo = calendar.year_month(month)
+            day = rng.integers(1, monthrange(year, mo)[1] + 1)
+            second = rng.integers(0, 86400)
+            expected = (date(year, mo, day) - date(1970, 1, 1)).days * 86400 + second
+            assert draw.instant(month) == expected
+
+
+@st.composite
+def small_specs(draw):
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=2, max_size=6, unique=True))
+    months = draw(st.integers(1, 30))
+    components = []
+    if months > 1 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            origin, destination = draw(st.permutations(codes))[:2]
+            active = draw(st.lists(st.integers(0, months - 1), min_size=1, max_size=4))
+            components.append(PlantedComponent(origin, destination, tuple(active),
+                                               draw(st.sampled_from([0.0, 0.5, 2.0, 4.0]))))
+    spec = SynthSpec(
+        users=draw(st.integers(0, 80)), components=tuple(components),
+        noise_rate=draw(st.sampled_from([0.0, 0.3, 1.5])), seed=draw(st.integers(0, 2**64)),
+        epoch_year=draw(st.integers(1, 9996)), epoch_month=draw(st.integers(1, 12)), months=months,
+        tweets_per_month=draw(st.sampled_from([0.0, 1.0, 3.0])), dwell_months=draw(st.integers(1, 8)))
+    return spec, CountryRegistry(codes)
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(small_specs())
+    def test_table_and_truth_equal_the_scalar_reference(self, case):
+        spec, registry = case
+        try:
+            expected_table, expected_truth = reference_generate_synthetic(spec, registry)
+        except ConfigError as exc:  # a pool the planted and noise moves exhaust
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                generate_synthetic(spec, registry)
+            return
+        table, truth = generate_synthetic(spec, registry)
+        assert truth == expected_truth
+        assert table.users == expected_table.users
+        for column in ("user", "seconds", "country"):
+            got, expected = getattr(table, column), getattr(expected_table, column)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), column
