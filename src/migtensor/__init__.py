@@ -54,7 +54,6 @@ from .solver import (
     load_model,
     save_model,
 )
-from .synth import PlantedComponent, SynthSpec, generate_synthetic, load_synth_spec
 from .tensor import MigrationTensor, build_tensor, load_tensor, save_tensor
 
 __all__ = [
@@ -71,18 +70,14 @@ __all__ = [
     "InputError",
     "MigrationTensor",
     "MonthCalendar",
-    "PlantedComponent",
-    "SynthSpec",
     "build_tensor",
     "detect_all",
     "filter_table",
     "fit",
-    "generate_synthetic",
     "gini",
     "load_centroids",
     "load_model",
     "load_registry",
-    "load_synth_spec",
     "load_tensor",
     "rank_components",
     "read_events",

@@ -8,6 +8,7 @@ profile for plotting.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -122,18 +123,17 @@ def emit_reports(reports: list[ComponentReport], calendar: MonthCalendar, out_di
     written.append(summary_path)
     for rank, report in enumerate(reports, start=1):
         time_path = out_dir / f"component_{rank}_time.csv"
-        with open(time_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("month_index,calendar_month,value\n")
-            for m, value in enumerate(report.time_profile):
-                fh.write(f"{m},{calendar.label(m)},{value!r}\n")
+        with open(time_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["month_index", "calendar_month", "value"])
+            writer.writerows([m, calendar.label(m), value] for m, value in enumerate(report.time_profile))
         written.append(time_path)
         country_path = out_dir / f"component_{rank}_countries.csv"
-        with open(country_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("role,country,share\n")
-            for code, share in report.top_origins:
-                fh.write(f"origin,{code},{share!r}\n")
-            for code, share in report.top_destinations:
-                fh.write(f"destination,{code},{share!r}\n")
+        with open(country_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["role", "country", "share"])
+            writer.writerows(["origin", *row] for row in report.top_origins)
+            writer.writerows(["destination", *row] for row in report.top_destinations)
         written.append(country_path)
     for stale in set(out_dir.glob("component_*.csv")).difference(written):
         stale.unlink()

@@ -1,10 +1,12 @@
 """Subcommand CLI for the migration tensor pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 input error, 4 numerical
-failure. The ``migtensor`` command and ``python -m migtensor.cli`` both
-leave through :func:`hard_exit`, which flushes stdout and stderr and ends
-the process without interpreter teardown; every artifact file is closed
-by then. :func:`main` returns its code, for callers in process.
+Only the CLI writes stdout: a stage command's or ``synth``'s JSON
+summary, or ``run``'s overview lines; errors go to stderr. Exit codes: 0
+success, 2 configuration error, 3 input error, 4 numerical failure. The
+``migtensor`` command and ``python -m migtensor.cli`` both leave through
+:func:`hard_exit`, which flushes stdout and stderr and ends the process
+without interpreter teardown; every artifact file is closed by then.
+:func:`main` returns its code, for callers in process.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ import os
 import sys
 from typing import NoReturn
 
-from . import pipeline, synth
+from . import pipeline
 from .config import DETECTION_MODES, FORMATS, OVERRIDE_KEYS, apply_overrides, load_config
 from .events import InputError
 from .ingestion import ConfigError, load_registry
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_NUMERICAL = 4
+from .pipeline import EXIT_CONFIG, EXIT_INPUT
 
 _STAGE_COMMANDS = dict(pipeline.STAGES)
 
@@ -71,30 +69,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stage_command(args) -> int:
+def _run_stage_command(args) -> dict:
+    """The summary of a stage command or of ``run``."""
     config = load_config(args.config)
     config = apply_overrides(config, {k: getattr(args, k) for k in OVERRIDE_KEYS})
     if args.command == "run":
-        pipeline.run_pipeline(config)
-        return EXIT_OK
-    summary = _STAGE_COMMANDS[args.command](config)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+        return pipeline.run_pipeline(config)
+    return _STAGE_COMMANDS[args.command](config)
 
 
-def _run_synth_command(args) -> int:
+def _run_synth_command(args) -> dict:
+    from . import synth  # only this command loads the generator
+
     spec = synth.load_synth_spec(args.spec)
-    summary = synth.write_synthetic(spec, load_registry(args.registry), args.out_events, args.out_truth)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+    return synth.write_synthetic(spec, load_registry(args.registry), args.out_events, args.out_truth)
+
+
+def _print_overview(overview: dict) -> None:
+    print(f"users kept:      {overview['users_kept']}")
+    print(f"events kept:     {overview['events_kept']}")
+    print(f"migrations:      {overview['migrations']}")
+    print(f"tensor nnz:      {overview['tensor_nnz']} (total {overview['tensor_total']})")
+    if overview["solver_skipped"]:
+        print("solver:          skipped (empty tensor)")
+    else:
+        print(f"final objective: {overview['objective']:.6f}")
+    print(f"top ginis:       {overview['top_ginis']}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "synth":
-            return _run_synth_command(args)
-        return _run_stage_command(args)
+        summary = (_run_synth_command if args.command == "synth" else _run_stage_command)(args)
+        if args.command == "run":
+            _print_overview(summary["overview"])
+        else:
+            print(json.dumps(summary, indent=2, sort_keys=True))
+        return 0
     except pipeline.StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return exc.exit_code

@@ -8,8 +8,8 @@ which writes the stage's artifacts and returns its summary and a hand-off
 for the next core. A stage command runs its loader, then its core; a
 one-shot ``run`` chains the cores and reads no artifact back. It hands
 over the kept :class:`~migtensor.events.EventTable`, the user ids with
-their residence matrix, then with their ``(n, 4)`` migration rows, the
-tensor and the fitted model (None for an empty tensor). Only a file on disk
+their residence matrix, the ``(n, 4)`` migration rows, the tensor and the
+fitted model (None for an empty tensor). Only a file on disk
 can be corrupt or stale, so the loaders hold those checks: an events file
 without ingest's header or with a row that ingest would have rejected or left
 unresolved, and a model that does not fit the config's registry and months.
@@ -18,7 +18,10 @@ Each stage has one boundary, around its loader and its core alike, that
 turns what they raise into a :class:`StageError` tagged with the stage's
 name: a configuration error exits 2, an input error or a failed read or
 write exits 3, and a file missing under ``out_dir`` names the stage to
-run first.
+run first. A fit whose objective is not finite exits 4.
+
+Nothing here writes to stdout: a stage command and :func:`run_pipeline`
+return their summaries, which the CLI prints.
 
 Artifact layout inside ``out_dir``::
 
@@ -42,10 +45,16 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from . import analysis, events, ingestion, residence, solver, tensor
 from .config import PipelineConfig
 from .events import InputError, open_text
 from .ingestion import ConfigError, write_json
+
+EXIT_CONFIG = 2
+EXIT_INPUT = 3
+EXIT_NUMERICAL = 4
 
 
 class StageError(Exception):
@@ -82,7 +91,7 @@ class Stage:
         try:
             yield
         except ConfigError as exc:
-            raise StageError(self.name, str(exc), 2) from exc
+            raise StageError(self.name, str(exc), EXIT_CONFIG) from exc
         except (InputError, OSError) as exc:
             message = str(exc)
             names = [n for n, _ in STAGES]
@@ -90,7 +99,7 @@ class Stage:
             if (previous and isinstance(exc, FileNotFoundError) and exc.filename is not None
                     and Path(exc.filename).parent == config.out_dir):
                 message = f"missing {exc.filename}; run {previous} first"
-            raise StageError(self.name, message, 3) from exc
+            raise StageError(self.name, message, EXIT_INPUT) from exc
 
 
 def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
@@ -173,21 +182,21 @@ def _load_residences(config: PipelineConfig) -> tuple:
     return residence.read_residences(config.out_dir / "residences.csv", config.countries, config.months)
 
 
-def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, tuple]:
+def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, np.ndarray]:
     """Window-k migration detection over the users' residences."""
     users, filled = residences
     moves = residence.detect_all(filled, config.window_k, config.detection_mode)
     residence.write_migrations(users, moves, config.countries, config.out_dir / "migrations.csv")
-    return {"migrations": len(moves)}, (users, moves)
+    return {"migrations": len(moves)}, moves
 
 
-def _load_migrations(config: PipelineConfig) -> tuple:
-    return residence.read_migrations(config.out_dir / "migrations.csv", config.countries, config.months)
+def _load_migrations(config: PipelineConfig) -> np.ndarray:
+    return residence.read_migrations(config.out_dir / "migrations.csv", config.countries, config.months)[1]
 
 
-def _tensorize(config: PipelineConfig, migrations: tuple) -> tuple[dict, tensor.MigrationTensor]:
+def _tensorize(config: PipelineConfig, moves: np.ndarray) -> tuple[dict, tensor.MigrationTensor]:
     registry = config.countries
-    t = tensor.build_tensor(migrations[1], registry, config.months)
+    t = tensor.build_tensor(moves, registry, config.months)
     tensor.save_tensor(t, config.out_dir / "tensor.txt")
     ingestion.save_registry(registry, config.out_dir / "tensor.registry.txt")
     return {"nnz": t.nnz, "total": t.total}, t
@@ -220,7 +229,7 @@ def _fit(config: PipelineConfig, t: tensor.MigrationTensor) -> tuple[dict, Optio
     model, trace = solver.fit(t, config.fit)
     final = trace.objectives[-1]
     if not math.isfinite(final):
-        raise StageError("fit", f"objective diverged to {final}", 4)
+        raise StageError("fit", f"objective diverged to {final}", EXIT_NUMERICAL)
     solver.save_model(model, model_path)
     summary = {
         "skipped": False,
@@ -269,9 +278,9 @@ stage_ingest, stage_residences, stage_detect, stage_tensorize, stage_fit, stage_
     stage for _, stage in STAGES)
 
 
-def run_pipeline(config: PipelineConfig, echo=print) -> dict:
+def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage's core in order, each on the hand-off of the one
-    before, and write run_summary.json.
+    before, write run_summary.json and return the summary.
 
     A fatal error in any stage aborts with that stage's tag and exit code.
     """
@@ -281,7 +290,7 @@ def run_pipeline(config: PipelineConfig, echo=print) -> dict:
         # rebinding drops each hand-off as soon as the next core has taken
         # it, so only one is alive at a time
         summary[name], given = stage.run(config, given)
-    overview = {
+    summary["overview"] = {
         "users_kept": summary["ingest"]["filter"]["users_seen"]
         - summary["ingest"]["filter"]["users_dropped"],
         "events_kept": summary["ingest"]["events_kept"],
@@ -292,16 +301,5 @@ def run_pipeline(config: PipelineConfig, echo=print) -> dict:
         "solver_skipped": summary["fit"].get("skipped", False),
         "top_ginis": summary["analyze"]["top_ginis"],
     }
-    summary["overview"] = overview
     write_json(config.out_dir / "run_summary.json", summary)
-    if echo is not None:
-        echo(f"users kept:      {overview['users_kept']}")
-        echo(f"events kept:     {overview['events_kept']}")
-        echo(f"migrations:      {overview['migrations']}")
-        echo(f"tensor nnz:      {overview['tensor_nnz']} (total {overview['tensor_total']})")
-        if overview["solver_skipped"]:
-            echo("solver:          skipped (empty tensor)")
-        else:
-            echo(f"final objective: {overview['objective']:.6f}")
-        echo(f"top ginis:       {overview['top_ginis']}")
     return summary

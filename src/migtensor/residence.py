@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -233,11 +234,9 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
     # the writer's spelling of each month index
     month_of = {str(m): m for m in range(months)}
     users: dict[str, int] = {}
-    # the matrix in first-seen user order, one row of `months` int16 cells
-    # per user, written through `view`
-    cells = bytearray()
-    view = memoryview(cells).cast("h")
-    unknown = b"\xff\xff" * months  # -1 in every cell
+    # the matrix in first-seen user order, one row of `months` int16 cells per user
+    cells = array("h")
+    unknown = array("h", [-1]) * months
     with open_text(path) as fh:
         for line, parts in dump_rows(fh, path, RESIDENCE_HEADER):
             try:
@@ -248,14 +247,11 @@ def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[
             row = users.get(user_id)
             if row is None:
                 row = users[user_id] = len(users)
-                view.release()  # a bytearray grows only while no view holds it
                 cells += unknown
-                view = memoryview(cells).cast("h")
             cell = row * months + month
-            if view[cell] >= 0:
+            if cells[cell] >= 0:
                 raise line_error(path, line, f"repeated month {month} for user {user_id!r}")
-            view[cell] = country
-    view.release()
+            cells[cell] = country
     names = sorted(users)
     order = [users[u] for u in names]
     return names, np.frombuffer(cells, dtype=np.int16).reshape(len(users), months)[order]

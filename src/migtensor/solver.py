@@ -72,8 +72,6 @@ to a ``fit`` process's peak RSS, for a few thousand uniforms.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -527,20 +525,14 @@ def fit(tensor: MigrationTensor, config: FitConfig) -> tuple[FactorModel, FitTra
 
 
 def save_model(model: FactorModel, path) -> None:
-    """Write ``# cp N N M K`` then weights, O, D, T as CSV blocks.
+    """Write ``# cp N N M K`` then weights, O, D, T as comma-separated rows.
 
     Floats use 17 significant digits, enough to round-trip exactly.
     """
     N1, N2, M = model.dims
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    buf.write(f"# cp {N1} {N2} {M} {model.K}\n")
-    writer.writerow([f"{x:.17g}" for x in model.weights])
-    for mat in (model.O, model.D, model.T):
-        for row in mat:
-            writer.writerow([f"{x:.17g}" for x in row])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        np.savetxt(fh, np.vstack([model.weights, model.O, model.D, model.T]), fmt="%.17g",
+                   delimiter=",", header=f"cp {N1} {N2} {M} {model.K}", comments="# ")
 
 
 def load_model(path) -> FactorModel:

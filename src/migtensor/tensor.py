@@ -82,9 +82,8 @@ def save_tensor(tensor: MigrationTensor, path) -> None:
     """Write ``# dims N N M`` then sorted ``i j t c`` integer lines."""
     N1, N2, M = tensor.dims
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# dims {N1} {N2} {M}\n")
-        for (i, j, t), c in zip(tensor.coords, tensor.counts):
-            fh.write(f"{i} {j} {t} {c}\n")
+        np.savetxt(fh, np.column_stack((tensor.coords, tensor.counts)), fmt="%d",
+                   header=f"dims {N1} {N2} {M}", comments="# ")
 
 
 def load_tensor(path) -> MigrationTensor:

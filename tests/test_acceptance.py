@@ -177,7 +177,7 @@ def test_4_end_to_end_seasonal_pattern(capsys, tmp_path):
     started = time.perf_counter()
     failures = []
     config = load_config(_seasonal_workspace(tmp_path))
-    pipeline.run_pipeline(config, echo=None)
+    pipeline.run_pipeline(config)
     summary = json.loads((tmp_path / "out" / "reports" / "summary.json").read_text())
     top = summary["components"][0]
     profile = np.array(top["time_profile"])
@@ -255,9 +255,9 @@ def test_6_determinism_and_round_trips(capsys, tmp_path):
         return {p.relative_to(out).as_posix(): p.read_bytes()
                 for p in sorted(out.rglob("*")) if p.is_file()}
 
-    pipeline.run_pipeline(config, echo=None)
+    pipeline.run_pipeline(config)
     first = snapshot()
-    pipeline.run_pipeline(config, echo=None)
+    pipeline.run_pipeline(config)
     second = snapshot()
     if first != second:
         changed = [name for name in first if first.get(name) != second.get(name)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from migtensor.analysis import (
     gini,
     rank_components,
 )
+from migtensor.ingestion import CountryRegistry
 from migtensor.residence import MonthCalendar
 from migtensor.solver import FactorModel
 
@@ -232,3 +234,15 @@ class TestEmitReports:
         assert lines[0] == "role,country,share"
         roles = [line.split(",")[0] for line in lines[1:]]
         assert roles == ["origin"] * 3 + ["destination"] * 3
+
+    def test_country_csv_quotes_codes_as_csv_does(self, tmp_path):
+        # the registry takes any printable code, a comma or a quote included
+        registry = CountryRegistry(["K,W", 'G"B', "FR"])
+        model = model_with_time_columns([np.array([0.1, 0.7, 0.2])], weights=[4.0], N=3)
+        emit_reports(rank_components(model, registry, n_top=3), MonthCalendar(2014, 1, 3), tmp_path)
+        with open(tmp_path / "component_1_countries.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 3 for row in rows)
+        # equal shares rank in registry order
+        assert [row[:2] for row in rows] == [["role", "country"], *(["origin", c] for c in registry.codes),
+                                             *(["destination", c] for c in registry.codes)]

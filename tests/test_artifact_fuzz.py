@@ -75,7 +75,6 @@ def test_stage_reading_a_corrupt_artifact_exits_0_or_3(demo_run, artifact, edit)
         path.write_bytes(edited(artifacts[artifact], *edit))
         code = cli.main([READERS[artifact], "--config", str(config), "--out-dir", out_dir, *SHORT_FIT])
     assert code in (0, 3)
-    # the error for a dump names its line, unless the file is not UTF-8;
-    # the one for events.csv gives the reject tallies instead
-    if code == 3 and artifact != "events.csv":
+    # the error for a dump names its line, unless the file is not UTF-8
+    if code == 3:
         assert re.search(f"{re.escape(str(path))}:[0-9]+: ", err.getvalue()) or "not UTF-8" in err.getvalue()

@@ -345,6 +345,12 @@ class TestRegistry:
         save_registry(registry, path)
         assert load_registry(path).codes == registry.codes
 
+    def test_file_of_blank_lines_rejected(self, tmp_path):
+        path = tmp_path / "registry.txt"
+        path.write_text("\n  \n\t\n")
+        with pytest.raises(ConfigError, match="is empty"):
+            load_registry(path)
+
     def test_more_codes_than_a_country_index_holds_rejected(self):
         codes = [f"C{i}" for i in range(_MAX_CODES + 1)]
         assert len(CountryRegistry(codes[:-1])) == _MAX_CODES
@@ -448,11 +454,22 @@ class TestResolveCountry:
         with pytest.raises(ConfigError):
             CentroidTable([("GB", 0.0, 0.0), ("GB", 1.0, 1.0)], registry)
 
+    @pytest.mark.parametrize("lat, lon", [(90.5, 0.0), (-90.5, 0.0), (0.0, 180.5), (0.0, -180.5)])
+    def test_centroid_out_of_range_rejected(self, registry, lat, lon):
+        with pytest.raises(ConfigError, match=r"centroid for 'GB' out of range"):
+            CentroidTable([("GB", lat, lon)], registry)
+
     def test_load_centroids(self, registry, tmp_path):
         path = tmp_path / "centroids.csv"
         path.write_text("country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n")
         table = load_centroids(path, registry)
         assert resolve_points([(54.0, -2.0)], table) == ["GB"]
+
+    def test_load_centroids_skips_blank_lines(self, registry, tmp_path):
+        path = tmp_path / "centroids.csv"
+        path.write_text("country,lat,lon\nGB,54.0,-2.0\n\nFR,46.0,2.0\n")
+        table = load_centroids(path, registry)
+        assert resolve_points([(54.0, -2.0), (46.0, 2.0)], table) == ["GB", "FR"]
 
     # a quoted code holding a line break spans two lines: before the bad
     # record (lines 2-3), so record 4 starts on line 5, or in it (lines 4-5);
@@ -462,7 +479,8 @@ class TestResolveCountry:
         ('country,lat,lon\nGB,54.0,-2.0\nFR,46.0,2.0\n"E\nS",abc,-4.0\n', 4, "bad coordinates"),
         ('country,lat,lon\nGB,54.0,-2.0\n"F\nR",' + "4" * (csv.field_size_limit() + 1) + ",2.0\n",
          3, "unreadable row"),
-    ], ids=["before", "in it", "in it, too long"])
+        ('country,lat,lon\n"G\nB",54.0,-2.0\nFR,46.0\n', 4, "expected 3 fields, got 2"),
+    ], ids=["before", "in it", "in it, too long", "two fields"])
     def test_load_centroids_names_the_line_a_record_starts_on(self, registry, tmp_path, text, line,
                                                               message):
         path = tmp_path / "centroids.csv"
@@ -669,6 +687,13 @@ class TestFilterTable:
         ("max_countries_per_day", 2.0)])
     def test_threshold_of_another_type_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            FilterPolicy(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_events_per_day", 0, "must be positive"), ("max_countries_per_day", 0, "must be positive"),
+        ("min_events_total", -1, "must be non-negative"), ("min_active_months", -1, "must be non-negative")])
+    def test_threshold_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"{name[:3]}_\\* thresholds {message}"):
             FilterPolicy(**{name: value})
 
 

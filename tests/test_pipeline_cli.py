@@ -40,6 +40,9 @@ for month, country in [(m, "FR") for m in range(2)] + [(m, "US") for m in range(
 for month, country in [(m, "US") for m in range(4)] + [(m, "KW") for m in range(4, 6)]:
     FIXTURE_ROWS += [f"carol,2014-{month + 1:02d}-{d:02d}T21:15:00Z,{country}" for d in (9, 24)]
 FIXTURE_CSV = "user_id,timestamp,country\n" + "\n".join(sorted(FIXTURE_ROWS)) + "\n"
+# one user who stays in GB: no migration, so an empty tensor and no model
+STAYER_CSV = "user_id,timestamp,country\n" + "".join(
+    f"dave,2014-{month + 1:02d}-{d:02d}T12:00:00Z,GB\n" for month in range(6) for d in (5, 20))
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,7 +104,7 @@ def artifact_bytes(out_dir):
 class TestRunPipeline:
     def test_fixture_yields_three_migrations(self, tmp_path):
         config = load_config(write_workspace(tmp_path))
-        summary = pipeline.run_pipeline(config, echo=None)
+        summary = pipeline.run_pipeline(config)
         assert summary["overview"]["users_kept"] == 3
         assert summary["overview"]["migrations"] == 3
         assert summary["overview"]["tensor_total"] == 3
@@ -113,7 +116,7 @@ class TestRunPipeline:
 
     def test_empty_input_propagates_cleanly(self, tmp_path):
         config = load_config(write_workspace(tmp_path, input_text=""))
-        summary = pipeline.run_pipeline(config, echo=None)
+        summary = pipeline.run_pipeline(config)
         assert summary["overview"]["users_kept"] == 0
         assert summary["overview"]["tensor_nnz"] == 0
         assert summary["overview"]["solver_skipped"] is True
@@ -127,9 +130,9 @@ class TestRunPipeline:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = load_config(write_workspace(tmp_path))
-        pipeline.run_pipeline(config, echo=None)
+        pipeline.run_pipeline(config)
         first = artifact_bytes(tmp_path / "out")
-        pipeline.run_pipeline(config, echo=None)
+        pipeline.run_pipeline(config)
         assert artifact_bytes(tmp_path / "out") == first
 
     def test_staged_equals_one_shot(self, tmp_path):
@@ -137,7 +140,7 @@ class TestRunPipeline:
         staged = tmp_path / "staged"
         one_shot.mkdir(), staged.mkdir()
         config_a = load_config(write_workspace(one_shot))
-        pipeline.run_pipeline(config_a, echo=None)
+        pipeline.run_pipeline(config_a)
         config_b = load_config(write_workspace(staged))
         for _, stage in pipeline.STAGES:
             stage(config_b)
@@ -145,6 +148,19 @@ class TestRunPipeline:
         b = artifact_bytes(staged / "out")
         a.pop("run_summary.json")  # written by the one-shot runner only
         assert a == b
+
+    def test_staged_empty_tensor_equals_one_shot(self, tmp_path):
+        # analyze finds no model.txt, and reads the tensor to learn it is empty
+        one_shot, staged = tmp_path / "one", tmp_path / "staged"
+        one_shot.mkdir(), staged.mkdir()
+        pipeline.run_pipeline(load_config(write_workspace(one_shot, STAYER_CSV)))
+        path = write_workspace(staged, STAYER_CSV)
+        for name in STAGE_NAMES:
+            assert cli.main([name, "--config", str(path)]) == 0
+        a = artifact_bytes(one_shot / "out")
+        a.pop("run_summary.json")
+        assert a == artifact_bytes(staged / "out")
+        assert "model.txt" not in a and load_tensor(staged / "out" / "tensor.txt").nnz == 0
 
     # every stage after the first, with the artifact the stage before it writes
     @pytest.mark.parametrize("stage, artifact", [
@@ -178,7 +194,7 @@ class TestRunPipeline:
         path = write_workspace(tmp_path)
         (tmp_path / "events.csv").unlink()
         with pytest.raises(pipeline.StageError) as err:
-            pipeline.run_pipeline(load_config(path), echo=None)
+            pipeline.run_pipeline(load_config(path))
         assert err.value.exit_code == 3
 
     def test_run_reads_only_the_raw_input(self, tmp_path, monkeypatch):
@@ -199,7 +215,7 @@ class TestRunPipeline:
                              (residence, "read_migrations"), (tensor, "load_tensor"),
                              (solver, "load_model")]:
             spy(module, name)
-        pipeline.run_pipeline(config, echo=None)
+        pipeline.run_pipeline(config)
         assert calls == [("_parse_range", config.input)]
         # a stage command still loads the artifact of the stage before
         calls.clear()
@@ -223,7 +239,7 @@ class TestRunPipeline:
         path = write_workspace(tmp_path)
         (tmp_path / "out" / "residences.csv").mkdir(parents=True)  # the residences core cannot write
         with pytest.raises(pipeline.StageError) as err:
-            pipeline.run_pipeline(load_config(path), echo=None)
+            pipeline.run_pipeline(load_config(path))
         assert err.value.stage == "residences" and err.value.exit_code == 3
         capsys.readouterr()
         assert cli.main(["run", "--config", str(path)]) == 3
@@ -254,6 +270,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_workspace(tmp_path, window_k=4))  # 2k > 6 months
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("format", "xml", "format must be one of"),
+        ("detection_mode", "loose", "detection_mode must be one of"),
+        ("top_k", 0, "top_k and n_top must be positive"),
+        ("n_top", -1, "top_k and n_top must be positive")])
+    def test_value_out_of_range(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_workspace(tmp_path, **{key: value}))
+
     def test_overrides_win(self, tmp_path):
         config = load_config(write_workspace(tmp_path))
         merged = apply_overrides(config, {"rank": 4, "window_k": 2, "seed": 11})
@@ -269,6 +294,11 @@ class TestConfig:
         config = load_config(write_workspace(tmp_path))
         with pytest.raises(ConfigError):
             apply_overrides(config, {"rank": 0})
+
+    def test_unknown_override_key(self, tmp_path):
+        config = load_config(write_workspace(tmp_path))
+        with pytest.raises(ConfigError, match="unknown override 'months'"):
+            apply_overrides(config, {"months": 12})
 
     @pytest.mark.parametrize("value", [1.5, 2.7, True, "3"])
     @pytest.mark.parametrize("key", ["window_k", "top_k", "n_top", "rank", "seed",
@@ -293,7 +323,7 @@ class TestConfig:
         plain = tmp_path / "plain"
         legacy = tmp_path / "legacy"
         plain.mkdir(), legacy.mkdir()
-        pipeline.run_pipeline(load_config(write_workspace(plain)), echo=None)
+        pipeline.run_pipeline(load_config(write_workspace(plain)))
         assert cli.main(["run", "--config", str(write_workspace(legacy, retired_option=1))]) == 0
         assert artifact_bytes(legacy / "out") == artifact_bytes(plain / "out")
 
@@ -351,6 +381,22 @@ class TestCli:
 
         monkeypatch.setitem(cli._STAGE_COMMANDS, "fit", boom)
         assert cli.main(["fit", "--config", str(path)]) == 4
+
+    def test_diverged_objective_exits_4(self, tmp_path, monkeypatch, capsys):
+        path = write_workspace(tmp_path)
+        run_stages_before("fit", path)
+        real = solver.fit
+
+        def diverging(*args):
+            model, trace = real(*args)
+            trace.objectives[-1] = math.inf
+            return model, trace
+
+        monkeypatch.setattr(solver, "fit", diverging)
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", str(path)]) == 4
+        assert capsys.readouterr().err == "error [fit] objective diverged to inf\n"
+        assert not (tmp_path / "out" / "model.txt").exists()
 
     def test_flag_overrides_reach_the_solver(self, tmp_path):
         path = write_workspace(tmp_path)
@@ -740,6 +786,17 @@ class TestCorruptArtifacts:
         assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"[{stage}]" in err and f"{target}:1: malformed" in err
+
+    def test_model_header_of_unequal_n_exits_3_naming_line_1(self, tmp_path, capsys):
+        # the header's row count, 1 + 3 + 4 + 2, is the file's
+        path = write_workspace(tmp_path)
+        run_stages_before("analyze", path)
+        target = tmp_path / "out" / "model.txt"
+        target.write_text("# cp 3 4 2 2\n" + "0.5,0.5\n" * 10)
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error [analyze] {target}:1: origin and destination factors must share N\n")
 
     def test_corrupt_tensor_without_model_exits_3_in_analyze(self, tmp_path, capsys):
         path = write_workspace(tmp_path)
@@ -1256,6 +1313,20 @@ class TestDemoGoldenDigests:
         if int(np.__version__.split(".")[0]) >= 2:
             assert after == "False"
         assert artifact_bytes(tmp_path / "out_tourism")["model.txt"]
+
+    def test_fit_leaves_synth_unimported(self, tmp_path, capsys):
+        """Only the ``synth`` command loads :mod:`migtensor.synth`: the demo
+        ``fit`` in a fresh interpreter does not."""
+        self.tourism_workspace(tmp_path)
+        run_stages_before("fit", tmp_path / "config_tourism.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(DEMO.parent / "src"), os.environ.get("PYTHONPATH")])))
+        launcher = ("import sys; from migtensor.cli import main; code = main(); "
+                    "print('migtensor.synth' in sys.modules); sys.exit(code)")
+        result = subprocess.run([sys.executable, "-c", launcher, "fit", "--config", "config_tourism.json"],
+                                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_run_on_all_cpus_writes_the_bytes_of_one_cpu(self, tmp_path, capsys):

@@ -844,6 +844,19 @@ class TestModelFile:
         for got, expected in zip((loaded.O, loaded.D, loaded.T), (model.O, model.D, model.T)):
             assert got.tobytes() == expected.tobytes()
 
+    def test_rank_1_round_trip_is_exact(self, tmp_path):
+        # one value per row, so no row holds a comma
+        rng = np.random.default_rng(43)
+        model = random_model(rng, (3, 3, 4), 1)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# cp 3 3 4 1" and lines[1] == f"{model.weights[0]:.17g}"
+        loaded = load_model(path)
+        for got, expected in zip((loaded.weights, loaded.O, loaded.D, loaded.T),
+                                 (model.weights, model.O, model.D, model.T)):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(42)
         model = random_model(rng, (4, 4, 3), 2)

@@ -157,6 +157,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             spec_with(seed=-1)
 
+    @pytest.mark.parametrize("name, value, message", [("users", -1, "user count must be >= 0"),
+                                                      ("dwell_months", 0, "dwell_months must be >= 1")])
+    def test_count_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=message):
+            spec_with(**{name: value})
+
+    def test_noise_with_one_registered_country_rejected(self):
+        with pytest.raises(ConfigError, match="background noise needs at least two registered countries"):
+            generate_synthetic(spec_with(noise_rate=1.0), CountryRegistry(["GB"]))
+
     def test_largest_rate_accepted(self):
         # construction only: a spec at this rate is never generated here
         spec_with(noise_rate=_MAX_RATE, tweets_per_month=_MAX_RATE,

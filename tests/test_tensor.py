@@ -129,6 +129,13 @@ class TestTensorFile:
         loaded = load_tensor(path)
         assert loaded == t and loaded.nnz == 0
 
+    def test_empty_file_is_its_header_line(self, tmp_path):
+        t = make_tensor((4, 4, 2), {})
+        path = tmp_path / "tensor.txt"
+        save_tensor(t, path)
+        assert path.read_bytes() == b"# dims 4 4 2\n"
+        assert load_tensor(path) == t
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "tensor.txt"
         path.write_text("# wrong 3 3 4\n")
