@@ -43,7 +43,6 @@ from .ingestion import (
 from .residence import (
     MonthCalendar,
     detect_all,
-    read_residences,
     residence_matrix,
 )
 from .solver import (
@@ -81,7 +80,6 @@ __all__ = [
     "load_tensor",
     "rank_components",
     "read_events",
-    "read_residences",
     "residence_matrix",
     "save_model",
     "save_registry",

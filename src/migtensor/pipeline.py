@@ -2,23 +2,27 @@
 configured output directory, so stages can run one-shot or one at a time
 with byte-identical results.
 
-A stage is a loader, which reads the artifact of the stage before from
-``out_dir`` (ingest has none: its input is the raw stream), and a core,
-which writes the stage's artifacts and returns its summary and a hand-off
-for the next core. A stage command runs its loader, then its core; a
-one-shot ``run`` chains the cores and reads no artifact back. It hands
-over the kept :class:`~migtensor.events.EventTable`, the user ids with
-their residence matrix, the ``(n, 4)`` migration rows, the tensor and the
-fitted model (None for an empty tensor). Only a file on disk
-can be corrupt or stale, so the loaders hold those checks: an events file
-without ingest's header or with a row that ingest would have rejected or left
-unresolved, and a model that does not fit the config's registry and months.
+A stage is a loader, which builds the core's input from an artifact
+under ``out_dir`` (ingest has none: its input is the raw stream), and a
+core, which writes the stage's artifacts and returns its summary and a
+hand-off for the next core. A stage command runs its loader, then its
+core; a one-shot ``run`` chains the cores and reads no artifact back. It
+hands over the kept :class:`~migtensor.events.EventTable`, the user ids
+with their residence matrix, the ``(n, 4)`` migration rows, the tensor
+and the fitted model (None for an empty tensor). Residences depend only
+on the events and the calendar, so ``detect`` recomputes them from
+``events.csv``, as ``residences`` does, and no stage reads
+``residences.csv`` back; every other loader reads the artifact of the
+stage before. Only a file on disk can be corrupt or stale, so the
+loaders hold those checks: an events file without ingest's header or
+with a row that ingest would have rejected or left unresolved, and a
+model that does not fit the config's registry and months.
 
 Each stage has one boundary, around its loader and its core alike, that
 turns what they raise into a :class:`StageError` tagged with the stage's
 name: a configuration error exits 2, an input error or a failed read or
-write exits 3, and a file missing under ``out_dir`` names the stage to
-run first. A fit whose objective is not finite exits 4.
+write exits 3, and an artifact missing under ``out_dir`` names the stage
+that writes it. A fit whose objective is not finite exits 4.
 
 Nothing here writes to stdout: a stage command and :func:`run_pipeline`
 return their summaries, which the CLI prints.
@@ -27,7 +31,7 @@ Artifact layout inside ``out_dir``::
 
     events.csv          parsed, resolved, filtered event stream
     ingest_stats.json   reject and drop tallies
-    residences.csv      filled monthly residence per user
+    residences.csv      filled monthly residence per user (not read back)
     migrations.csv      detected window-k migration events
     tensor.txt          sparse count tensor (+ tensor.registry.txt sidecar)
     model.txt           fitted factor model (absent when the tensor is empty)
@@ -86,20 +90,25 @@ class Stage:
 
     @contextmanager
     def _boundary(self, config: PipelineConfig):
-        """A file missing under ``out_dir`` is the artifact of the stage
-        before, so its message says to run that one."""
+        """The message of an artifact missing under ``out_dir`` says to
+        run the stage that writes it."""
         try:
             yield
         except ConfigError as exc:
             raise StageError(self.name, str(exc), EXIT_CONFIG) from exc
         except (InputError, OSError) as exc:
             message = str(exc)
-            names = [n for n, _ in STAGES]
-            previous = dict(zip(names[1:], names)).get(self.name)
-            if (previous and isinstance(exc, FileNotFoundError) and exc.filename is not None
-                    and Path(exc.filename).parent == config.out_dir):
-                message = f"missing {exc.filename}; run {previous} first"
+            if isinstance(exc, FileNotFoundError) and exc.filename is not None:
+                missing = Path(exc.filename)
+                writer = WRITERS.get(missing.name) if missing.parent == config.out_dir else None
+                if writer not in (None, self.name):
+                    message = f"missing {exc.filename}; run {writer} first"
             raise StageError(self.name, message, EXIT_INPUT) from exc
+
+
+# the stage that writes each artifact a loader reads
+WRITERS = {"events.csv": "ingest", "migrations.csv": "detect", "tensor.txt": "tensorize",
+           "model.txt": "fit"}
 
 
 def _ingest(config: PipelineConfig, _: None) -> tuple[dict, events.EventTable]:
@@ -178,8 +187,11 @@ def _residences(config: PipelineConfig, table: events.EventTable) -> tuple[dict,
     return {"users": len(table.users)}, (table.users, filled)
 
 
-def _load_residences(config: PipelineConfig) -> tuple:
-    return residence.read_residences(config.out_dir / "residences.csv", config.countries, config.months)
+def _recompute_residences(config: PipelineConfig) -> tuple:
+    """The users of the events artifact with their residence matrix, the
+    hand-off of the residences core."""
+    table = _load_events(config)
+    return table.users, residence.residence_matrix(table, config.calendar)
 
 
 def _detect(config: PipelineConfig, residences: tuple) -> tuple[dict, np.ndarray]:
@@ -269,7 +281,7 @@ def _analyze(config: PipelineConfig, model: Optional[solver.FactorModel]) -> tup
 STAGES = tuple((name, Stage(name, load, core)) for name, load, core in (
     ("ingest", None, _ingest),
     ("residences", _load_events, _residences),
-    ("detect", _load_residences, _detect),
+    ("detect", _recompute_residences, _detect),
     ("tensorize", _load_migrations, _tensorize),
     ("fit", _load_tensor, _fit),
     ("analyze", _load_model, _analyze),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import re
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -156,9 +155,9 @@ def _window_residence(filled: np.ndarray, k: int, mode: str) -> np.ndarray:
 def detect_all(filled: np.ndarray, k: int, mode: str = "strict") -> np.ndarray:
     """Detect residence changes between the k-month windows around each month.
 
-    ``filled`` is a ``(users, M)`` residence matrix, -1 where unknown,
-    as :func:`residence_matrix` and :func:`read_residences` return it. For
-    each month m with full windows on both sides, compares the window
+    ``filled`` is a ``(users, M)`` residence matrix, -1 where unknown, as
+    :func:`residence_matrix` returns it. For each month m with full
+    windows on both sides, compares the window
     residence over [m-k, m-1] against [m, m+k-1] and emits an event when
     both are defined and differ. ``strict`` windows are defined only when
     all k months agree; ``modal`` windows take the most frequent country
@@ -198,7 +197,9 @@ MIGRATION_HEADER = ["user_id", "month_index", "origin", "destination"]
 def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: CountryRegistry,
                            path) -> None:
     """Dump a filled residence matrix as ``user_id,month_index,country``
-    rows, one per known cell, by user then month."""
+    rows, one per known cell, by user then month. The dump is for
+    inspection: residences depend only on the events and the calendar, so
+    the pipeline recomputes them and reads no dump back."""
     heads, tails = csv_cells(users, registry.codes)
     months = np.array([str(m) for m in range(filled.shape[1])], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -210,10 +211,11 @@ def write_residence_matrix(users: Sequence[str], filled: np.ndarray, registry: C
             fh.write(join_rows(heads[rows + start], months[month], tails[block[rows, month]]))
 
 
-def _row_defect(parts: list[str], header: list[str], month_of: dict, registry: CountryRegistry) -> str:
-    """The first defect of a dump row that did not load; ``month_of`` as in the readers."""
-    if len(parts) != len(header):
-        return f"expected {len(header)} fields, got {len(parts)}"
+def _row_defect(parts: list[str], month_of: dict, registry: CountryRegistry) -> str:
+    """The first defect of a migration dump row that did not load;
+    ``month_of`` as in :func:`read_migrations`."""
+    if len(parts) != len(MIGRATION_HEADER):
+        return f"expected {len(MIGRATION_HEADER)} fields, got {len(parts)}"
     if not re.fullmatch("0|-?[1-9][0-9]*", parts[1]):
         return f"month index {parts[1]!r} is not a plain decimal integer"
     if parts[1] not in month_of:
@@ -222,39 +224,6 @@ def _row_defect(parts: list[str], header: list[str], month_of: dict, registry: C
         if code not in registry:
             return f"unknown country {code!r}"
     return f"origin and destination are both {parts[2]!r}"
-
-
-def read_residences(path, registry: CountryRegistry, months: int) -> tuple[list[str], np.ndarray]:
-    """Load a residence dump as the sorted user ids and their ``(users,
-    months)`` int16 residence matrix, -1 where unknown.
-
-    A malformed row raises :class:`InputError` naming its ``path:line``.
-    """
-    index = registry.index
-    # the writer's spelling of each month index
-    month_of = {str(m): m for m in range(months)}
-    users: dict[str, int] = {}
-    # the matrix in first-seen user order, one row of `months` int16 cells per user
-    cells = array("h")
-    unknown = array("h", [-1]) * months
-    with open_text(path) as fh:
-        for line, parts in dump_rows(fh, path, RESIDENCE_HEADER):
-            try:
-                user_id, m, code = parts
-                month, country = month_of[m], index[code]
-            except (ValueError, KeyError):
-                raise line_error(path, line, _row_defect(parts, RESIDENCE_HEADER, month_of, registry)) from None
-            row = users.get(user_id)
-            if row is None:
-                row = users[user_id] = len(users)
-                cells += unknown
-            cell = row * months + month
-            if cells[cell] >= 0:
-                raise line_error(path, line, f"repeated month {month} for user {user_id!r}")
-            cells[cell] = country
-    names = sorted(users)
-    order = [users[u] for u in names]
-    return names, np.frombuffer(cells, dtype=np.int16).reshape(len(users), months)[order]
 
 
 def write_migrations(users: Sequence[str], moves: np.ndarray, registry: CountryRegistry,
@@ -282,5 +251,5 @@ def read_migrations(path, registry: CountryRegistry, months: int) -> tuple[list[
                     raise ValueError
                 moves.append((users.setdefault(user_id, len(users)), month_of[m], index[o], index[d]))
             except (ValueError, KeyError):  # ValueError: a wrong field count, or o == d
-                raise line_error(path, line, _row_defect(parts, MIGRATION_HEADER, month_of, registry)) from None
+                raise line_error(path, line, _row_defect(parts, month_of, registry)) from None
     return list(users), np.array(moves, dtype=np.int64).reshape(-1, 4)

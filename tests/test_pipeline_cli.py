@@ -149,6 +149,49 @@ class TestRunPipeline:
         a.pop("run_summary.json")  # written by the one-shot runner only
         assert a == b
 
+    # detect recomputes the residences from events.csv, so the residences
+    # dump, gone, garbage or a directory, changes none of its bytes
+    @pytest.mark.parametrize("spoil", [
+        lambda dump: dump.unlink(),
+        lambda dump: dump.write_bytes(b"garbage\xff,\"\n"),
+        lambda dump: (dump.unlink(), dump.mkdir())], ids=["deleted", "garbage", "directory"])
+    def test_detect_reads_no_residences_dump(self, tmp_path, capsys, spoil):
+        path = write_workspace(tmp_path)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        expected = (out / "migrations.csv").read_bytes()
+        (out / "migrations.csv").unlink()
+        spoil(out / "residences.csv")
+        assert cli.main(["detect", "--config", str(path)]) == 0
+        assert (out / "migrations.csv").read_bytes() == expected
+
+    # the staged chain that skips the residences command writes the one-shot
+    # run's artifacts, less residences.csv
+    @pytest.mark.parametrize("workspace", [write_workspace, write_geo_workspace], ids=["codes", "points"])
+    def test_staged_without_residences_equals_one_shot(self, tmp_path, workspace):
+        one_shot, staged = tmp_path / "one", tmp_path / "staged"
+        one_shot.mkdir(), staged.mkdir()
+        pipeline.run_pipeline(load_config(workspace(one_shot)))
+        config = load_config(workspace(staged))
+        for name, stage in pipeline.STAGES:
+            if name != "residences":
+                stage(config)
+        a = artifact_bytes(one_shot / "out")
+        a.pop("run_summary.json")
+        a.pop("residences.csv")
+        assert a == artifact_bytes(staged / "out")
+
+    # the stage that WRITERS names for an artifact is the one that writes it
+    @pytest.mark.parametrize("artifact", sorted(pipeline.WRITERS))
+    def test_writers_names_the_stage_that_writes_each_artifact(self, tmp_path, artifact):
+        config = load_config(write_workspace(tmp_path))
+        writer = pipeline.WRITERS[artifact]
+        for _, earlier in pipeline.STAGES[:STAGE_NAMES.index(writer)]:
+            earlier(config)
+        assert not (config.out_dir / artifact).exists()
+        dict(pipeline.STAGES)[writer](config)
+        assert (config.out_dir / artifact).is_file()
+
     def test_staged_empty_tensor_equals_one_shot(self, tmp_path):
         # analyze finds no model.txt, and reads the tensor to learn it is empty
         one_shot, staged = tmp_path / "one", tmp_path / "staged"
@@ -162,21 +205,20 @@ class TestRunPipeline:
         assert a == artifact_bytes(staged / "out")
         assert "model.txt" not in a and load_tensor(staged / "out" / "tensor.txt").nnz == 0
 
-    # every stage after the first, with the artifact the stage before it writes
-    @pytest.mark.parametrize("stage, artifact", [
-        ("residences", "events.csv"), ("detect", "residences.csv"), ("tensorize", "migrations.csv"),
-        ("fit", "tensor.txt"), ("analyze", "model.txt")])
-    def test_stage_out_of_order_fails_with_input_code(self, tmp_path, stage, artifact):
+    # every stage after the first, with an artifact it reads and the stage
+    # that writes it, run with only the stages before that writer done
+    @pytest.mark.parametrize("stage, artifact, writer", [
+        ("residences", "events.csv", "ingest"), ("detect", "events.csv", "ingest"),
+        ("tensorize", "migrations.csv", "detect"), ("fit", "tensor.txt", "tensorize"),
+        ("analyze", "model.txt", "fit"), ("analyze", "tensor.txt", "tensorize")])
+    def test_stage_out_of_order_fails_with_input_code(self, tmp_path, stage, artifact, writer):
         config = load_config(write_workspace(tmp_path))
-        index = STAGE_NAMES.index(stage)
-        for _, earlier in pipeline.STAGES[:index - 1]:
+        for _, earlier in pipeline.STAGES[:STAGE_NAMES.index(writer)]:
             earlier(config)
         with pytest.raises(pipeline.StageError) as err:
             dict(pipeline.STAGES)[stage](config)
         assert err.value.exit_code == 3
-        assert str(err.value).startswith(f"[{stage}] ")
-        assert str(config.out_dir / artifact) in str(err.value)
-        assert f"run {STAGE_NAMES[index - 1]} first" in str(err.value)
+        assert str(err.value) == f"[{stage}] missing {config.out_dir / artifact}; run {writer} first"
 
     def test_os_error_without_a_file_name_keeps_its_message(self, tmp_path, monkeypatch):
         config = load_config(write_workspace(tmp_path))
@@ -211,16 +253,16 @@ class TestRunPipeline:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for module, name in [(events, "_parse_range"), (residence, "read_residences"),
-                             (residence, "read_migrations"), (tensor, "load_tensor"),
-                             (solver, "load_model")]:
+        for module, name in [(events, "_parse_range"), (residence, "read_migrations"),
+                             (tensor, "load_tensor"), (solver, "load_model")]:
             spy(module, name)
         pipeline.run_pipeline(config)
         assert calls == [("_parse_range", config.input)]
-        # a stage command still loads the artifact of the stage before
+        # a stage command still loads an artifact: detect reads the events
+        # and recomputes the residences from them
         calls.clear()
         pipeline.stage_detect(config)
-        assert calls == [("read_residences", config.out_dir / "residences.csv")]
+        assert calls == [("_parse_range", config.out_dir / "events.csv")]
 
     def test_run_loads_the_registry_once(self, tmp_path, monkeypatch, capsys):
         # every stage of the run, and every ingest share, works with one registry
@@ -677,6 +719,20 @@ class TestCli:
         assert cli.main(["residences", "--config", str(path)]) == 0
         assert (out / "residences.csv").read_bytes() == expected
 
+    def test_migrations_of_row_shuffled_events_are_byte_identical(self, tmp_path, capsys):
+        path = write_workspace(tmp_path)
+        assert cli.main(["ingest", "--config", str(path)]) == 0
+        assert cli.main(["detect", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        expected = (out / "migrations.csv").read_bytes()
+        assert expected.count(b"\n") > 1  # a header and at least one migration
+        header, *rows = (out / "events.csv").read_text().splitlines(keepends=True)
+        shuffled = random.Random(0).sample(rows, len(rows))
+        assert shuffled != rows
+        (out / "events.csv").write_text(header + "".join(shuffled))
+        assert cli.main(["detect", "--config", str(path)]) == 0
+        assert (out / "migrations.csv").read_bytes() == expected
+
     def test_console_script_installed(self):
         # The `migtensor` entry point declared in pyproject.toml, run the way
         # an installer's generated launcher runs it, against this checkout's
@@ -702,16 +758,10 @@ class TestCli:
 # The fixture's tensor rows are "0 2 3 1", "1 3 2 1", "3 4 4 1" (dims 6 6 6);
 # its model has rank 2, and line 3 of model.txt is the first origin row.
 CORRUPT_ROWS = {
-    "residences-field-count": ("residences.csv", "detect", "alice,1"),
-    "residences-month-not-integer": ("residences.csv", "detect", "alice,one,GB"),
-    "residences-month-out-of-range": ("residences.csv", "detect", "alice,99,GB"),
-    "residences-unknown-country": ("residences.csv", "detect", "alice,1,ZZ"),
     "migrations-field-count": ("migrations.csv", "tensorize", "bob,2,FR"),
     "migrations-month-out-of-range": ("migrations.csv", "tensorize", "bob,-1,FR,US"),
     "migrations-unknown-country": ("migrations.csv", "tensorize", "bob,2,FR,ZZ"),
     "migrations-origin-is-destination": ("migrations.csv", "tensorize", "bob,2,FR,FR"),
-    "residences-repeated-month": ("residences.csv", "detect", "alice,0,FR"),
-    "residences-month-not-canonical": ("residences.csv", "detect", "alice,+1,GB"),
     "migrations-month-not-canonical": ("migrations.csv", "tensorize", "bob,+2,FR,US"),
     "tensor-token": ("tensor.txt", "fit", "1 3 x 1"),
     "tensor-field-count": ("tensor.txt", "fit", "1 3 2"),
@@ -724,7 +774,6 @@ CORRUPT_ROWS = {
     "model-negative": ("model.txt", "analyze", "-0.5,0.5"),
     "model-non-finite": ("model.txt", "analyze", "nan,0.5"),
     # a quote that opens a row of a dump and is never closed
-    "residences-stray-quote": ("residences.csv", "detect", '"alice,1,GB'),
     "migrations-stray-quote": ("migrations.csv", "tensorize", '"bob,2,FR,US'),
     "model-stray-quote": ("model.txt", "analyze", '"0.5,0.5'),
     # numbers float() reads that save_model's %.17g never writes
@@ -732,7 +781,6 @@ CORRUPT_ROWS = {
     "model-plus-sign": ("model.txt", "analyze", "+5,0.5"),
     "model-leading-space": ("model.txt", "analyze", " 5,0.5"),
     # more digits than int() converts
-    "residences-month-digit-limit": ("residences.csv", "detect", f"alice,{'9' * 5000},GB"),
     "migrations-month-digit-limit": ("migrations.csv", "tensorize", f"bob,{'9' * 5000},FR,US"),
     "tensor-count-digit-limit": ("tensor.txt", "fit", f"1 3 2 {'9' * 5000}"),
 }
@@ -748,6 +796,10 @@ CORRUPT_HEADERS = {
     "model-arabic-indic-digit": ("model.txt", "analyze", "# cp 6 \u0666 6 2"),
     "model-fullwidth-digit": ("model.txt", "analyze", "# cp 6 6 6 \uff12"),
 }
+
+
+# the stage commands that read events.csv, with the dump each writes
+EVENTS_READERS = {"residences": "residences.csv", "detect": "migrations.csv"}
 
 
 def run_stages_before(stage, config_path):
@@ -813,46 +865,49 @@ class TestCorruptArtifacts:
     # dated outside the study interval, or an unresolved lat/lon point
     @pytest.mark.parametrize("row", ["alice,2030-01-05T12:00:00Z,GB",
                                      "alice,2014-01-20T12:00:00Z,51.5,-0.1"])
-    def test_corrupt_events_row_exits_3(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("stage", sorted(EVENTS_READERS))
+    def test_corrupt_events_row_exits_3(self, tmp_path, capsys, row, stage):
         path = write_workspace(tmp_path)
         run_stages_before("residences", path)
         target = tmp_path / "out" / "events.csv"
         replace_line(target, 2, row)
         capsys.readouterr()
-        assert cli.main(["residences", "--config", str(path)]) == 3
+        assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "[residences]" in err and f"{target}:3: events artifact" in err
+        assert f"[{stage}]" in err and f"{target}:3: events artifact" in err
 
     # an events.csv without the header line ingest writes: its first line
     # removed, or no line at all
     @pytest.mark.parametrize("headerless", [lambda lines: lines[1:], lambda lines: []],
                              ids=["first line removed", "0 bytes"])
-    def test_events_without_header_exits_3(self, tmp_path, capsys, headerless):
+    @pytest.mark.parametrize("stage", sorted(EVENTS_READERS))
+    def test_events_without_header_exits_3(self, tmp_path, capsys, headerless, stage):
         path = write_workspace(tmp_path)
         run_stages_before("residences", path)
         target = tmp_path / "out" / "events.csv"
         lines = target.read_text().splitlines(keepends=True)
         target.write_text("".join(headerless(lines)))
         capsys.readouterr()
-        assert cli.main(["residences", "--config", str(path)]) == 3
+        assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "[residences]" in err and f"{target}:1: unexpected header" in err
-        assert not (tmp_path / "out" / "residences.csv").exists()
+        assert f"[{stage}]" in err and f"{target}:1: unexpected header" in err
+        assert not (tmp_path / "out" / EVENTS_READERS[stage]).exists()
 
     # a rejected events.csv row names its line and its reject reason, also
     # past the first parse block
     @pytest.mark.parametrize("row, reason", [("alice,2014-02-30T12:00:00Z,GB", "bad_timestamp"),
                                              ("alice,2014-01-20T12:00:00Z,XX", "unknown_country")])
-    def test_rejected_events_row_names_its_line(self, tmp_path, capsys, row, reason):
+    @pytest.mark.parametrize("stage", sorted(EVENTS_READERS))
+    def test_rejected_events_row_names_its_line(self, tmp_path, capsys, row, reason, stage):
         path = write_workspace(tmp_path)
         run_stages_before("residences", path)
         target = tmp_path / "out" / "events.csv"
         lines = target.read_text().splitlines(keepends=True)
         target.write_text("".join(lines + lines[1:2] * 3000 + [row + "\n"]))
         capsys.readouterr()
-        assert cli.main(["residences", "--config", str(path)]) == 3
+        assert cli.main([stage, "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "[residences]" in err and f"{target}:{len(lines) + 3001}: events artifact" in err
+        assert f"[{stage}]" in err and f"{target}:{len(lines) + 3001}: events artifact" in err
         assert reason in err
 
 
@@ -1042,7 +1097,7 @@ UNDECODABLE = {
     "registry": ("registry.txt", "ingest", write_workspace),
     "centroids": ("centroids.csv", "ingest", write_geo_workspace),
     "events": ("out/events.csv", "residences", write_workspace),
-    "residences": ("out/residences.csv", "detect", write_workspace),
+    "events-detect": ("out/events.csv", "detect", write_workspace),
     "migrations": ("out/migrations.csv", "tensorize", write_workspace),
     "tensor": ("out/tensor.txt", "fit", write_workspace),
     "model": ("out/model.txt", "analyze", write_workspace),
@@ -1053,7 +1108,6 @@ UNDECODABLE = {
 LOADERS = {
     "registry": ("registry.txt", lambda path, registry: ingestion.load_registry(path)),
     "centroids": ("centroids.csv", ingestion.load_centroids),
-    "residences": ("out/residences.csv", lambda path, registry: residence.read_residences(path, registry, 6)),
     "migrations": ("out/migrations.csv", lambda path, registry: residence.read_migrations(path, registry, 6)),
     "tensor": ("out/tensor.txt", lambda path, registry: load_tensor(path)),
     "model": ("out/model.txt", lambda path, registry: solver.load_model(path)),

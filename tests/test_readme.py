@@ -49,7 +49,6 @@ def test_readme_python_examples_run_on_the_demo(tmp_path, monkeypatch, capsys):
     # the library calls reproduce the run's artifacts
     out = tmp_path / "out_tourism"
     assert (tmp_path / "kept_events.csv").read_bytes() == (out / "events.csv").read_bytes()
-    assert namespace["users"] == namespace["kept"].users
-    assert np.array_equal(namespace["stored"], namespace["filled"])
+    assert (tmp_path / "kept_residences.csv").read_bytes() == (out / "residences.csv").read_bytes()
     _, moves = read_migrations(out / "migrations.csv", namespace["registry"], 36)
     assert np.array_equal(namespace["moves"], moves)
